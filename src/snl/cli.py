@@ -3,8 +3,9 @@
 Each subcommand wraps one module; `pipeline` chains all of them on a single
 counter program and cross-checks the four verdicts.  Exit codes: 0 a verdict
 was produced, 2 the input failed to parse or validate, 3 a search gave up
-within its caps (Unknown), 4 cross-checked verdicts disagree.  An Unknown
-never counts as a disagreement.
+within its caps (Unknown), 4 cross-checked verdicts disagree, 5 an internal
+failure, such as a witness that does not replay.  An Unknown never counts as
+a disagreement.
 
 Reports and generated files are deterministic for fixed inputs and caps;
 wall-clock timings go to stderr only.
@@ -17,6 +18,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,6 +28,7 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_UNKNOWN = 3
 EXIT_DISAGREE = 4
+EXIT_INTERNAL = 5
 
 _INPUT_ERRORS = (ValueError, OSError)
 
@@ -400,8 +403,9 @@ def _pipeline_tdpn(net, max_tokens: int, max_markings: int) -> tuple[StageResult
         )
     if isinstance(verdict, tdpn.TdpnNotCoverable) and verdict.complete:
         return StageResult("tdpn", "", "NotCoverable (exhaustive)", "no", {}), ()
-    detail = {"reason": getattr(verdict, "reason", "caps")}
-    return StageResult("tdpn", "", "Unknown", "unknown", detail), ()
+    # an incomplete NotCoverable was pruned by the token cap alone
+    reason = verdict.reason if isinstance(verdict, tdpn.TdpnUnknown) else "max_tokens"
+    return StageResult("tdpn", "", "Unknown", "unknown", {"reason": reason}), ()
 
 
 def _pipeline_dcps(net, system, tdpn_witness, caps: dict) -> StageResult:
@@ -487,8 +491,12 @@ def _cmd_pipeline(args) -> int:
         stage = timed("dcps", lambda: _pipeline_dcps(net, system, tdpn_witness, dcps_caps))
         stage.artifact = dcps_path.name
         stages.append(stage)
-    except _INPUT_ERRORS as err:
+    except (OSError, lipton.LiptonInputError) as err:
         return _fail(args.file, err)
+    except Exception as err:
+        traceback.print_exc()
+        print(f"snl: internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return EXIT_INTERNAL
 
     report = PipelineReport(
         input=src.name,

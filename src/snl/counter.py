@@ -20,6 +20,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from snl.text import strip_comments
+
 DEFAULT_FUEL = 10_000_000
 
 IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -121,16 +123,6 @@ Verdict = Halts | Aborts | BoundExceeded | FuelExhausted
 # Parsing and serialization
 
 
-def _strip_comments(text: str) -> str:
-    lines = []
-    for line in text.splitlines():
-        hash_pos = line.find("#")
-        if hash_pos >= 0:
-            line = line[:hash_pos]
-        lines.append(line)
-    return "\n".join(lines)
-
-
 def _check_ident(name: str, what: str, stmt: str) -> str:
     if not IDENT.match(name):
         raise CounterParseError(f"bad {what} {name!r} in statement {stmt!r}")
@@ -146,7 +138,7 @@ def parse_counter(text: str) -> CounterProgram:
     """Parse counter program source.  A missing semicolon after the final
     command is tolerated; the serializer always emits one."""
     commands: list[Command] = []
-    for stmt in _strip_comments(text).split(";"):
+    for stmt in strip_comments(text).split(";"):
         stmt = stmt.strip()
         if not stmt:
             continue

@@ -34,8 +34,12 @@ from __future__ import annotations
 
 import os
 import re
-from collections import deque
+from bisect import bisect_left
 from dataclasses import dataclass
+from typing import Iterator
+
+from snl.search import Capped, Exhausted, Found, bfs
+from snl.text import strip_comments
 
 Stack = tuple[str, ...]
 Thread = tuple[Stack, int]
@@ -223,99 +227,79 @@ def initial_config(system: Dcps) -> DcpsConfig:
 
 
 def _build_index(system: Dcps):
-    """Bucket rules and kill rules by (state, top), declaration order kept."""
-    rule_buckets: dict[tuple[str, str], list[tuple[int, DcpsRule]]] = {}
+    """Bucket rule indices and kill rules by (state, top), declaration order kept."""
+    rule_buckets: dict[tuple[str, str], list[int]] = {}
     kill_buckets: dict[tuple[str, str], list[tuple[int, KillRule]]] = {}
     for idx, r in enumerate(system.rules):
-        rule_buckets.setdefault((r.state, r.top), []).append((idx, r))
+        rule_buckets.setdefault((r.state, r.top), []).append(idx)
     for idx, k in enumerate(system.kills):
         kill_buckets.setdefault((k.state, k.top), []).append((idx, k))
     return rule_buckets, kill_buckets
 
 
-def _rule_step(r: DcpsRule, config: DcpsConfig, semantics: str) -> DcpsConfig:
-    stack, count = config.active
-    pool = config.pool
-    if r.spawn is not None:
-        born = count + 1 if semantics == "inherit" else 0
-        pool = pool + (((r.spawn,), born),)
-    return DcpsConfig(r.new_state, (r.push + stack[1:], count), _canon_pool(pool))
+def _insert(pool: tuple[Thread, ...], thread: Thread) -> tuple[Thread, ...]:
+    """Add a thread to a canonical pool; an empty-stack thread whose count
+    the pool already holds is dropped."""
+    pos = bisect_left(pool, thread)
+    if not thread[0] and pos < len(pool) and pool[pos] == thread:
+        return pool
+    return pool[:pos] + (thread,) + pool[pos:]
 
 
-def _kill_step(k: KillRule, pos: int, config: DcpsConfig) -> DcpsConfig:
-    pool = config.pool[:pos] + config.pool[pos + 1 :]
-    return DcpsConfig(k.new_state, ((k.top,) if k.keep else (), 0), _canon_pool(pool))
+def _remove(pool: tuple[Thread, ...], thread: Thread) -> tuple[Thread, ...]:
+    pos = pool.index(thread)
+    return pool[:pos] + pool[pos + 1 :]
 
 
-def _switch_step(pos: int, entry: Thread, config: DcpsConfig) -> DcpsConfig:
-    parked = (config.active[0], config.active[1] + 1)
-    pool = config.pool[:pos] + config.pool[pos + 1 :] + (parked,)
-    return DcpsConfig(config.state, entry, _canon_pool(pool))
+def _events(index, config: DcpsConfig, budget: int, skip_corpse_switch: bool = False) -> Iterator[Event]:
+    """The events enabled at config, in successor order.
 
-
-def _successors_indexed(
-    index, config: DcpsConfig, budget: int, semantics: str, skip_corpse_switch: bool = False
-) -> list[tuple[Event, DcpsConfig]]:
+    This is the one place that says when an event applies; _apply says
+    what it does.
+    """
     rule_buckets, kill_buckets = index
-    out: list[tuple[Event, DcpsConfig]] = []
-    stack, count = config.active
+    stack = config.active[0]
     if stack:
         top = stack[0]
-        for idx, r in rule_buckets.get((config.state, top), ()):
-            out.append((("rule", idx), _rule_step(r, config, semantics)))
+        for idx in rule_buckets.get((config.state, top), ()):
+            yield ("rule", idx)
         if len(stack) == 1:
             for idx, k in kill_buckets.get((config.state, top), ()):
                 seen_counts = set()
-                for pos, (w, j) in enumerate(config.pool):
-                    if w != (k.victim,) or j > budget or j in seen_counts:
-                        continue
-                    seen_counts.add(j)
-                    out.append((("kill", idx, j), _kill_step(k, pos, config)))
+                for w, j in config.pool:
+                    if w == (k.victim,) and j <= budget and j not in seen_counts:
+                        seen_counts.add(j)
+                        yield ("kill", idx, j)
     seen_entries = set()
-    for pos, entry in enumerate(config.pool):
+    for entry in config.pool:
         if entry[1] > budget or entry in seen_entries:
             continue
         if skip_corpse_switch and not entry[0]:
             continue
         seen_entries.add(entry)
-        out.append((("switch", entry), _switch_step(pos, entry, config)))
-    return out
+        yield ("switch", entry)
 
 
-def _apply_event(
-    system: Dcps, config: DcpsConfig, event: Event, budget: int, semantics: str
-) -> DcpsConfig | None:
-    """The successor a single event denotes, or None if it does not apply."""
+def _apply(system: Dcps, config: DcpsConfig, event: Event, semantics: str) -> DcpsConfig:
+    """The configuration an enabled event leads to.
+
+    Pools stay canonical without re-sorting: removing a thread keeps a
+    sorted pool sorted, and added threads go in by bisection.
+    """
     stack, count = config.active
-    kind = event[0] if isinstance(event, tuple) and event else None
-    if kind == "rule" and len(event) == 2:
-        idx = event[1]
-        if not stack or not isinstance(idx, int) or not 0 <= idx < len(system.rules):
-            return None
-        r = system.rules[idx]
-        if r.state != config.state or r.top != stack[0]:
-            return None
-        return _rule_step(r, config, semantics)
-    if kind == "kill" and len(event) == 3:
-        idx, j = event[1], event[2]
-        if len(stack) != 1 or not isinstance(idx, int) or not 0 <= idx < len(system.kills):
-            return None
-        k = system.kills[idx]
-        if k.state != config.state or k.top != stack[0] or j > budget:
-            return None
-        for pos, entry in enumerate(config.pool):
-            if entry == ((k.victim,), j):
-                return _kill_step(k, pos, config)
-        return None
-    if kind == "switch" and len(event) == 2:
-        entry = event[1]
-        if not (isinstance(entry, tuple) and len(entry) == 2) or entry[1] > budget:
-            return None
-        for pos, candidate in enumerate(config.pool):
-            if candidate == entry:
-                return _switch_step(pos, entry, config)
-        return None
-    return None
+    if event[0] == "rule":
+        r = system.rules[event[1]]
+        pool = config.pool
+        if r.spawn is not None:
+            pool = _insert(pool, ((r.spawn,), count + 1 if semantics == "inherit" else 0))
+        return DcpsConfig(r.new_state, (r.push + stack[1:], count), pool)
+    if event[0] == "kill":
+        k = system.kills[event[1]]
+        pool = _remove(config.pool, ((k.victim,), event[2]))
+        return DcpsConfig(k.new_state, ((k.top,) if k.keep else (), 0), pool)
+    entry = event[1]
+    pool = _insert(_remove(config.pool, entry), (stack, count + 1))
+    return DcpsConfig(config.state, entry, pool)
 
 
 def successors(
@@ -330,7 +314,8 @@ def successors(
     """
     if semantics not in SEMANTICS:
         raise ValueError(f"unknown semantics {semantics!r}")
-    return _successors_indexed(_build_index(system), config, budget, semantics)
+    events = _events(_build_index(system), config, budget)
+    return [(event, _apply(system, config, event, semantics)) for event in events]
 
 
 def replay_witness(
@@ -339,12 +324,12 @@ def replay_witness(
     """Apply a witness event sequence from the initial configuration."""
     if semantics not in SEMANTICS:
         raise ValueError(f"unknown semantics {semantics!r}")
+    index = _build_index(system)
     configs = [initial_config(system)]
     for event in witness:
-        nxt = _apply_event(system, configs[-1], event, budget, semantics)
-        if nxt is None:
+        if event not in _events(index, configs[-1], budget):
             raise ValueError(f"witness event {event!r} does not apply at step {len(configs) - 1}")
-        configs.append(nxt)
+        configs.append(_apply(system, configs[-1], event, semantics))
     return configs
 
 
@@ -389,6 +374,35 @@ def _resolve_max_configs(max_configs: int | None) -> int:
         raise ValueError(f"SNL_MAX_CONFIGS must be an integer, got {raw!r}") from None
 
 
+def _search(system: Dcps, budget: int, goal, max_threads: int, max_stack: int,
+            max_configs: int | None, semantics: str):
+    """Breadth-first search over canonical configurations.
+
+    The search never switches in an empty-stack thread: such a step keeps
+    the global state and can only be followed by switching out again, so
+    dropping these stutters preserves the reachable state set exactly while
+    avoiding corpse-count churn.
+    """
+    validate_dcps(system)
+    if semantics not in SEMANTICS:
+        raise ValueError(f"unknown semantics {semantics!r}")
+    max_configs = _resolve_max_configs(max_configs)
+    index = _build_index(system)
+
+    def step(config: DcpsConfig):
+        events = _events(index, config, budget, skip_corpse_switch=True)
+        return [(event, _apply(system, config, event, semantics)) for event in events]
+
+    def cap(config: DcpsConfig) -> str | None:
+        if _live_threads(config) > max_threads:
+            return "max_threads"
+        if _deepest_stack(config) > max_stack:
+            return "max_stack"
+        return None
+
+    return bfs(initial_config(system), step, goal, max_configs, "max_configs", cap)
+
+
 def reach_state(
     system: Dcps,
     target: str,
@@ -405,62 +419,19 @@ def reach_state(
     replay), DcpsNo when the canonical configuration space was exhausted
     with no cap ever pruning a successor, or DcpsUnknown naming every cap
     that interfered (comma-separated when several did).
-
-    The search never switches in an empty-stack thread: such a step keeps
-    the global state and can only be followed by switching out again, so
-    dropping these stutters preserves the reachable state set exactly while
-    avoiding corpse-count churn.
     """
-    validate_dcps(system)
-    if semantics not in SEMANTICS:
-        raise ValueError(f"unknown semantics {semantics!r}")
-    max_configs = _resolve_max_configs(max_configs)
-    index = _build_index(system)
-    start = initial_config(system)
-    visited = {start}
-    parents: dict[DcpsConfig, tuple[DcpsConfig, Event] | None] = {start: None}
-    queue = deque([start])
-    tripped: set[str] = set()
-    explored = 0
-    found = None
-    while queue:
-        if explored >= max_configs:
-            tripped.add("max_configs")
-            break
-        config = queue.popleft()
-        explored += 1
-        if config.state == target:
-            found = config
-            break
-        for event, nxt in _successors_indexed(
-            index, config, budget, semantics, skip_corpse_switch=True
-        ):
-            if nxt in visited:
-                continue
-            if _live_threads(nxt) > max_threads:
-                tripped.add("max_threads")
-                continue
-            if _deepest_stack(nxt) > max_stack:
-                tripped.add("max_stack")
-                continue
-            visited.add(nxt)
-            parents[nxt] = (config, event)
-            queue.append(nxt)
-    if found is not None:
-        events = []
-        cursor = found
-        while parents[cursor] is not None:
-            prev, event = parents[cursor]
-            events.append(event)
-            cursor = prev
-        events.reverse()
-        witness = tuple(events)
-        final = replay_witness(system, witness, budget, semantics)[-1]
-        assert final.state == target
-        return DcpsReachable(witness, explored)
-    if tripped:
-        return DcpsUnknown(",".join(sorted(tripped)), explored)
-    return DcpsNo(explored)
+    result = _search(
+        system, budget, lambda config: config.state == target,
+        max_threads, max_stack, max_configs, semantics,
+    )
+    if isinstance(result, Found):
+        final = replay_witness(system, result.labels, budget, semantics)[-1]
+        if final.state != target:
+            raise RuntimeError(f"witness replay ends in {final.state!r}, not {target!r}")
+        return DcpsReachable(result.labels, result.explored)
+    if isinstance(result, Capped):
+        return DcpsUnknown(result.reason, result.explored)
+    return DcpsNo(result.explored)
 
 
 def reachable_states(
@@ -477,42 +448,17 @@ def reachable_states(
     complete=True means no cap pruned anything, so the set is exactly the
     K-bounded reachable state set.
     """
-    validate_dcps(system)
-    if semantics not in SEMANTICS:
-        raise ValueError(f"unknown semantics {semantics!r}")
-    max_configs = _resolve_max_configs(max_configs)
-    index = _build_index(system)
-    start = initial_config(system)
-    visited = {start}
-    queue = deque([start])
-    states = {start.state}
-    tripped = False
-    explored = 0
-    while queue:
-        if explored >= max_configs:
-            tripped = True
-            break
-        config = queue.popleft()
-        explored += 1
-        for _, nxt in _successors_indexed(
-            index, config, budget, semantics, skip_corpse_switch=True
-        ):
-            if nxt in visited:
-                continue
-            if _live_threads(nxt) > max_threads or _deepest_stack(nxt) > max_stack:
-                tripped = True
-                continue
-            visited.add(nxt)
-            states.add(nxt.state)
-            queue.append(nxt)
-    return frozenset(states), not tripped
+    result = _search(
+        system, budget, lambda config: False, max_threads, max_stack, max_configs, semantics
+    )
+    return frozenset(config.state for config in result.seen), isinstance(result, Exhausted)
 
 
 # ---------------------------------------------------------------------------
 # Kill desugaring
 
 
-def _fresh(taken: set[str], base: str) -> str:
+def fresh_name(taken: set[str], base: str) -> str:
     name = base
     n = 2
     while name in taken:
@@ -535,12 +481,12 @@ def desugar_kill(system: Dcps) -> Dcps:
     """
     validate_dcps(system)
     taken = set(system.states) | set(system.symbols)
-    marker = _fresh(taken, "spawnmark")
+    marker = fresh_name(taken, "spawnmark")
     rules = list(system.rules)
     for i, k in enumerate(system.kills):
-        g_spawn = _fresh(taken, f"kspawn{i}")
-        g_kill = _fresh(taken, f"kkill{i}")
-        g_return = _fresh(taken, f"kreturn{i}")
+        g_spawn = fresh_name(taken, f"kspawn{i}")
+        g_kill = fresh_name(taken, f"kkill{i}")
+        g_return = fresh_name(taken, f"kreturn{i}")
         rules.append(DcpsRule(k.state, k.top, g_spawn, (k.top,), marker))
         rules.append(DcpsRule(g_spawn, k.top, g_kill, ()))
         rules.append(DcpsRule(g_kill, k.victim, g_return, ()))
@@ -558,7 +504,7 @@ def _inheritance_namer(system: Dcps):
     names: dict[str, str] = {}
 
     def mint(base: str, pretty: str) -> str:
-        name = _fresh(taken, base)
+        name = fresh_name(taken, base)
         names[name] = pretty
         return name
 
@@ -673,8 +619,8 @@ def parse_dcps(text: str) -> Dcps:
     saw_killsyms = False
     rules: list[DcpsRule] = []
     kills: list[KillRule] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+    for lineno, line in enumerate(strip_comments(text).splitlines(), start=1):
+        line = line.strip()
         if not line:
             continue
         if m := _STATE_RE.match(line):

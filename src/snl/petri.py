@@ -18,6 +18,9 @@ import re
 from collections import deque
 from dataclasses import dataclass
 
+from snl.search import Capped, Found, bfs
+from snl.text import strip_comments
+
 Marking = dict[str, int]
 CanonMarking = tuple[tuple[str, int], ...]
 
@@ -100,10 +103,6 @@ def fire(net: PetriNet, marking: Marking, tid: str) -> Marking | None:
     raise KeyError(tid)
 
 
-def total_tokens(marking: Marking) -> int:
-    return sum(marking.values())
-
-
 # ---------------------------------------------------------------------------
 # Backward coverability
 
@@ -183,11 +182,13 @@ def cover_backward(net: PetriNet, target: Marking | None = None) -> BackwardVerd
     while parents[cursor] is not None:
         tid, nxt = parents[cursor]
         fired = fire(net, marking, tid)
-        assert fired is not None, "backward witness replay hit a disabled transition"
+        if fired is None:
+            raise RuntimeError(f"backward witness replay hit disabled transition {tid!r}")
         witness.append(tid)
         marking = fired
         cursor = nxt
-    assert covers(marking, target), "backward witness replay does not cover the target"
+    if not covers(marking, target):
+        raise RuntimeError("backward witness replay does not cover the target")
     return Coverable(witness=tuple(witness), basis_size=len(basis))
 
 
@@ -226,44 +227,32 @@ def cover_forward_bfs(
 
     Markings above the token cap are not expanded (recorded in the
     `complete` flag); exhausting the capped space yields
-    NotCoverableWithinCaps, and overrunning the marking budget aborts to
-    Unknown.
+    NotCoverableWithinCaps, and expanding max_markings markings without a
+    verdict aborts to Unknown.
     """
     validate_petri(net)
     if target is None:
         target = target_marking(net)
-    start = initial_marking(net)
-    start_c = canonical(start)
-    parents: dict[CanonMarking, tuple[str, CanonMarking] | None] = {start_c: None}
-    queue: deque[CanonMarking] = deque([start_c])
-    pruned = False
-    while queue:
-        m_c = queue.popleft()
+
+    def successors(m_c: CanonMarking):
         marking = dict(m_c)
-        if covers(marking, target):
-            witness: list[str] = []
-            cursor: CanonMarking | None = m_c
-            while parents[cursor] is not None:
-                tid, prev = parents[cursor]
-                witness.append(tid)
-                cursor = prev
-            witness.reverse()
-            return ForwardCoverable(tuple(witness), len(parents))
-        for tid, pre, post in net.transitions:
-            if not enabled(net, marking, pre):
-                continue
-            nxt = fire(net, marking, tid)
-            nxt_c = canonical(nxt)
-            if nxt_c in parents:
-                continue
-            if total_tokens(nxt) > max_tokens:
-                pruned = True
-                continue
-            if len(parents) >= max_markings:
-                return ForwardUnknown("max_markings", len(parents))
-            parents[nxt_c] = (tid, m_c)
-            queue.append(nxt_c)
-    return NotCoverableWithinCaps(len(parents), complete=not pruned)
+        for tid, pre, _ in net.transitions:
+            if enabled(net, marking, pre):
+                yield tid, canonical(fire(net, marking, tid))
+
+    result = bfs(
+        canonical(initial_marking(net)),
+        successors,
+        lambda m_c: covers(dict(m_c), target),
+        max_markings,
+        "max_markings",
+        lambda m_c: "max_tokens" if sum(c for _, c in m_c) > max_tokens else None,
+    )
+    if isinstance(result, Found):
+        return ForwardCoverable(result.labels, result.explored)
+    if isinstance(result, Capped) and "max_markings" in result.tripped:
+        return ForwardUnknown(result.reason, result.explored)
+    return NotCoverableWithinCaps(result.explored, complete=not isinstance(result, Capped))
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +269,7 @@ def parse_pnet(text: str) -> PetriNet:
     places: list[str] = []
     transitions: list[tuple[str, frozenset[str], frozenset[str]]] = []
     initial = final = None
-    text = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
-    for stmt in text.split(";"):
+    for stmt in strip_comments(text).split(";"):
         stmt = " ".join(stmt.split())
         if not stmt:
             continue

@@ -23,10 +23,12 @@ when it equals k.  Returning pops a label and resumes right after it.
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterable, Iterator
+
+from snl.search import Capped, Found, bfs
+from snl.text import strip_comments
 
 MAIN_SEQ = ("main",)
 
@@ -121,21 +123,20 @@ class Rnp:
         bits = (self.max_depth - 1).bit_length() if self.max_depth > 1 else 0
         return bits + sum(len(cmds) for _, cmds in self.sequences())
 
-
-@lru_cache(maxsize=None)
-def _tables(rnp: Rnp) -> tuple[dict, dict]:
-    """(label -> (seq id, index), seq id -> command tuple)."""
-    sites: dict[str, tuple[tuple, int]] = {}
-    seqs: dict[tuple, tuple[Command, ...]] = {}
-    for seq_id, cmds in rnp.sequences():
-        seqs[seq_id] = cmds
-        for i, cmd in enumerate(cmds):
-            sites[cmd.label] = (seq_id, i)
-    return sites, seqs
+    @cached_property
+    def tables(self) -> tuple[dict, dict]:
+        """(label -> (seq id, index), seq id -> command tuple)."""
+        sites: dict[str, tuple[tuple, int]] = {}
+        seqs: dict[tuple, tuple[Command, ...]] = {}
+        for seq_id, cmds in self.sequences():
+            seqs[seq_id] = cmds
+            for i, cmd in enumerate(cmds):
+                sites[cmd.label] = (seq_id, i)
+        return sites, seqs
 
 
 def command_at(rnp: Rnp, site: tuple[tuple, int]) -> Command:
-    _, seqs = _tables(rnp)
+    _, seqs = rnp.tables
     seq_id, idx = site
     return seqs[seq_id][idx]
 
@@ -211,7 +212,7 @@ def successors(rnp: Rnp, config: RnpConfig) -> list[tuple[int | None, RnpConfig]
     """Successor configurations, paired with the branch choice taken
     (0 or 1 at a goto-or, None elsewhere).  Halt and a stuck decrement
     yield no successors."""
-    sites, seqs = _tables(rnp)
+    sites, seqs = rnp.tables
     seq_id, idx = config.site
     cmd = seqs[seq_id][idx]
     depth = len(config.stack)
@@ -341,41 +342,31 @@ def explore_halting(
 
     Returns RnpHalts with the goto-or choice sequence of a shortest halting
     run, RnpNo when the whole configuration space was exhausted, and
-    RnpUnknown when the configuration budget ran out.  A counter copy
-    exceeding max_value prunes that branch; if pruning happened and no halt
-    was found the verdict is RnpUnknown rather than RnpNo.
+    RnpUnknown when a cap interfered: max_configs bounds the configurations
+    expanded, and a counter copy exceeding max_value prunes that branch.
     """
     validate_rnp(rnp)
     if start is None:
         start = initial_config(rnp)
-    parents: dict[RnpConfig, tuple[RnpConfig, int | None] | None] = {start: None}
-    queue: deque[RnpConfig] = deque([start])
-    value_pruned = False
-    while queue:
-        config = queue.popleft()
-        if isinstance(command_at(rnp, config.site), Halt):
-            choices: list[int] = []
-            cur: RnpConfig | None = config
-            while parents[cur] is not None:
-                prev, choice = parents[cur]
-                if choice is not None:
-                    choices.append(choice)
-                cur = prev
-            choices.reverse()
-            return RnpHalts(tuple(choices), config, len(parents))
-        for choice, nxt in successors(rnp, config):
-            if nxt in parents:
-                continue
-            if max_value is not None and any(c > max_value for _, _, c in nxt.valuation):
-                value_pruned = True
-                continue
-            if len(parents) >= max_configs:
-                return RnpUnknown("max_configs", len(parents))
-            parents[nxt] = (config, choice)
-            queue.append(nxt)
-    if value_pruned:
-        return RnpUnknown("max_value", len(parents))
-    return RnpNo(len(parents), value_limited=False)
+    over_value = None
+    if max_value is not None:
+        def over_value(config: RnpConfig) -> str | None:
+            return "max_value" if any(c > max_value for _, _, c in config.valuation) else None
+
+    result = bfs(
+        start,
+        lambda config: successors(rnp, config),
+        lambda config: isinstance(command_at(rnp, config.site), Halt),
+        max_configs,
+        "max_configs",
+        over_value,
+    )
+    if isinstance(result, Found):
+        choices = tuple(c for c in result.labels if c is not None)
+        return RnpHalts(choices, result.state, result.explored)
+    if isinstance(result, Capped):
+        return RnpUnknown(result.reason, result.explored)
+    return RnpNo(result.explored, value_limited=False)
 
 
 @dataclass(frozen=True)
@@ -409,7 +400,8 @@ def run_scheduled(
         except RnpStructureError:
             return ScheduledRun("structural_error", steps, config)
         if not succ:
-            assert isinstance(cmd, Dec)
+            if not isinstance(cmd, Dec):
+                raise RuntimeError(f"{cmd.label!r} has no successor but is not a decrement")
             return ScheduledRun(
                 "stuck_dec", steps, config, stuck_var=cmd.var, stuck_depth=config.depth
             )
@@ -426,10 +418,6 @@ def run_scheduled(
 
 # ---------------------------------------------------------------------------
 # Parsing and serialization
-
-
-def _strip_comments(text: str) -> str:
-    return "\n".join(line.split("#", 1)[0] for line in text.splitlines())
 
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
@@ -479,7 +467,7 @@ _PROC_RE = re.compile(
 
 
 def parse_rnp(text: str) -> Rnp:
-    text = _strip_comments(text)
+    text = strip_comments(text)
     m = _MAXDEPTH_RE.match(text)
     if not m:
         raise RnpParseError("expected 'maxdepth <k>;' header")

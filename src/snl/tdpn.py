@@ -18,7 +18,6 @@ fork whose post words coincide adds two.
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
 from itertools import product
 
@@ -28,6 +27,8 @@ from snl.petri import (
     cover_backward,
     Coverable as PetriCoverable,
 )
+from snl.search import Capped, Found, bfs
+from snl.text import strip_comments
 from snl.transducer import Transducer, enumerate_accepted, validate_transducer
 
 Marking = dict[str, int]
@@ -195,8 +196,8 @@ def coverable(
     backward: expand and run the complete backward procedure (refusing the
     expansion yields Unknown).  symbolic: forward search with fire_symbolic
     under token/marking caps; exhausting the capped space reports
-    NotCoverable with a completeness flag, blowing the marking budget
-    reports Unknown.
+    NotCoverable with a completeness flag, expanding max_markings markings
+    without a verdict reports Unknown.
     """
     validate_tdpn(net)
     if mode == "backward":
@@ -213,35 +214,19 @@ def coverable(
     if mode != "symbolic":
         raise ValueError(f"unknown mode {mode!r}")
 
-    start = {net.w_init: 1}
-    start_c = canonical(start)
-    parents: dict[tuple, tuple[Descriptor, tuple] | None] = {start_c: None}
-    queue: deque[tuple] = deque([start_c])
-    pruned = False
-    while queue:
-        m_c = queue.popleft()
-        marking = dict(m_c)
-        if marking.get(net.w_final, 0) >= 1:
-            witness: list[Descriptor] = []
-            cursor = m_c
-            while parents[cursor] is not None:
-                desc, prev = parents[cursor]
-                witness.append(desc)
-                cursor = prev
-            witness.reverse()
-            return TdpnCoverable(tuple(witness), mode)
-        for desc, nxt in fire_symbolic(net, marking):
-            nxt_c = canonical(nxt)
-            if nxt_c in parents:
-                continue
-            if sum(nxt.values()) > max_tokens:
-                pruned = True
-                continue
-            if len(parents) >= max_markings:
-                return TdpnUnknown(mode, "max_markings")
-            parents[nxt_c] = (desc, m_c)
-            queue.append(nxt_c)
-    return TdpnNotCoverable(mode, complete=not pruned)
+    result = bfs(
+        canonical({net.w_init: 1}),
+        lambda m_c: [(desc, canonical(nxt)) for desc, nxt in fire_symbolic(net, dict(m_c))],
+        lambda m_c: net.w_final in dict(m_c),
+        max_markings,
+        "max_markings",
+        lambda m_c: "max_tokens" if sum(c for _, c in m_c) > max_tokens else None,
+    )
+    if isinstance(result, Found):
+        return TdpnCoverable(result.labels, mode)
+    if isinstance(result, Capped) and "max_markings" in result.tripped:
+        return TdpnUnknown(mode, result.reason)
+    return TdpnNotCoverable(mode, complete=not isinstance(result, Capped))
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +271,7 @@ def _parse_transducer_block(kind: str, arity: int, body: str, alphabet: tuple[st
 
 
 def parse_tdpn(text: str) -> Tdpn:
-    text = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
+    text = strip_comments(text)
     header = {}
     for key, pattern in (
         ("width", r"width\s+(\d+)\s*;"),

@@ -34,7 +34,7 @@ from __future__ import annotations
 import functools
 from collections import Counter
 
-from snl.dcps import Dcps, DcpsRule, Event, KillRule, make_dcps, validate_dcps
+from snl.dcps import Dcps, DcpsRule, Event, KillRule, fresh_name, make_dcps, validate_dcps
 from snl.tdpn import Descriptor, Tdpn, validate_tdpn
 from snl.transducer import Transducer
 
@@ -49,16 +49,6 @@ HANDOFF_PAIRS = (("move", "pop1"), ("join", "pop2"), ("fork", "pop1"))
 GUESS_PAIRS = (("move", "push1"), ("join", "push1"), ("fork", "push1"), ("fork", "push2"))
 # pairs whose completed guess enters verification
 VERIFY_ENTRY_PAIRS = (("move", "push1"), ("join", "push1"), ("fork", "push2"))
-
-
-def _fresh(taken: set[str], base: str) -> str:
-    name = base
-    n = 2
-    while name in taken:
-        name = f"{base}{n}"
-        n += 1
-    taken.add(name)
-    return name
 
 
 def _out_transitions(t: Transducer, state: str) -> list[tuple[int, tuple]]:
@@ -76,7 +66,7 @@ class _Builder:
         self._verify: dict[tuple[str, object, str, int], str] = {}
 
     def mint(self, base: str, pretty: str) -> str:
-        name = _fresh(self.taken, base)
+        name = fresh_name(self.taken, base)
         self.names[name] = pretty
         return name
 
@@ -273,8 +263,10 @@ def _construction(net: Tdpn) -> _Builder:
     validate_dcps(b.system)
     b.rule_idx = {rule: i for i, rule in enumerate(b.system.rules)}
     b.kill_idx = {kill: i for i, kill in enumerate(b.system.kills)}
-    assert len(b.rule_idx) == len(b.system.rules)
-    assert len(b.kill_idx) == len(b.system.kills)
+    if len(b.rule_idx) != len(b.system.rules):
+        raise RuntimeError("compiled system repeats a rule; witness events would be ambiguous")
+    if len(b.kill_idx) != len(b.system.kills):
+        raise RuntimeError("compiled system repeats a kill rule; witness events would be ambiguous")
     return b
 
 

@@ -13,7 +13,7 @@ ordering.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterator
 
 
@@ -36,13 +36,13 @@ class Transducer:
     def size(self) -> int:
         return self.arity * len(self.transitions)
 
-
-@lru_cache(maxsize=None)
-def _by_source(t: Transducer) -> dict[str, tuple[Transition, ...]]:
-    table: dict[str, list[Transition]] = {q: [] for q in t.states}
-    for tr in t.transitions:
-        table[tr[0]].append(tr)
-    return {q: tuple(trs) for q, trs in table.items()}
+    @cached_property
+    def by_source(self) -> dict[str, tuple[Transition, ...]]:
+        """Outgoing transitions of each state, in declaration order."""
+        table: dict[str, list[Transition]] = {q: [] for q in self.states}
+        for tr in self.transitions:
+            table[tr[0]].append(tr)
+        return {q: tuple(trs) for q, trs in table.items()}
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,7 @@ def validate_transducer(t: Transducer) -> TransducerReport:
 
     forward = {t.initial}
     frontier = [t.initial]
-    table = _by_source(t)
+    table = t.by_source
     while frontier:
         q = frontier.pop()
         for _, _, dst in table[q]:
@@ -129,7 +129,7 @@ def accepts(t: Transducer, words: tuple[str, ...]) -> bool:
     if any(len(w) != length for w in words):
         return False
     current = {t.initial}
-    table = _by_source(t)
+    table = t.by_source
     for i in range(length):
         letters = tuple(w[i] for w in words)
         current = {
@@ -164,7 +164,7 @@ def enumerate_accepted(
                     by_len[i].add(w[:i])
         prefix_sets[coord] = by_len
 
-    table = _by_source(t)
+    table = t.by_source
     seen: set[tuple[str, ...]] = set()
 
     def walk(state: str, words: tuple[str, ...], depth: int) -> Iterator[tuple[str, ...]]:

@@ -9,8 +9,16 @@ import json
 import pytest
 
 from helpers import CORPUS
-from snl import cli, counter, dcps, petri, rnp, tdpn
-from snl.cli import EXIT_DISAGREE, EXIT_INPUT, EXIT_OK, EXIT_UNKNOWN, StageResult, cross_check
+from snl import cli, counter, dcps, petri, rnp, tdpn, tdpn2dcps
+from snl.cli import (
+    EXIT_DISAGREE,
+    EXIT_INPUT,
+    EXIT_INTERNAL,
+    EXIT_OK,
+    EXIT_UNKNOWN,
+    StageResult,
+    cross_check,
+)
 
 TINY = str(CORPUS / "tiny.tdpn")
 
@@ -238,6 +246,29 @@ def test_pipeline_fault_injection_flags_disagreement(capsys, tmp_path, monkeypat
     assert code == EXIT_DISAGREE
     assert "DISAGREE" in out
     assert "disagreement" in err
+
+
+def test_pipeline_names_the_token_cap(capsys, tmp_path):
+    out_dir = tmp_path / "token_pipe"
+    code, _, _ = run_cli(
+        capsys, "pipeline", "--n", 1, CORPUS / "halt.cp",
+        "--max-tokens", 1, "--dcps-max-configs", 100, "--out-dir", out_dir,
+    )
+    assert code == EXIT_UNKNOWN
+    tdpn_stage = json.loads((out_dir / "report.json").read_text())["stages"][2]
+    assert tdpn_stage["normalized"] == "unknown"
+    assert tdpn_stage["detail"] == {"reason": "max_tokens"}
+
+
+def test_pipeline_failed_replay_is_internal_error(capsys, tmp_path, monkeypatch):
+    # the pool starts empty, so no kill applies; the fault is the program's, not the input's
+    monkeypatch.setattr(tdpn2dcps, "synthesize_cover_witness", lambda net, steps: (("kill", 0, 0),))
+    code, _, err = run_cli(
+        capsys, "pipeline", "--n", 1, CORPUS / "halt.cp", "--out-dir", tmp_path / "p"
+    )
+    assert code == EXIT_INTERNAL
+    assert "snl: internal error:" in err
+    assert "does not apply" in err
 
 
 def test_pipeline_unparsable_input(capsys, tmp_path):

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from genutil import random_pnet
+from snl import petri
 from snl.petri import (
     Coverable,
     ForwardCoverable,
@@ -84,6 +85,13 @@ def test_backward_join_needs_two_tokens():
         m = fire(net, m, tid)
         assert m is not None
     assert covers(m, {"pf": 1})
+
+
+def test_backward_witness_is_checked_by_replay(monkeypatch):
+    # the replay check must raise, not assert: python -O strips asserts
+    monkeypatch.setattr(petri, "fire", lambda net, marking, tid: None)
+    with pytest.raises(RuntimeError, match="disabled transition"):
+        cover_backward(chain())
 
 
 def test_backward_not_coverable():
