@@ -83,23 +83,27 @@ def covers(marking: Marking, target: Marking) -> bool:
     return all(marking.get(p, 0) >= c for p, c in target.items())
 
 
-def enabled(net: PetriNet, marking: Marking, pre: frozenset[str]) -> bool:
+def enabled(marking: Marking, pre: frozenset[str]) -> bool:
     return all(marking.get(p, 0) >= 1 for p in pre)
+
+
+def _fire(marking: Marking, pre: frozenset[str], post: frozenset[str]) -> Marking | None:
+    if not enabled(marking, pre):
+        return None
+    out = dict(marking)
+    for p in pre:
+        out[p] -= 1
+        if out[p] == 0:
+            del out[p]
+    for p in post:
+        out[p] = out.get(p, 0) + 1
+    return out
 
 
 def fire(net: PetriNet, marking: Marking, tid: str) -> Marking | None:
     for t, pre, post in net.transitions:
         if t == tid:
-            if not enabled(net, marking, pre):
-                return None
-            out = dict(marking)
-            for p in pre:
-                out[p] -= 1
-                if out[p] == 0:
-                    del out[p]
-            for p in post:
-                out[p] = out.get(p, 0) + 1
-            return out
+            return _fire(marking, pre, post)
     raise KeyError(tid)
 
 
@@ -236,9 +240,10 @@ def cover_forward_bfs(
 
     def successors(m_c: CanonMarking):
         marking = dict(m_c)
-        for tid, pre, _ in net.transitions:
-            if enabled(net, marking, pre):
-                yield tid, canonical(fire(net, marking, tid))
+        for tid, pre, post in net.transitions:
+            fired = _fire(marking, pre, post)
+            if fired is not None:
+                yield tid, canonical(fired)
 
     result = bfs(
         canonical(initial_marking(net)),

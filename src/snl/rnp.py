@@ -320,7 +320,6 @@ class RnpHalts:
 @dataclass(frozen=True)
 class RnpNo:
     configs_explored: int
-    value_limited: bool
 
 
 @dataclass(frozen=True)
@@ -366,7 +365,7 @@ def explore_halting(
         return RnpHalts(choices, result.state, result.explored)
     if isinstance(result, Capped):
         return RnpUnknown(result.reason, result.explored)
-    return RnpNo(result.explored, value_limited=False)
+    return RnpNo(result.explored)
 
 
 @dataclass(frozen=True)

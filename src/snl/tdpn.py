@@ -34,6 +34,7 @@ from snl.transducer import Transducer, enumerate_accepted, validate_transducer
 Marking = dict[str, int]
 
 Descriptor = tuple[str, tuple[str, ...]]  # ("move"|"fork"|"join", words)
+ARITY = {"move": 2, "fork": 3, "join": 3}
 
 
 class TdpnParseError(ValueError):
@@ -57,6 +58,11 @@ class Tdpn:
     def size(self) -> int:
         return self.width + self.t_move.size() + self.t_fork.size() + self.t_join.size()
 
+    def transducers(self) -> tuple[tuple[str, Transducer, int], ...]:
+        """(kind, transducer, number of pre words) in move, fork, join order,
+        the order in which expansions and successors list transitions."""
+        return (("move", self.t_move, 1), ("fork", self.t_fork, 1), ("join", self.t_join, 2))
+
 
 def validate_tdpn(net: Tdpn) -> None:
     problems = []
@@ -68,13 +74,9 @@ def validate_tdpn(net: Tdpn) -> None:
     for role, w in (("init", net.w_init), ("final", net.w_final)):
         if len(w) != net.width or any(a not in net.alphabet for a in w):
             problems.append(f"{role} word {w!r} is not a width-{net.width} word over the alphabet")
-    for name, t, arity in (
-        ("move", net.t_move, 2),
-        ("fork", net.t_fork, 3),
-        ("join", net.t_join, 3),
-    ):
-        if t.arity != arity:
-            problems.append(f"{name} transducer must have arity {arity}, got {t.arity}")
+    for name, t, _ in net.transducers():
+        if t.arity != ARITY[name]:
+            problems.append(f"{name} transducer must have arity {ARITY[name]}, got {t.arity}")
         if tuple(t.alphabet) != tuple(net.alphabet):
             problems.append(f"{name} transducer alphabet differs from the net alphabet")
         report = validate_transducer(t)
@@ -104,14 +106,12 @@ def expand(net: Tdpn, place_limit: int = 4096) -> PetriNet:
             f"{n_places} places exceed the limit {place_limit}"
         )
     places = tuple("".join(p) for p in product(net.alphabet, repeat=net.width))
-    transitions: list[tuple[str, frozenset[str], frozenset[str]]] = []
-    for w1, w2 in enumerate_accepted(net.t_move, net.width):
-        transitions.append((f"move_{w1}_{w2}", frozenset({w1}), frozenset({w2})))
-    for w1, w2, w3 in enumerate_accepted(net.t_fork, net.width):
-        transitions.append((f"fork_{w1}_{w2}_{w3}", frozenset({w1}), frozenset({w2, w3})))
-    for w1, w2, w3 in enumerate_accepted(net.t_join, net.width):
-        transitions.append((f"join_{w1}_{w2}_{w3}", frozenset({w1, w2}), frozenset({w3})))
-    return PetriNet(places, tuple(transitions), net.w_init, net.w_final)
+    transitions = tuple(
+        (f"{kind}_{'_'.join(words)}", frozenset(words[:pre]), frozenset(words[pre:]))
+        for kind, t, pre in net.transducers()
+        for words in enumerate_accepted(t, net.width)
+    )
+    return PetriNet(places, transitions, net.w_init, net.w_final)
 
 
 def descriptor_of_transition_id(tid: str) -> Descriptor:
@@ -125,8 +125,10 @@ def descriptor_of_transition_id(tid: str) -> Descriptor:
 
 def fire_symbolic(net: Tdpn, marking: Marking) -> list[tuple[Descriptor, Marking]]:
     """All single-transition successors of a marking, found without
-    expanding the net: enumeration is constrained to tuples whose pre
-    coordinates are words currently marked."""
+    expanding the net: move, fork, then join, each in `enumerate_accepted`
+    order with the pre words (coordinate 0, and coordinate 1 of a join)
+    constrained to the marked words.  A join whose two pre words coincide
+    needs two tokens there; a fork whose post words coincide adds two."""
     support = {w for w, c in marking.items() if c > 0}
     out: list[tuple[Descriptor, Marking]] = []
 
@@ -142,20 +144,12 @@ def fire_symbolic(net: Tdpn, marking: Marking) -> list[tuple[Descriptor, Marking
                 m[w] = c
         return m
 
-    for w1, w2 in enumerate_accepted(net.t_move, net.width, constraints={0: support}):
-        m = moved([(w1, -1), (w2, +1)])
-        if m is not None:
-            out.append((("move", (w1, w2)), m))
-    for w1, w2, w3 in enumerate_accepted(net.t_fork, net.width, constraints={0: support}):
-        m = moved([(w1, -1), (w2, +1), (w3, +1)])
-        if m is not None:
-            out.append((("fork", (w1, w2, w3)), m))
-    for w1, w2, w3 in enumerate_accepted(
-        net.t_join, net.width, constraints={0: support, 1: support}
-    ):
-        m = moved([(w1, -1), (w2, -1), (w3, +1)])
-        if m is not None:
-            out.append((("join", (w1, w2, w3)), m))
+    for kind, t, pre in net.transducers():
+        constraints = {c: support for c in range(pre)}
+        for words in enumerate_accepted(t, net.width, constraints=constraints):
+            m = moved([(w, -1) for w in words[:pre]] + [(w, +1) for w in words[pre:]])
+            if m is not None:
+                out.append(((kind, words), m))
     return out
 
 
@@ -318,7 +312,6 @@ def serialize_tdpn(net: Tdpn) -> str:
         f"init {net.w_init};",
         f"final {net.w_final};",
     ]
-    lines.extend(_serialize_transducer_block("move", net.t_move))
-    lines.extend(_serialize_transducer_block("fork", net.t_fork))
-    lines.extend(_serialize_transducer_block("join", net.t_join))
+    for kind, t, _ in net.transducers():
+        lines.extend(_serialize_transducer_block(kind, t))
     return "\n".join(lines) + "\n"

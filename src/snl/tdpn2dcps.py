@@ -36,7 +36,7 @@ from collections import Counter
 
 from snl.dcps import Dcps, DcpsRule, Event, KillRule, fresh_name, make_dcps, validate_dcps
 from snl.tdpn import Descriptor, Tdpn, validate_tdpn
-from snl.transducer import Transducer
+from snl.transducer import Transducer, accepted_rows
 
 MODES = ("move", "join", "fork")
 TAGS = ("pop1", "pop2", "push1", "push2")
@@ -49,10 +49,6 @@ HANDOFF_PAIRS = (("move", "pop1"), ("join", "pop2"), ("fork", "pop1"))
 GUESS_PAIRS = (("move", "push1"), ("join", "push1"), ("fork", "push1"), ("fork", "push2"))
 # pairs whose completed guess enters verification
 VERIFY_ENTRY_PAIRS = (("move", "push1"), ("join", "push1"), ("fork", "push2"))
-
-
-def _out_transitions(t: Transducer, state: str) -> list[tuple[int, tuple]]:
-    return [(j, tr) for j, tr in enumerate(t.transitions) if tr[0] == state]
 
 
 class _Builder:
@@ -188,7 +184,7 @@ def _construction(net: Tdpn) -> _Builder:
     for m, tag in VERIFY_ENTRY_PAIRS:
         t = b.by_mode[m]
         for a in sigma:
-            for j, _ in _out_transitions(t, t.initial):
+            for j, _, _ in t.by_source[t.initial]:
                 rules.append(
                     DcpsRule(
                         guess[(m, "toplock", tag)], a, b.verify_state(m, 1, "pop1", j), (lock, a), verify_sym
@@ -218,7 +214,7 @@ def _construction(net: Tdpn) -> _Builder:
                     )
         for i in range(1, l):
             for j, (_, letters, dst) in enumerate(t.transitions):
-                for j2, _ in _out_transitions(t, dst):
+                for j2, _, _ in t.by_source[dst]:
                     kills.append(
                         KillRule(
                             b.verify_state(mode, i, roles[last], j),
@@ -339,31 +335,6 @@ def expected_rule_counts(net: Tdpn) -> dict[str, int]:
 # Witness synthesis
 
 
-def _accepting_path(t: Transducer, words: tuple[str, ...]) -> list[int]:
-    """Indices of a transition path accepting the tuple, first in
-    declaration order."""
-    length = len(words[0])
-
-    def walk(state: str, pos: int) -> list[int] | None:
-        letters = tuple(w[pos] for w in words)
-        for j, (src, lab, dst) in enumerate(t.transitions):
-            if src != state or lab != letters:
-                continue
-            if pos == length - 1:
-                if dst in t.finals:
-                    return [j]
-                continue
-            rest = walk(dst, pos + 1)
-            if rest is not None:
-                return [j] + rest
-        return None
-
-    path = walk(t.initial, 0)
-    if path is None:
-        raise ValueError(f"transducer does not accept {words!r}")
-    return path
-
-
 def synthesize_cover_witness(net: Tdpn, steps: tuple[Descriptor, ...]) -> tuple[Event, ...]:
     """Turn a coverability witness into a replayable event sequence.
 
@@ -432,8 +403,10 @@ def synthesize_cover_witness(net: Tdpn, steps: tuple[Descriptor, ...]) -> tuple[
         active_word, active_count = word, 0
 
     def verify(mode: str, words: tuple[str, ...], roles: tuple[str, ...]) -> None:
-        t = {"move": net.t_move, "join": net.t_join, "fork": net.t_fork}[mode]
-        path = _accepting_path(t, words)
+        rows = accepted_rows(b.by_mode[mode], len(words[0]), words[0])
+        path = next((p for p, accepted in rows if accepted == words), None)
+        if path is None:
+            raise ValueError(f"transducer does not accept {words!r}")
         entry = b.verify_state(mode, 1, "pop1", path[0])
         rule(DcpsRule(b.guess[(mode, "toplock", roles[-1])], words[-1][0], entry, (lock, words[-1][0]), b.verify_sym))
         # the capped guess is now a complete token; hand control to the verifier

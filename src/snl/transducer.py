@@ -5,9 +5,13 @@ transition consumes one letter per coordinate.  The accepted language is a
 set of n-tuples of words.  There are no epsilon moves, so every accepted
 tuple has exactly the length of the run that accepted it.
 
-Tuples are enumerated depth-first following transition declaration order,
-which makes every artifact built from a transducer reproducible down to
-ordering.
+Enumeration order and witness paths come from one depth-first walk over
+the transitions in declaration order, which makes every artifact built from
+a transducer reproducible down to ordering.  The walk yields a row
+`(path, words)` for each accepted tuple at its first accepting path (the
+declaration indices of its transitions), so walk order is path order.  Rows
+with coordinate 0 pinned to a word are kept on the transducer per
+(length, word): each word is walked once per object.
 """
 
 from __future__ import annotations
@@ -22,6 +26,8 @@ class TransducerError(ValueError):
 
 
 Transition = tuple[str, tuple[str, ...], str]  # (source, letters, target)
+Edge = tuple[int, tuple[str, ...], str]  # (declaration index, letters, target)
+Row = tuple[tuple[int, ...], tuple[str, ...]]  # (first accepting path, words)
 
 
 @dataclass(frozen=True)
@@ -37,12 +43,19 @@ class Transducer:
         return self.arity * len(self.transitions)
 
     @cached_property
-    def by_source(self) -> dict[str, tuple[Transition, ...]]:
-        """Outgoing transitions of each state, in declaration order."""
-        table: dict[str, list[Transition]] = {q: [] for q in self.states}
-        for tr in self.transitions:
-            table[tr[0]].append(tr)
-        return {q: tuple(trs) for q, trs in table.items()}
+    def by_source(self) -> dict[str, tuple[Edge, ...]]:
+        """Outgoing edges of each state with their declaration indices, in
+        declaration order."""
+        table: dict[str, list[Edge]] = {q: [] for q in self.states}
+        for j, (src, letters, dst) in enumerate(self.transitions):
+            table[src].append((j, letters, dst))
+        return {q: tuple(edges) for q, edges in table.items()}
+
+    @cached_property
+    def rows_by_first(self) -> dict[tuple[int, str], tuple[Row, ...]]:
+        """Rows of the walk with coordinate 0 pinned, per (length, word);
+        filled by `accepted_rows`."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -135,7 +148,7 @@ def accepts(t: Transducer, words: tuple[str, ...]) -> bool:
         current = {
             dst
             for q in current
-            for src, lab, dst in table[q]
+            for _, lab, dst in table[q]
             if lab == letters
         }
         if not current:
@@ -143,40 +156,54 @@ def accepts(t: Transducer, words: tuple[str, ...]) -> bool:
     return bool(current & t.finals)
 
 
+def _walk(t: Transducer, length: int, first: str | None = None) -> Iterator[Row]:
+    """The rows of accepted tuples of the given length, in walk order;
+    `first`, when given, pins coordinate 0."""
+    table = t.by_source
+    seen: set[tuple[str, ...]] = set()
+
+    def walk(state: str, path: tuple[int, ...], words: tuple[str, ...]) -> Iterator[Row]:
+        depth = len(path)
+        if depth == length:
+            if state in t.finals and words not in seen:
+                seen.add(words)
+                yield path, words
+            return
+        for j, letters, dst in table[state]:
+            if first is None or letters[0] == first[depth]:
+                yield from walk(dst, path + (j,), tuple(w + a for w, a in zip(words, letters)))
+
+    yield from walk(t.initial, (), ("",) * t.arity)
+
+
+def accepted_rows(t: Transducer, length: int, first: str) -> tuple[Row, ...]:
+    """The rows of accepted tuples of the given length whose coordinate 0
+    is `first`, in walk order, walked once and then kept on `t`."""
+    key = (length, first)
+    rows = t.rows_by_first.get(key)
+    if rows is None:
+        rows = t.rows_by_first[key] = tuple(_walk(t, length, first))
+    return rows
+
+
 def enumerate_accepted(
     t: Transducer,
     length: int,
     constraints: dict[int, set[str]] | None = None,
 ) -> Iterator[tuple[str, ...]]:
-    """All accepted tuples of the given length, deduplicated, in the order
-    the depth-first walk over declared transitions discovers them.
+    """All accepted tuples of the given length, each once, in walk order.
 
-    `constraints` restricts coordinates to finite word sets; branches whose
-    prefix already falls outside a constrained set are pruned, so the walk
-    stays cheap even when the unconstrained language is huge.
+    `constraints` restricts coordinates to finite word sets.  With a set for
+    coordinate 0, the kept rows of each of its words of the right length
+    are sorted together (by path, as paths are unique) and filtered on the
+    other coordinates; without one, the whole language is walked, not kept,
+    and filtered.
     """
-    prefix_sets: dict[int, list[set[str]]] = {}
-    for coord, words in (constraints or {}).items():
-        by_len = [set() for _ in range(length + 1)]
-        for w in words:
-            if len(w) == length:
-                for i in range(length + 1):
-                    by_len[i].add(w[:i])
-        prefix_sets[coord] = by_len
-
-    table = t.by_source
-    seen: set[tuple[str, ...]] = set()
-
-    def walk(state: str, words: tuple[str, ...], depth: int) -> Iterator[tuple[str, ...]]:
-        if depth == length:
-            if state in t.finals and words not in seen:
-                seen.add(words)
-                yield words
-            return
-        for _, letters, dst in table[state]:
-            nxt = tuple(w + a for w, a in zip(words, letters))
-            if any(nxt[c] not in ps[depth + 1] for c, ps in prefix_sets.items()):
-                continue
-            yield from walk(dst, nxt, depth + 1)
-
-    yield from walk(t.initial, ("",) * t.arity, 0)
+    constraints = constraints or {}
+    if 0 in constraints:
+        rows = sorted(row for w in constraints[0] if len(w) == length for row in accepted_rows(t, length, w))
+    else:
+        rows = _walk(t, length)
+    for _, words in rows:
+        if all(words[c] in allowed for c, allowed in constraints.items()):
+            yield words

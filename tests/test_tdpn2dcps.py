@@ -323,3 +323,15 @@ def test_synthesis_rejects_steps_without_tokens():
     net = move_chain_net()
     with pytest.raises(ValueError, match="never produced"):
         synthesize_cover_witness(net, (("move", ("1", "0")),))
+
+
+def test_synthesis_rejects_tuples_the_transducer_does_not_accept():
+    from snl.tdpn2dcps import synthesize_cover_witness
+
+    # the token on "0" exists, but the move transducer only accepts ("0", "1")
+    with pytest.raises(ValueError, match="does not accept"):
+        synthesize_cover_witness(move_chain_net(), (("move", ("0", "0")),))
+    # both join tokens exist after the fork, but only ("0", "0", "1") joins
+    steps = (("fork", ("0", "0", "0")), ("join", ("0", "0", "0")))
+    with pytest.raises(ValueError, match="does not accept"):
+        synthesize_cover_witness(fork_join_net(), steps)

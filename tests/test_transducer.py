@@ -144,3 +144,27 @@ def test_constrained_enumeration_is_a_filter(seed):
     full = set(enumerate_accepted(t, length))
     constrained = set(enumerate_accepted(t, length, constraints={0: allowed}))
     assert constrained == {tup for tup in full if tup[0] in allowed}
+
+
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=3),
+    st.sampled_from([(0,), (0, 1), (1,)]),
+)
+@settings(max_examples=80, deadline=None)
+def test_constrained_enumeration_keeps_the_unconstrained_order(seed, arity, length, coords):
+    rng = random.Random(seed)
+    t = random_transducer(rng, arity=max(arity, max(coords) + 1))
+    full = list(enumerate_accepted(t, length))
+    constraints = {}
+    for c in coords:
+        accepted = sorted({tup[c] for tup in full})
+        allowed = set(rng.sample(accepted, rng.randint(0, len(accepted))))
+        allowed.add("".join(rng.choice("01") for _ in range(length)))
+        allowed.add("1" * (length + 1))  # wrong length: never matches
+        constraints[c] = allowed
+    expected = [tup for tup in full if all(tup[c] in ws for c, ws in constraints.items())]
+    assert list(enumerate_accepted(t, length, constraints)) == expected
+    # the second call reads the rows kept by the first
+    assert list(enumerate_accepted(t, length, constraints)) == expected
