@@ -51,10 +51,6 @@ def _write(path: Path, text: str) -> None:
     path.write_text(text)
 
 
-def _sidecar(path: Path, suffix: str) -> Path:
-    return path.with_suffix(suffix)
-
-
 def _write_names(path: Path, names: dict[str, str]) -> None:
     lines = [f"{key}\t{names[key]}" for key in sorted(names)]
     _write(path, "\n".join(lines) + "\n")
@@ -62,7 +58,7 @@ def _write_names(path: Path, names: dict[str, str]) -> None:
 
 def _load_names(data_path: str) -> dict[str, str]:
     """Pretty-name sidecar next to a .dcps file, if present."""
-    candidate = _sidecar(Path(data_path), ".names")
+    candidate = Path(data_path).with_suffix(".names")
     if not candidate.is_file():
         return {}
     names = {}
@@ -173,7 +169,7 @@ def _cmd_compile_tdpn(args) -> int:
         return _fail(args.file, err)
     out = Path(args.output) if args.output else Path(args.file).with_suffix(".tdpn")
     _write(out, tdpn.serialize_tdpn(compiled.tdpn))
-    _write(_sidecar(out, ".addr"), rnp2tdpn.serialize_addr(compiled.book))
+    _write(out.with_suffix(".addr"), rnp2tdpn.serialize_addr(compiled.book))
     net = compiled.tdpn
     print(f"wrote {out} (width={net.width}, size={net.size()})")
     return EXIT_OK
@@ -249,7 +245,7 @@ def _cmd_compile_dcps(args) -> int:
         return _fail(args.file, err)
     out = Path(args.output) if args.output else Path(args.file).with_suffix(".dcps")
     _write(out, dcps.serialize_dcps(system))
-    _write_names(_sidecar(out, ".names"), tdpn2dcps.killdcps_names(net))
+    _write_names(out.with_suffix(".names"), tdpn2dcps.killdcps_names(net))
     halt = tdpn2dcps.halt_state(net)
     print(f"wrote {out} (rules={len(system.rules)}, kills={len(system.kills)}, target={halt})")
     return EXIT_OK
@@ -275,7 +271,7 @@ def _cmd_to_inheritance(args) -> int:
         return _fail(args.file, err)
     out = Path(args.output) if args.output else Path(args.file).with_suffix(".inherit.dcps")
     _write(out, dcps.serialize_dcps(compiled))
-    _write_names(_sidecar(out, ".names"), dcps.inheritance_names(system))
+    _write_names(out.with_suffix(".names"), dcps.inheritance_names(system))
     print(f"wrote {out} (rules={len(compiled.rules)})")
     print(f"target {args.target} becomes {shifted}; explore with --semantics inherit --K K+2")
     return EXIT_OK
@@ -472,7 +468,7 @@ def _cmd_pipeline(args) -> int:
         net = compilation.tdpn
         tdpn_path = out_dir / f"{stem}.tdpn"
         _write(tdpn_path, tdpn.serialize_tdpn(net))
-        _write(_sidecar(tdpn_path, ".addr"), rnp2tdpn.serialize_addr(compilation.book))
+        _write(tdpn_path.with_suffix(".addr"), rnp2tdpn.serialize_addr(compilation.book))
         stage, tdpn_witness = timed(
             "tdpn", lambda: _pipeline_tdpn(net, args.max_tokens, args.max_markings)
         )
@@ -482,7 +478,7 @@ def _cmd_pipeline(args) -> int:
         system = timed("compile-dcps", lambda: tdpn2dcps.compile_tdpn_to_killdcps(net))
         dcps_path = out_dir / f"{stem}.dcps"
         _write(dcps_path, dcps.serialize_dcps(system))
-        _write_names(_sidecar(dcps_path, ".names"), tdpn2dcps.killdcps_names(net))
+        _write_names(dcps_path.with_suffix(".names"), tdpn2dcps.killdcps_names(net))
         dcps_caps = dict(
             max_threads=3 * net.width + 4,
             max_stack=net.width + 1,

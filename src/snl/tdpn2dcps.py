@@ -26,7 +26,9 @@ matches g_halt reachability at switch budget 1.
 Emission is stage order (init, check, read, guess, verify), schema order
 within a stage, and index/letter order within a schema, so compiled systems
 are byte-stable.  All verify schemas are kill rules; everything else is a
-plain rule.  States that no rule mentions are not emitted.
+plain rule.  States that no rule mentions are not emitted.  Each emitted
+rule or kill is recorded under a key of its schema arguments, and witness
+synthesis fires events by those keys, so the schemas are written once.
 """
 
 from __future__ import annotations
@@ -53,23 +55,18 @@ VERIFY_ENTRY_PAIRS = (("move", "push1"), ("join", "push1"), ("fork", "push2"))
 
 class _Builder:
     def __init__(self, net: Tdpn):
-        self.net = net
         self.l = net.width
-        self.sigma = net.alphabet
         self.taken = set(net.alphabet)
         self.names: dict[str, str] = {}
         self.by_mode = {"move": net.t_move, "join": net.t_join, "fork": net.t_fork}
+        # witness event of each emitted schema instance, keyed by its schema arguments
+        self.event: dict[tuple, Event] = {}
         self._verify: dict[tuple[str, object, str, int], str] = {}
 
     def mint(self, base: str, pretty: str) -> str:
         name = fresh_name(self.taken, base)
         self.names[name] = pretty
         return name
-
-    @staticmethod
-    def guess_after(index: int):
-        # below index 1 the next stop is the toplock
-        return index - 1 if index > 1 else "toplock"
 
     def verify_state(self, mode: str, index, tag: str, tr_idx: int) -> str:
         key = (mode, index, tag, tr_idx)
@@ -84,115 +81,119 @@ class _Builder:
 def _construction(net: Tdpn) -> _Builder:
     validate_tdpn(net)
     b = _Builder(net)
-    l, sigma = b.l, b.sigma
+    l, sigma = b.l, net.alphabet
 
     lock = b.lock = b.mint("ytop", "(lock)")
     guess_sym = b.guess_sym = b.mint("yguess", "(guess marker)")
     verify_sym = b.verify_sym = b.mint("yverify", "(verify marker)")
-    bit = b.bit = {
+    bit = {
         (a, i, tag): b.mint(f"b{a}_{i}_{tag}", f"({a},{i},{tag})")
         for a in sigma
         for i in range(1, l + 1)
         for tag in TAGS
     }
 
-    g_main = b.g_main = b.mint("g_main", "(main)")
+    g_main = b.mint("g_main", "(main)")
     g_halt = b.g_halt = b.mint("g_halt", "(halt)")
-    g_init = b.g_init = {i: b.mint(f"init_{i}", f"(init,{i})") for i in range(1, l + 1)}
-    g_check = b.g_check = {i: b.mint(f"check_{i}", f"(check,{i})") for i in range(1, l + 1)}
-    dispatch = b.dispatch = {m: b.mint(f"gguess_{m}", f"(guess,{m})") for m in MODES}
-    unlock = b.unlock = {
+    g_init = {i: b.mint(f"init_{i}", f"(init,{i})") for i in range(1, l + 1)}
+    g_check = {i: b.mint(f"check_{i}", f"(check,{i})") for i in range(1, l + 1)}
+    dispatch = {m: b.mint(f"gguess_{m}", f"(guess,{m})") for m in MODES}
+    unlock = {
         (m, tag): b.mint(f"{m}_unlock_1_{tag}", f"({m},unlock,1,{tag})")
         for m, tag in READ_PAIRS
     }
-    read = b.read = {
+    read = {
         (m, i, tag): b.mint(f"{m}_read_{i}_{tag}", f"({m},read,{i},{tag})")
         for m, tag in READ_PAIRS
         for i in range(1, l + 1)
     }
     guess_indices = list(range(1, l + 1)) + ["toplock"]
-    guess = b.guess = {
+    guess = {
         (m, i, tag): b.mint(f"{m}_guess_{i}_{tag}", f"({m},{i},{tag})")
         for m, tag in GUESS_PAIRS
         for i in guess_indices
     }
-
-    guess_after = b.guess_after
 
     w0 = net.w_init
     wf = net.w_final
     rules: list[DcpsRule] = []
     kills: list[KillRule] = []
 
+    def rule(key: tuple, r: DcpsRule) -> None:
+        b.event[key] = ("rule", len(rules))
+        rules.append(r)
+
     # --- init: fill one thread with w_init, bottom letter first
     for i in range(2, l + 1):
-        rules.append(DcpsRule(g_init[i], w0[i - 1], g_init[i - 1], (w0[i - 2], w0[i - 1])))
-    rules.append(DcpsRule(g_init[1], w0[0], g_main, (lock, w0[0])))
+        rule(("init", i), DcpsRule(g_init[i], w0[i - 1], g_init[i - 1], (w0[i - 2], w0[i - 1])))
+    rule(("init", 1), DcpsRule(g_init[1], w0[0], g_main, (lock, w0[0])))
 
     # --- check: dispatch to a mode, or match w_final letter by letter
     for m in MODES:
-        rules.append(DcpsRule(g_main, lock, unlock[(m, "pop1")], (lock,)))
-    rules.append(DcpsRule(g_main, lock, g_check[1], ()))
+        rule(("start", m), DcpsRule(g_main, lock, unlock[(m, "pop1")], (lock,)))
+    rule(("check", 0), DcpsRule(g_main, lock, g_check[1], ()))
     for i in range(1, l):
-        rules.append(DcpsRule(g_check[i], wf[i - 1], g_check[i + 1], ()))
-    rules.append(DcpsRule(g_check[l], wf[l - 1], g_halt, ()))
+        rule(("check", i), DcpsRule(g_check[i], wf[i - 1], g_check[i + 1], ()))
+    rule(("check", l), DcpsRule(g_check[l], wf[l - 1], g_halt, ()))
     for m in MODES:
         for a in sigma:
-            rules.append(
-                DcpsRule(dispatch[m], a, guess[(m, l, "push1")], (), guess_sym)
-            )
+            rule(("dispatch", m, a), DcpsRule(dispatch[m], a, guess[(m, l, "push1")], (), guess_sym))
 
     # --- read: unlock, then pop letters spawning position-tagged bit-threads
     for m, tag in READ_PAIRS:
-        rules.append(DcpsRule(unlock[(m, tag)], lock, read[(m, 1, tag)], ()))
+        rule(("unlock", m, tag), DcpsRule(unlock[(m, tag)], lock, read[(m, 1, tag)], ()))
     for m, tag in READ_PAIRS:
         for i in range(1, l):
             for a in sigma:
-                rules.append(
-                    DcpsRule(read[(m, i, tag)], a, read[(m, i + 1, tag)], (), bit[(a, i, tag)])
+                rule(
+                    ("read", m, i, tag, a),
+                    DcpsRule(read[(m, i, tag)], a, read[(m, i + 1, tag)], (), bit[(a, i, tag)]),
                 )
     for m, tag in HANDOFF_PAIRS:
         for a in sigma:
-            rules.append(
-                DcpsRule(read[(m, l, tag)], a, dispatch[m], (a,), bit[(a, l, tag)])
-            )
+            rule(("read", m, l, tag, a), DcpsRule(read[(m, l, tag)], a, dispatch[m], (a,), bit[(a, l, tag)]))
     for a in sigma:
-        rules.append(
-            DcpsRule(read[("join", l, "pop1")], a, unlock[("join", "pop2")], (), bit[(a, l, "pop1")])
+        rule(
+            ("read", "join", l, "pop1", a),
+            DcpsRule(read[("join", l, "pop1")], a, unlock[("join", "pop2")], (), bit[(a, l, "pop1")]),
         )
 
     # --- guess: build the produced word bottom-up on the marker thread
+    below_top = l - 1 if l > 1 else "toplock"  # below index 1 the next stop is the toplock
     for m, tag in GUESS_PAIRS:
         for a in sigma:
-            rules.append(
-                DcpsRule(guess[(m, l, tag)], guess_sym, guess[(m, guess_after(l), tag)], (a,), bit[(a, l, tag)])
+            rule(
+                ("guess", m, l, tag, a),
+                DcpsRule(guess[(m, l, tag)], guess_sym, guess[(m, below_top, tag)], (a,), bit[(a, l, tag)]),
             )
     for m, tag in GUESS_PAIRS:
         for i in range(2, l):
             for a in sigma:
                 for c in sigma:
-                    rules.append(
-                        DcpsRule(guess[(m, i, tag)], a, guess[(m, i - 1, tag)], (c, a), bit[(c, i, tag)])
+                    rule(
+                        ("guess", m, i, tag, c, a),
+                        DcpsRule(guess[(m, i, tag)], a, guess[(m, i - 1, tag)], (c, a), bit[(c, i, tag)]),
                     )
     if l >= 2:
         for m, tag in GUESS_PAIRS:
             for a in sigma:
                 for c in sigma:
-                    rules.append(
-                        DcpsRule(guess[(m, 1, tag)], a, guess[(m, "toplock", tag)], (c, a), bit[(c, 1, tag)])
+                    rule(
+                        ("guess", m, 1, tag, c, a),
+                        DcpsRule(guess[(m, 1, tag)], a, guess[(m, "toplock", tag)], (c, a), bit[(c, 1, tag)]),
                     )
     for m, tag in VERIFY_ENTRY_PAIRS:
         t = b.by_mode[m]
         for a in sigma:
             for j, _, _ in t.by_source[t.initial]:
-                rules.append(
-                    DcpsRule(
-                        guess[(m, "toplock", tag)], a, b.verify_state(m, 1, "pop1", j), (lock, a), verify_sym
-                    )
+                rule(
+                    ("enter", m, a, j),
+                    DcpsRule(guess[(m, "toplock", tag)], a, b.verify_state(m, 1, "pop1", j), (lock, a), verify_sym),
                 )
     for a in sigma:
-        rules.append(
-            DcpsRule(guess[("fork", "toplock", "push1")], a, guess[("fork", l, "push2")], (lock, a), guess_sym)
+        rule(
+            ("fork2", a),
+            DcpsRule(guess[("fork", "toplock", "push1")], a, guess[("fork", l, "push2")], (lock, a), guess_sym),
         )
 
     # --- verify: kill matching bit-threads along a pre-committed path
@@ -200,69 +201,40 @@ def _construction(net: Tdpn) -> _Builder:
         """Kill schemas for one mode; roles maps letter position to tag."""
         t = b.by_mode[mode]
         last = len(roles) - 1
+
+        def verify_kill(i: int, step: int, j: int, to: tuple | None, *next_j: int) -> None:
+            # kill the bit of role `step` at position i on transition j, then go
+            # to verify state `to` (g_main when None, popping the marker)
+            source = b.verify_state(mode, i, roles[step], j)
+            target = g_main if to is None else b.verify_state(mode, *to)
+            victim = bit[(t.transitions[j][1][step], i, roles[step])]
+            b.event[("verify", mode, i, step, j, *next_j)] = ("kill", len(kills), 0)
+            kills.append(KillRule(source, verify_sym, target, to is not None, victim))
+
         for step in range(last):
             for i in range(1, l):
-                for j, (_, letters, _) in enumerate(t.transitions):
-                    kills.append(
-                        KillRule(
-                            b.verify_state(mode, i, roles[step], j),
-                            verify_sym,
-                            b.verify_state(mode, i, roles[step + 1], j),
-                            True,
-                            bit[(letters[step], i, roles[step])],
-                        )
-                    )
+                for j in range(len(t.transitions)):
+                    verify_kill(i, step, j, (i, roles[step + 1], j))
         for i in range(1, l):
-            for j, (_, letters, dst) in enumerate(t.transitions):
+            for j, (_, _, dst) in enumerate(t.transitions):
                 for j2, _, _ in t.by_source[dst]:
-                    kills.append(
-                        KillRule(
-                            b.verify_state(mode, i, roles[last], j),
-                            verify_sym,
-                            b.verify_state(mode, i + 1, roles[0], j2),
-                            True,
-                            bit[(letters[last], i, roles[last])],
-                        )
-                    )
+                    verify_kill(i, last, j, (i + 1, roles[0], j2), j2)
+        final = [j for j, (_, _, dst) in enumerate(t.transitions) if dst in t.finals]
         for step in range(last):
-            for j, (_, letters, dst) in enumerate(t.transitions):
-                if dst not in t.finals:
-                    continue
-                kills.append(
-                    KillRule(
-                        b.verify_state(mode, l, roles[step], j),
-                        verify_sym,
-                        b.verify_state(mode, l, roles[step + 1], j),
-                        True,
-                        bit[(letters[step], l, roles[step])],
-                    )
-                )
-        for j, (_, letters, dst) in enumerate(t.transitions):
-            if dst not in t.finals:
-                continue
-            kills.append(
-                KillRule(
-                    b.verify_state(mode, l, roles[last], j),
-                    verify_sym,
-                    g_main,
-                    False,
-                    bit[(letters[last], l, roles[last])],
-                )
-            )
+            for j in final:
+                verify_kill(l, step, j, (l, roles[step + 1], j))
+        for j in final:
+            verify_kill(l, last, j, None)
 
     walk("move", ("pop1", "push1"))
     walk("join", ("pop1", "pop2", "push1"))
     walk("fork", ("pop1", "push1", "push2"))
 
+    if len(b.event) != len(rules) + len(kills):
+        raise RuntimeError("two schema instances share a witness key; witness events would be ambiguous")
     kill_syms = frozenset({verify_sym}) | frozenset(bit.values())
     b.system = make_dcps(g_init[l], w0[l - 1], tuple(rules), tuple(kills), kill_syms)
     validate_dcps(b.system)
-    b.rule_idx = {rule: i for i, rule in enumerate(b.system.rules)}
-    b.kill_idx = {kill: i for i, kill in enumerate(b.system.kills)}
-    if len(b.rule_idx) != len(b.system.rules):
-        raise RuntimeError("compiled system repeats a rule; witness events would be ambiguous")
-    if len(b.kill_idx) != len(b.system.kills):
-        raise RuntimeError("compiled system repeats a kill rule; witness events would be ambiguous")
     return b
 
 
@@ -344,7 +316,8 @@ def synthesize_cover_witness(net: Tdpn, steps: tuple[Descriptor, ...]) -> tuple[
     which transducer path the verifier commits to.  The resulting event
     list drives the compiled system from its initial configuration to
     g_halt at switch budget 1; replaying it is a machine check of the
-    whole round trip.
+    whole round trip.  Each rule or kill event is looked up by the schema
+    key under which the compiler emitted it.
     """
     b = _construction(net)
     l = b.l
@@ -354,11 +327,8 @@ def synthesize_cover_witness(net: Tdpn, steps: tuple[Descriptor, ...]) -> tuple[
     active_word: str | None = net.w_init
     active_count = 0
 
-    def rule(r: DcpsRule) -> None:
-        events.append(("rule", b.rule_idx[r]))
-
-    def kill(k: KillRule) -> None:
-        events.append(("kill", b.kill_idx[k], 0))
+    def fire(*key) -> None:
+        events.append(b.event[key])
 
     def park_and_switch(stack: tuple[str, ...], count: int) -> None:
         nonlocal active_word
@@ -381,107 +351,65 @@ def synthesize_cover_witness(net: Tdpn, steps: tuple[Descriptor, ...]) -> tuple[
     def read_token(mode: str, word: str, tag: str) -> None:
         nonlocal active_word
         if tag == "pop1":
-            rule(DcpsRule(b.g_main, lock, b.unlock[(mode, "pop1")], (lock,)))
-        rule(DcpsRule(b.unlock[(mode, tag)], lock, b.read[(mode, 1, tag)], ()))
-        for i in range(1, l):
-            a = word[i - 1]
-            rule(DcpsRule(b.read[(mode, i, tag)], a, b.read[(mode, i + 1, tag)], (), b.bit[(a, i, tag)]))
-        last = word[l - 1]
-        if mode == "join" and tag == "pop1":
-            rule(DcpsRule(b.read[("join", l, "pop1")], last, b.unlock[("join", "pop2")], (), b.bit[(last, l, "pop1")]))
-        else:
-            rule(DcpsRule(b.read[(mode, l, tag)], last, b.dispatch[mode], (last,), b.bit[(last, l, tag)]))
-            rule(DcpsRule(b.dispatch[mode], last, b.guess[(mode, l, "push1")], (), b.guess_sym))
+            fire("start", mode)
+        fire("unlock", mode, tag)
+        for i in range(1, l + 1):
+            fire("read", mode, i, tag, word[i - 1])
+        if (mode, tag) in HANDOFF_PAIRS:
+            fire("dispatch", mode, word[l - 1])
         active_word = None
 
     def guess_word(mode: str, word: str, tag: str) -> None:
         nonlocal active_word, active_count
-        rule(DcpsRule(b.guess[(mode, l, tag)], b.guess_sym, b.guess[(mode, b.guess_after(l), tag)], (word[l - 1],), b.bit[(word[l - 1], l, tag)]))
+        fire("guess", mode, l, tag, word[l - 1])
         for i in range(l - 1, 0, -1):
-            top = word[i]
-            rule(DcpsRule(b.guess[(mode, i, tag)], top, b.guess[(mode, b.guess_after(i), tag)], (word[i - 1], top), b.bit[(word[i - 1], i, tag)]))
+            fire("guess", mode, i, tag, word[i - 1], word[i])
         active_word, active_count = word, 0
 
-    def verify(mode: str, words: tuple[str, ...], roles: tuple[str, ...]) -> None:
-        rows = accepted_rows(b.by_mode[mode], len(words[0]), words[0])
-        path = next((p for p, accepted in rows if accepted == words), None)
-        if path is None:
-            raise ValueError(f"transducer does not accept {words!r}")
-        entry = b.verify_state(mode, 1, "pop1", path[0])
-        rule(DcpsRule(b.guess[(mode, "toplock", roles[-1])], words[-1][0], entry, (lock, words[-1][0]), b.verify_sym))
-        # the capped guess is now a complete token; hand control to the verifier
+    def verify(mode: str, words: tuple[str, ...], path: tuple[int, ...]) -> None:
         nonlocal active_word, active_count
+        fire("enter", mode, words[-1][0], path[0])
+        # the capped guess is now a complete token; hand control to the verifier
         active_word, active_count = words[-1], 0
         park_and_switch((b.verify_sym,), 0)
-        last = len(roles) - 1
+        last = len(words) - 1
         for i in range(1, l + 1):
             j = path[i - 1]
             for step in range(last):
-                kill(KillRule(
-                    b.verify_state(mode, i, roles[step], j),
-                    b.verify_sym,
-                    b.verify_state(mode, i, roles[step + 1], j),
-                    True,
-                    b.bit[(words[step][i - 1], i, roles[step])],
-                ))
+                fire("verify", mode, i, step, j)
             if i < l:
-                kill(KillRule(
-                    b.verify_state(mode, i, roles[last], j),
-                    b.verify_sym,
-                    b.verify_state(mode, i + 1, roles[0], path[i]),
-                    True,
-                    b.bit[(words[last][i - 1], i, roles[last])],
-                ))
+                fire("verify", mode, i, last, j, path[i])
             else:
-                kill(KillRule(
-                    b.verify_state(mode, l, roles[last], j),
-                    b.verify_sym,
-                    b.g_main,
-                    False,
-                    b.bit[(words[last][l - 1], l, roles[last])],
-                ))
+                fire("verify", mode, l, last, j)
 
     # boot: fill the initial token from the bottom letter upward
-    w0 = net.w_init
-    for i in range(l, 1, -1):
-        rule(DcpsRule(b.g_init[i], w0[i - 1], b.g_init[i - 1], (w0[i - 2], w0[i - 1])))
-    rule(DcpsRule(b.g_init[1], w0[0], b.g_main, (lock, w0[0])))
+    for i in range(l, 0, -1):
+        fire("init", i)
 
     for kind, words in steps:
-        if kind == "move":
-            w_in, w_out = words
-            activate(w_in)
-            read_token("move", w_in, "pop1")
-            park_and_switch((b.guess_sym,), 0)
-            guess_word("move", w_out, "push1")
-            verify("move", (w_in, w_out), ("pop1", "push1"))
-        elif kind == "join":
-            w_a, w_b, w_out = words
-            activate(w_a)
-            read_token("join", w_a, "pop1")
-            activate(w_b)
-            read_token("join", w_b, "pop2")
-            park_and_switch((b.guess_sym,), 0)
-            guess_word("join", w_out, "push1")
-            verify("join", (w_a, w_b, w_out), ("pop1", "pop2", "push1"))
-        elif kind == "fork":
-            w_in, w_one, w_two = words
-            activate(w_in)
-            read_token("fork", w_in, "pop1")
-            park_and_switch((b.guess_sym,), 0)
-            guess_word("fork", w_one, "push1")
-            rule(DcpsRule(b.guess[("fork", "toplock", "push1")], w_one[0], b.guess[("fork", l, "push2")], (lock, w_one[0]), b.guess_sym))
-            active_word, active_count = w_one, 0
-            park_and_switch((b.guess_sym,), 0)
-            guess_word("fork", w_two, "push2")
-            verify("fork", (w_in, w_one, w_two), ("pop1", "push1", "push2"))
-        else:
+        if kind not in b.by_mode:
             raise ValueError(f"unknown step kind {kind!r}")
+        activate(words[0])
+        # every word's letters index schema keys, so check the tuple before using them
+        rows = accepted_rows(b.by_mode[kind], len(words[0]), words[0])
+        path = next((p for p, accepted in rows if accepted == words), None)
+        if path is None:
+            raise ValueError(f"transducer does not accept {words!r}")
+        read_token(kind, words[0], "pop1")
+        if kind == "join":
+            activate(words[1])
+            read_token("join", words[1], "pop2")
+        park_and_switch((b.guess_sym,), 0)
+        if kind == "fork":
+            guess_word("fork", words[1], "push1")
+            fire("fork2", words[1][0])
+            park_and_switch((b.guess_sym,), 0)
+            guess_word("fork", words[2], "push2")
+        else:
+            guess_word(kind, words[-1], "push1")
+        verify(kind, words, path)
 
     activate(net.w_final)
-    rule(DcpsRule(b.g_main, lock, b.g_check[1], ()))
-    wf = net.w_final
-    for i in range(1, l):
-        rule(DcpsRule(b.g_check[i], wf[i - 1], b.g_check[i + 1], ()))
-    rule(DcpsRule(b.g_check[l], wf[l - 1], b.g_halt, ()))
+    for i in range(l + 1):
+        fire("check", i)
     return tuple(events)

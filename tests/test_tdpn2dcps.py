@@ -1,9 +1,12 @@
 import functools
+import hashlib
 import random
 
 import pytest
 
 from genutil import random_tdpn, transducer_from_tuples
+from helpers import corpus_program
+from snl import lipton, rnp2tdpn
 from snl.dcps import (
     DcpsNo,
     DcpsReachable,
@@ -331,7 +334,42 @@ def test_synthesis_rejects_tuples_the_transducer_does_not_accept():
     # the token on "0" exists, but the move transducer only accepts ("0", "1")
     with pytest.raises(ValueError, match="does not accept"):
         synthesize_cover_witness(move_chain_net(), (("move", ("0", "0")),))
+    # a letter outside the alphabet is rejected before any schema is looked up
+    with pytest.raises(ValueError, match="does not accept"):
+        synthesize_cover_witness(move_chain_net(), (("move", ("0", "2")),))
     # both join tokens exist after the fork, but only ("0", "0", "1") joins
     steps = (("fork", ("0", "0", "0")), ("join", ("0", "0", "0")))
     with pytest.raises(ValueError, match="does not accept"):
         synthesize_cover_witness(fork_join_net(), steps)
+
+
+# SHA-256 of the compiled .dcps text, the sorted names and the synthesized
+# events; a change to emission order, minted names or synthesis shows here
+STABLE_DIGESTS = {
+    "count4.cp": (
+        "18b1a4908e7259d1c7e02bb248f01b59a09d4e22b971985b4f3e4d002a38d4dc",
+        "ac785d240f1492f4d732e104e64528e7763559003c323f31d7540f2d6ec07052",
+        "86ce2095bd10149010cd261905a24ba776dd22734be4be31963f5aac7d3169ba",
+    ),
+    "updown_loop.cp": (
+        "3b3bd5ec63b5258c0db9345e43ea6195cbbdbd06c86695e8ca4fb0953a74155a",
+        "91303ab50c065310e991cb902ceb9526cf941aadf7c71533f7f3935f88253c47",
+        "1f804d2e011c06323c76db905d954329afe115b08bed47f2bb4111812986ac79",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STABLE_DIGESTS))
+def test_compiled_system_and_witness_are_byte_stable(name):
+    from snl.tdpn2dcps import synthesize_cover_witness
+
+    net = rnp2tdpn.compile_rnp_to_tdpn(lipton.compile_lipton(corpus_program(name), 1)).tdpn
+    cov = coverable(net, mode="symbolic", max_tokens=64, max_markings=2_000_000)
+    assert isinstance(cov, TdpnCoverable)
+    names = "".join(f"{key}\t{pretty}\n" for key, pretty in sorted(killdcps_names(net).items()))
+    events = synthesize_cover_witness(net, cov.witness)
+    digests = tuple(
+        hashlib.sha256(text.encode()).hexdigest()
+        for text in (serialize_dcps(compile_tdpn_to_killdcps(net)), names, repr(events))
+    )
+    assert digests == STABLE_DIGESTS[name]
