@@ -408,7 +408,7 @@ def _pipeline_dcps(net, system, tdpn_witness, caps: dict) -> StageResult:
     halt = tdpn2dcps.halt_state(net)
     if tdpn_witness:
         events = tdpn2dcps.synthesize_cover_witness(net, tdpn_witness)
-        final = dcps.replay_witness(system, events, 1)[-1]
+        final = dcps.replay_final(system, events, 1)
         if final.state != halt:
             raise RuntimeError("synthesized witness did not reach the halt state")
         return StageResult(

@@ -35,7 +35,9 @@ from __future__ import annotations
 import os
 import re
 from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 from snl.search import Capped, Exhausted, Found, bfs
@@ -99,6 +101,18 @@ class Dcps:
 
     def size(self) -> int:
         return len(self.states) + len(self.symbols) + len(self.rules) + len(self.kills)
+
+    @cached_property
+    def buckets(self) -> tuple[dict, dict]:
+        """Rule indices and (index, kill rule) pairs by (state, top),
+        declaration order kept."""
+        rule_buckets: dict[tuple[str, str], list[int]] = {}
+        kill_buckets: dict[tuple[str, str], list[tuple[int, KillRule]]] = {}
+        for idx, r in enumerate(self.rules):
+            rule_buckets.setdefault((r.state, r.top), []).append(idx)
+        for idx, k in enumerate(self.kills):
+            kill_buckets.setdefault((k.state, k.top), []).append((idx, k))
+        return rule_buckets, kill_buckets
 
 
 def make_dcps(
@@ -226,17 +240,6 @@ def initial_config(system: Dcps) -> DcpsConfig:
     return DcpsConfig(system.initial_state, ((system.initial_symbol,), 0), ())
 
 
-def _build_index(system: Dcps):
-    """Bucket rule indices and kill rules by (state, top), declaration order kept."""
-    rule_buckets: dict[tuple[str, str], list[int]] = {}
-    kill_buckets: dict[tuple[str, str], list[tuple[int, KillRule]]] = {}
-    for idx, r in enumerate(system.rules):
-        rule_buckets.setdefault((r.state, r.top), []).append(idx)
-    for idx, k in enumerate(system.kills):
-        kill_buckets.setdefault((k.state, k.top), []).append((idx, k))
-    return rule_buckets, kill_buckets
-
-
 def _insert(pool: tuple[Thread, ...], thread: Thread) -> tuple[Thread, ...]:
     """Add a thread to a canonical pool; an empty-stack thread whose count
     the pool already holds is dropped."""
@@ -251,13 +254,18 @@ def _remove(pool: tuple[Thread, ...], thread: Thread) -> tuple[Thread, ...]:
     return pool[:pos] + pool[pos + 1 :]
 
 
-def _events(index, config: DcpsConfig, budget: int, skip_corpse_switch: bool = False) -> Iterator[Event]:
+def _events(
+    system: Dcps, config: DcpsConfig, budget: int, skip_corpse_switch: bool = False
+) -> Iterator[Event]:
     """The events enabled at config, in successor order.
 
     This is the one place that says when an event applies; _apply says
-    what it does.
+    what it does.  The pool is sorted, so a kill's candidate victims are
+    one run of (victim,) threads in ascending count, found by bisection,
+    and equal switch entries are adjacent.
     """
-    rule_buckets, kill_buckets = index
+    rule_buckets, kill_buckets = system.buckets
+    pool = config.pool
     stack = config.active[0]
     if stack:
         top = stack[0]
@@ -265,18 +273,22 @@ def _events(index, config: DcpsConfig, budget: int, skip_corpse_switch: bool = F
             yield ("rule", idx)
         if len(stack) == 1:
             for idx, k in kill_buckets.get((config.state, top), ()):
-                seen_counts = set()
-                for w, j in config.pool:
-                    if w == (k.victim,) and j <= budget and j not in seen_counts:
-                        seen_counts.add(j)
+                victim = (k.victim,)
+                last = None
+                for pos in range(bisect_left(pool, (victim,)), len(pool)):
+                    w, j = pool[pos]
+                    if w != victim or j > budget:
+                        break
+                    if j != last:
+                        last = j
                         yield ("kill", idx, j)
-    seen_entries = set()
-    for entry in config.pool:
-        if entry[1] > budget or entry in seen_entries:
+    last = None
+    for entry in pool:
+        if entry[1] > budget or entry == last:
             continue
         if skip_corpse_switch and not entry[0]:
             continue
-        seen_entries.add(entry)
+        last = entry
         yield ("switch", entry)
 
 
@@ -314,23 +326,37 @@ def successors(
     """
     if semantics not in SEMANTICS:
         raise ValueError(f"unknown semantics {semantics!r}")
-    events = _events(_build_index(system), config, budget)
+    events = _events(system, config, budget)
     return [(event, _apply(system, config, event, semantics)) for event in events]
+
+
+def _replay(system: Dcps, witness, budget: int, semantics: str) -> Iterator[DcpsConfig]:
+    """The configurations of a witness run, from the initial one on, each
+    event checked against _events before it is applied."""
+    if semantics not in SEMANTICS:
+        raise ValueError(f"unknown semantics {semantics!r}")
+    config = initial_config(system)
+    yield config
+    for step, event in enumerate(witness):
+        if event not in _events(system, config, budget):
+            raise ValueError(f"witness event {event!r} does not apply at step {step}")
+        config = _apply(system, config, event, semantics)
+        yield config
 
 
 def replay_witness(
     system: Dcps, witness, budget: int, semantics: str = "noinherit"
 ) -> list[DcpsConfig]:
     """Apply a witness event sequence from the initial configuration."""
-    if semantics not in SEMANTICS:
-        raise ValueError(f"unknown semantics {semantics!r}")
-    index = _build_index(system)
-    configs = [initial_config(system)]
-    for event in witness:
-        if event not in _events(index, configs[-1], budget):
-            raise ValueError(f"witness event {event!r} does not apply at step {len(configs) - 1}")
-        configs.append(_apply(system, configs[-1], event, semantics))
-    return configs
+    return list(_replay(system, witness, budget, semantics))
+
+
+def replay_final(
+    system: Dcps, witness, budget: int, semantics: str = "noinherit"
+) -> DcpsConfig:
+    """The configuration a witness ends in, every event checked as in
+    replay_witness, holding one configuration at a time."""
+    return deque(_replay(system, witness, budget, semantics), maxlen=1)[0]
 
 
 def _live_threads(config: DcpsConfig) -> int:
@@ -387,10 +413,9 @@ def _search(system: Dcps, budget: int, goal, max_threads: int, max_stack: int,
     if semantics not in SEMANTICS:
         raise ValueError(f"unknown semantics {semantics!r}")
     max_configs = _resolve_max_configs(max_configs)
-    index = _build_index(system)
 
     def step(config: DcpsConfig):
-        events = _events(index, config, budget, skip_corpse_switch=True)
+        events = _events(system, config, budget, skip_corpse_switch=True)
         return [(event, _apply(system, config, event, semantics)) for event in events]
 
     def cap(config: DcpsConfig) -> str | None:
@@ -425,7 +450,7 @@ def reach_state(
         max_threads, max_stack, max_configs, semantics,
     )
     if isinstance(result, Found):
-        final = replay_witness(system, result.labels, budget, semantics)[-1]
+        final = replay_final(system, result.labels, budget, semantics)
         if final.state != target:
             raise RuntimeError(f"witness replay ends in {final.state!r}, not {target!r}")
         return DcpsReachable(result.labels, result.explored)

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from snl.dcps import (
+    SEMANTICS,
     Dcps,
     DcpsConfig,
     DcpsNo,
@@ -24,11 +25,13 @@ from snl.dcps import (
     parse_dcps,
     reach_state,
     reachable_states,
+    replay_final,
     replay_witness,
     serialize_dcps,
     successors,
     validate_dcps,
 )
+from snl.dcps import _events
 from genutil import random_kill_dcps, random_plain_dcps
 
 
@@ -184,6 +187,85 @@ def test_corpse_canonicalization_keeps_one_per_count():
     assert cfg.pool == (((), 1), ((), 2))
 
 
+def test_bucket_index_is_built_once_and_leaves_equality_alone():
+    system, fresh = kill_demo(), kill_demo()
+    text = serialize_dcps(system)
+    successors(system, initial_config(system), 0)
+    assert system.buckets is system.buckets
+    assert system == fresh and hash(system) == hash(fresh)
+    assert serialize_dcps(system) == text
+
+
+def scan_events(system, config, budget, skip_corpse_switch):
+    """Enabled events by a full scan of the rules and the pool, repeats
+    kept out by sets: the order _events must keep."""
+    stack = config.active[0]
+    if stack:
+        here = (config.state, stack[0])
+        for idx, r in enumerate(system.rules):
+            if (r.state, r.top) == here:
+                yield ("rule", idx)
+        if len(stack) == 1:
+            for idx, k in enumerate(system.kills):
+                if (k.state, k.top) != here:
+                    continue
+                seen_counts = set()
+                for w, j in config.pool:
+                    if w == (k.victim,) and j <= budget and j not in seen_counts:
+                        seen_counts.add(j)
+                        yield ("kill", idx, j)
+    seen_entries = set()
+    for entry in config.pool:
+        if entry[1] > budget or entry in seen_entries:
+            continue
+        if skip_corpse_switch and not entry[0]:
+            continue
+        seen_entries.add(entry)
+        yield ("switch", entry)
+
+
+def test_events_keep_the_full_scan_order():
+    rules = (
+        DcpsRule("g0", "v", "g0", ("v",), "u"),
+        DcpsRule("g1", "v", "g0", ()),
+        DcpsRule("g0", "v", "g1", ()),
+    )
+    kills = (
+        KillRule("g0", "v", "g1", True, "u"),
+        KillRule("g0", "v", "g0", False, "w"),
+        KillRule("g1", "v", "g1", True, "u"),
+        KillRule("g0", "v", "g1", False, "u"),
+    )
+    system = make_dcps("g0", "v", rules, kills, frozenset({"t", "u", "v", "w"}))
+    # sorted by hand, not canonical: repeated live threads, (u,) threads
+    # on both sides of every budget, a longer stack starting with u, and
+    # several empty-stack threads, one of them twice
+    pools = [
+        (),
+        ((("u",), 0),),
+        (((), 0), ((), 1), ((), 1), ((), 3), (("t",), 0), (("u",), 0), (("u",), 0),
+         (("u",), 1), (("u",), 1), (("u",), 2), (("u",), 3), (("u", "a"), 0),
+         (("w",), 0), (("w",), 2), (("w",), 2)),
+        ((("t",), 1), (("u",), 3), (("u",), 4), (("u", "u"), 0), (("w",), 1)),
+        (((), 2), (("w",), 0), (("w",), 0), (("w",), 1)),
+    ]
+    actives = [(("v",), 0), (("v",), 2), (("v", "a"), 0), ((), 1)]
+    counted_kills = 0
+    for pool in pools:
+        assert list(pool) == sorted(pool)
+        for state in ("g0", "g1"):
+            for active in actives:
+                config = DcpsConfig(state, active, pool)
+                for budget in (0, 1, 2):
+                    for skip in (False, True):
+                        got = list(_events(system, config, budget, skip))
+                        assert got == list(scan_events(system, config, budget, skip)), (
+                            pool, state, active, budget, skip)
+                        counted_kills += sum(1 for e in got if e[:2] == ("kill", 0)) > 1
+    # the order of several victim counts for one kill was really compared
+    assert counted_kills
+
+
 # ---------------------------------------------------------------------------
 # Exploration
 
@@ -261,6 +343,41 @@ def test_replay_rejects_inapplicable_event():
     system = make_dcps("g0", "a", (DcpsRule("g0", "a", "g1", ()),))
     with pytest.raises(ValueError, match="does not apply"):
         replay_witness(system, (("rule", 5),), 0)
+
+
+def test_replay_final_matches_replay_witness_on_random_walks():
+    rng = random.Random(20261018)
+    kill_walks = 0
+    for trial in range(60):
+        system = random_kill_dcps(rng) if trial % 2 else random_plain_dcps(rng)
+        # events that apply nowhere: no such rule, a count over any budget,
+        # a thread of a symbol the system lacks
+        never = [("rule", len(system.rules)), ("kill", 0, 3), ("switch", (("nosuch",), 0))]
+        for budget in (0, 1, 2):
+            for semantics in SEMANTICS:
+                config = initial_config(system)
+                walk = []
+                for _ in range(rng.randint(0, 30)):
+                    steps = successors(system, config, budget, semantics)
+                    if not steps:
+                        break
+                    # kills are rarely enabled, so take one whenever it is
+                    event, config = rng.choice([s for s in steps if s[0][0] == "kill"] or steps)
+                    walk.append(event)
+                kill_walks += any(event[0] == "kill" for event in walk)
+                final = replay_final(system, walk, budget, semantics)
+                assert final == replay_witness(system, walk, budget, semantics)[-1] == config
+                if not walk:
+                    continue
+                step = rng.randrange(len(walk))
+                bad = walk[:step] + [rng.choice(never)] + walk[step + 1 :]
+                with pytest.raises(ValueError) as full:
+                    replay_witness(system, bad, budget, semantics)
+                with pytest.raises(ValueError) as last:
+                    replay_final(system, bad, budget, semantics)
+                assert str(full.value) == str(last.value)
+                assert str(full.value).endswith(f"does not apply at step {step}")
+    assert kill_walks
 
 
 def test_reachable_states_reports_completeness():

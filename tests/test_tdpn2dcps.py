@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -13,6 +14,7 @@ from snl.dcps import (
     DcpsUnknown,
     parse_dcps,
     reach_state,
+    replay_final,
     replay_witness,
     serialize_dcps,
 )
@@ -373,3 +375,25 @@ def test_compiled_system_and_witness_are_byte_stable(name):
         for text in (serialize_dcps(compile_tdpn_to_killdcps(net)), names, repr(events))
     )
     assert digests == STABLE_DIGESTS[name]
+
+
+def test_final_replay_holds_one_configuration():
+    from snl.tdpn2dcps import synthesize_cover_witness
+
+    net = rnp2tdpn.compile_rnp_to_tdpn(lipton.compile_lipton(corpus_program("count4.cp"), 1)).tdpn
+    cov = coverable(net, mode="symbolic", max_tokens=64, max_markings=2_000_000)
+    assert isinstance(cov, TdpnCoverable)
+    system = compile_tdpn_to_killdcps(net)
+    events = synthesize_cover_witness(net, cov.witness)
+    system.buckets  # built once, outside both measurements
+
+    def peak(replay):
+        tracemalloc.start()
+        try:
+            replay(system, events, 1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # a replay that collects the run again grows with the witness
+    assert peak(replay_final) < peak(replay_witness) / 4
