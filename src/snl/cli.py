@@ -489,10 +489,6 @@ def _cmd_pipeline(args) -> int:
         stages.append(stage)
     except (OSError, lipton.LiptonInputError) as err:
         return _fail(args.file, err)
-    except Exception as err:
-        traceback.print_exc()
-        print(f"snl: internal error: {type(err).__name__}: {err}", file=sys.stderr)
-        return EXIT_INTERNAL
 
     report = PipelineReport(
         input=src.name,
@@ -641,6 +637,10 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return EXIT_OK
+    except Exception as err:
+        traceback.print_exc()
+        print(f"snl: internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

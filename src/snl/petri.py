@@ -125,9 +125,8 @@ class NotCoverable:
 BackwardVerdict = Coverable | NotCoverable
 
 
-def _dominates(big: CanonMarking, small: CanonMarking) -> bool:
-    b = dict(big)
-    return all(b.get(p, 0) >= c for p, c in small)
+def _dominates(big: Marking, small: CanonMarking) -> bool:
+    return all(big.get(p, 0) >= c for p, c in small)
 
 
 def cover_backward(net: PetriNet, target: Marking | None = None) -> BackwardVerdict:
@@ -149,14 +148,15 @@ def cover_backward(net: PetriNet, target: Marking | None = None) -> BackwardVerd
     if target is None:
         target = target_marking(net)
     target_c = canonical(target)
-    basis: set[CanonMarking] = {target_c}
+    # each basis element beside its dict form, for domination tests both ways
+    basis: dict[CanonMarking, Marking] = {target_c: from_canonical(target_c)}
     parents: dict[CanonMarking, tuple[str, CanonMarking] | None] = {target_c: None}
     frontier: deque[CanonMarking] = deque([target_c])
     while frontier:
         m_c = frontier.popleft()
         if m_c not in basis:
             continue  # removed as dominated after being queued
-        m = dict(m_c)
+        m = basis[m_c]
         for tid, pre, post in net.transitions:
             req: Marking = {}
             for p in set(m) | pre:
@@ -167,17 +167,16 @@ def cover_backward(net: PetriNet, target: Marking | None = None) -> BackwardVerd
                 if need > 0:
                     req[p] = need
             req_c = canonical(req)
-            if any(_dominates(req_c, b) for b in basis):
+            if any(_dominates(req, b_c) for b_c in basis):
                 continue
-            basis = {b for b in basis if not _dominates(b, req_c)}
-            basis.add(req_c)
+            basis = {b_c: b for b_c, b in basis.items() if not _dominates(b, req_c)}
+            basis[req_c] = req
             if req_c not in parents:
                 parents[req_c] = (tid, m_c)
             frontier.append(req_c)
 
     start = initial_marking(net)
-    start_c = canonical(start)
-    hits = sorted(b for b in basis if _dominates(start_c, b))
+    hits = sorted(b_c for b_c in basis if _dominates(start, b_c))
     if not hits:
         return NotCoverable(basis_size=len(basis))
     witness: list[str] = []

@@ -38,7 +38,7 @@ from collections import Counter
 
 from snl.dcps import Dcps, DcpsRule, Event, KillRule, fresh_name, make_dcps, validate_dcps
 from snl.tdpn import Descriptor, Tdpn, validate_tdpn
-from snl.transducer import Transducer, accepted_rows
+from snl.transducer import Transducer, language
 
 MODES = ("move", "join", "fork")
 TAGS = ("pop1", "pop2", "push1", "push2")
@@ -391,8 +391,8 @@ def synthesize_cover_witness(net: Tdpn, steps: tuple[Descriptor, ...]) -> tuple[
             raise ValueError(f"unknown step kind {kind!r}")
         activate(words[0])
         # every word's letters index schema keys, so check the tuple before using them
-        rows = accepted_rows(b.by_mode[kind], len(words[0]), words[0])
-        path = next((p for p, accepted in rows if accepted == words), None)
+        rows, ranks = language(b.by_mode[kind], len(words[0]))
+        path = next((rows[r][0] for r in ranks.get(words[0], ()) if rows[r][1] == words), None)
         if path is None:
             raise ValueError(f"transducer does not accept {words!r}")
         read_token(kind, words[0], "pop1")

@@ -5,20 +5,20 @@ transition consumes one letter per coordinate.  The accepted language is a
 set of n-tuples of words.  There are no epsilon moves, so every accepted
 tuple has exactly the length of the run that accepted it.
 
-Enumeration order and witness paths come from one depth-first walk over
-the transitions in declaration order, which makes every artifact built from
-a transducer reproducible down to ordering.  The walk yields a row
-`(path, words)` for each accepted tuple at its first accepting path (the
-declaration indices of its transitions), so walk order is path order.  Rows
-with coordinate 0 pinned to a word are kept on the transducer per
-(length, word): each word is walked once per object.
+Every consumer reads one table per (transducer, length): `language` walks
+the transitions depth-first in declaration order once and keeps the result
+in `Transducer.languages`.  The walk yields a row `(path, words)` for each
+accepted tuple at its first accepting path (the declaration indices of its
+transitions), so walk order is path order and a row's index is its rank;
+beside the rows the table keeps the ranks of each coordinate-0 word.  The
+fixed order makes every artifact built from a transducer reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 
 class TransducerError(ValueError):
@@ -28,6 +28,11 @@ class TransducerError(ValueError):
 Transition = tuple[str, tuple[str, ...], str]  # (source, letters, target)
 Edge = tuple[int, tuple[str, ...], str]  # (declaration index, letters, target)
 Row = tuple[tuple[int, ...], tuple[str, ...]]  # (first accepting path, words)
+
+
+class Language(NamedTuple):
+    rows: tuple[Row, ...]  # in walk order: a row's index is its rank
+    ranks: dict[str, list[int]]  # coordinate-0 word -> ranks of its rows, ascending
 
 
 @dataclass(frozen=True)
@@ -52,9 +57,8 @@ class Transducer:
         return {q: tuple(edges) for q, edges in table.items()}
 
     @cached_property
-    def rows_by_first(self) -> dict[tuple[int, str], tuple[Row, ...]]:
-        """Rows of the walk with coordinate 0 pinned, per (length, word);
-        filled by `accepted_rows`."""
+    def languages(self) -> dict[int, Language]:
+        """The accepted language per length; filled by `language`."""
         return {}
 
 
@@ -156,34 +160,33 @@ def accepts(t: Transducer, words: tuple[str, ...]) -> bool:
     return bool(current & t.finals)
 
 
-def _walk(t: Transducer, length: int, first: str | None = None) -> Iterator[Row]:
-    """The rows of accepted tuples of the given length, in walk order;
-    `first`, when given, pins coordinate 0."""
+def _walk(t: Transducer, length: int) -> Iterator[Row]:
+    """The rows of accepted tuples of the given length, in walk order."""
     table = t.by_source
     seen: set[tuple[str, ...]] = set()
 
     def walk(state: str, path: tuple[int, ...], words: tuple[str, ...]) -> Iterator[Row]:
-        depth = len(path)
-        if depth == length:
+        if len(path) == length:
             if state in t.finals and words not in seen:
                 seen.add(words)
                 yield path, words
             return
         for j, letters, dst in table[state]:
-            if first is None or letters[0] == first[depth]:
-                yield from walk(dst, path + (j,), tuple(w + a for w, a in zip(words, letters)))
+            yield from walk(dst, path + (j,), tuple(w + a for w, a in zip(words, letters)))
 
     yield from walk(t.initial, (), ("",) * t.arity)
 
 
-def accepted_rows(t: Transducer, length: int, first: str) -> tuple[Row, ...]:
-    """The rows of accepted tuples of the given length whose coordinate 0
-    is `first`, in walk order, walked once and then kept on `t`."""
-    key = (length, first)
-    rows = t.rows_by_first.get(key)
-    if rows is None:
-        rows = t.rows_by_first[key] = tuple(_walk(t, length, first))
-    return rows
+def language(t: Transducer, length: int) -> Language:
+    """The accepted tuples of the given length, walked once per `t`."""
+    lang = t.languages.get(length)
+    if lang is None:
+        rows = tuple(_walk(t, length))
+        ranks: dict[str, list[int]] = {}
+        for rank, (_, words) in enumerate(rows):
+            ranks.setdefault(words[0], []).append(rank)
+        lang = t.languages[length] = Language(rows, ranks)
+    return lang
 
 
 def enumerate_accepted(
@@ -194,16 +197,13 @@ def enumerate_accepted(
     """All accepted tuples of the given length, each once, in walk order.
 
     `constraints` restricts coordinates to finite word sets.  With a set for
-    coordinate 0, the kept rows of each of its words of the right length
-    are sorted together (by path, as paths are unique) and filtered on the
-    other coordinates; without one, the whole language is walked, not kept,
-    and filtered.
+    coordinate 0, the ranks of its words' rows are sorted together; either
+    way the rows are then filtered on the constrained coordinates.
     """
     constraints = constraints or {}
+    rows, ranks = language(t, length)
     if 0 in constraints:
-        rows = sorted(row for w in constraints[0] if len(w) == length for row in accepted_rows(t, length, w))
-    else:
-        rows = _walk(t, length)
+        rows = [rows[r] for r in sorted(r for w in constraints[0] for r in ranks.get(w, ()))]
     for _, words in rows:
         if all(words[c] in allowed for c, allowed in constraints.items()):
             yield words

@@ -271,6 +271,16 @@ def test_pipeline_failed_replay_is_internal_error(capsys, tmp_path, monkeypatch)
     assert "does not apply" in err
 
 
+def test_cover_internal_failure_is_internal_error(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("backward witness replay does not cover the target")
+
+    monkeypatch.setattr(tdpn, "coverable", broken)
+    code, _, err = run_cli(capsys, "cover", TINY)
+    assert code == EXIT_INTERNAL
+    assert "snl: internal error: RuntimeError: backward witness replay" in err
+
+
 def test_pipeline_unparsable_input(capsys, tmp_path):
     bad = tmp_path / "bad.cp"
     bad.write_text("width 1;\n")

@@ -304,6 +304,37 @@ def test_synthesized_witness_replays_on_micro_nets():
         assert configs[-1].state == "g_halt"
 
 
+def test_language_is_walked_once_per_transducer_and_length(monkeypatch):
+    from snl import transducer
+    from snl.tdpn import expand
+    from snl.tdpn2dcps import synthesize_cover_witness
+
+    walks = []
+    walk = transducer._walk
+
+    def counted(t, length):
+        walks.append((id(t), length))
+        return walk(t, length)
+
+    monkeypatch.setattr(transducer, "_walk", counted)
+    # a fresh net, so no earlier test has walked its transducers; the move
+    # and join languages have two first words each, so a walk per marked
+    # word would show as extra walks
+    net = micro_tdpn(
+        2, "00", "11",
+        moves=[("00", "01"), ("10", "10")],
+        forks=[("01", "01", "10")],
+        joins=[("01", "10", "11"), ("10", "01", "11")],
+    )
+    cov = coverable(net, mode="symbolic")
+    assert isinstance(cov, TdpnCoverable)
+    assert {kind for kind, _ in cov.witness} == {"move", "fork", "join"}
+    expand(net)
+    expand(net)
+    synthesize_cover_witness(net, cov.witness)
+    assert sorted(walks) == sorted((id(t), 2) for t in (net.t_move, net.t_fork, net.t_join))
+
+
 def test_synthesized_witnesses_on_random_coverable_nets():
     from snl.tdpn2dcps import synthesize_cover_witness
 
