@@ -1,11 +1,19 @@
 """Command-line front end: format conversions, explorers, and the pipeline.
 
 Each subcommand wraps one module; `pipeline` chains all of them on a single
-counter program and cross-checks the four verdicts.  Exit codes: 0 a verdict
-was produced, 2 the input failed to parse or validate, 3 a search gave up
-within its caps (Unknown), 4 cross-checked verdicts disagree, 5 an internal
-failure, such as a witness that does not replay.  An Unknown never counts as
-a disagreement.
+counter program and cross-checks the four verdicts.  One table, `_verdict`,
+maps every search verdict to a label, a normalized value (yes, no or
+unknown) and a detail dict.  The pipeline's report rows and the
+subcommands' summary lines are both read from it, and the exit code follows
+the normalized values.
+
+Exit codes: 0 a verdict was produced, 2 an input did not read, parse or
+validate, or an output path could not be written, 3 a search gave up within
+its caps (Unknown), 4 cross-checked verdicts disagree, 5 any failure after
+that, such as a witness that does not replay.  Only `_boundary`, around
+`_load` and `_write`, turns an error into exit 2; the two refusals found
+later are named where they occur.  An Unknown never counts as a
+disagreement.
 
 Reports and generated files are deterministic for fixed inputs and caps;
 wall-clock timings go to stderr only.
@@ -19,7 +27,8 @@ import os
 import sys
 import time
 import traceback
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from snl import counter, dcps, lipton, petri, rnp, rnp2tdpn, tdpn, tdpn2dcps
@@ -30,25 +39,37 @@ EXIT_UNKNOWN = 3
 EXIT_DISAGREE = 4
 EXIT_INTERNAL = 5
 
-_INPUT_ERRORS = (ValueError, OSError)
-
 
 # ---------------------------------------------------------------------------
-# Small helpers
+# Input and output boundary
 
 
-def _fail(path: str, err: Exception) -> int:
-    print(f"snl: {path}: {err}", file=sys.stderr)
-    return EXIT_INPUT
+class _BadPath(Exception):
+    """An input that did not read, parse or validate, or an output path that
+    could not be written; main() reports it as exit 2."""
 
 
-def _read(path: str) -> str:
-    return Path(path).read_text()
+@contextmanager
+def _boundary(path):
+    try:
+        yield
+    except (ValueError, OSError) as err:
+        raise _BadPath(f"{path}: {err}") from None
+
+
+def _load(path: str, parse, validate=None):
+    """Read, parse and validate one input file."""
+    with _boundary(path):
+        loaded = parse(Path(path).read_text())
+        if validate is not None:
+            validate(loaded)
+    return loaded
 
 
 def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    with _boundary(path):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
 
 
 def _write_names(path: Path, names: dict[str, str]) -> None:
@@ -67,6 +88,61 @@ def _load_names(data_path: str) -> dict[str, str]:
             key, value = line.split("\t", 1)
             names[key] = value
     return names
+
+
+# ---------------------------------------------------------------------------
+# Verdicts
+
+
+def _verdict(verdict) -> tuple[str, str, dict]:
+    """(label, normalized, detail) of a search verdict."""
+    match verdict:
+        case counter.Halts(steps=steps, peak=peak):
+            return f"Halts steps={steps} peak={peak}", "yes", {"steps": steps, "peak": peak}
+        case counter.Aborts(steps=steps, label=label):
+            return f"Aborts label={label}", "no", {"steps": steps}
+        case counter.BoundExceeded(steps=steps, var=var):
+            return f"BoundExceeded var={var}", "no", {"steps": steps}
+        case counter.FuelExhausted(steps=steps):
+            return "FuelExhausted", "unknown", {"steps": steps}
+        case rnp.RnpHalts(witness=witness, configs_explored=explored):
+            return "Halts", "yes", {"configs_explored": explored, "witness_choices": len(witness)}
+        case rnp.RnpNo(configs_explored=explored):
+            return "NoHalt", "no", {"configs_explored": explored}
+        case rnp.RnpUnknown(reason=reason, configs_explored=explored):
+            return f"Unknown reason={reason}", "unknown", {"configs_explored": explored}
+        case tdpn.TdpnCoverable(witness=witness):
+            return "Coverable", "yes", {"witness_steps": len(witness)}
+        case tdpn.TdpnNotCoverable(complete=True):
+            return "NotCoverable (exhaustive)", "no", {}
+        case tdpn.TdpnNotCoverable():
+            # an incomplete NotCoverable was pruned by the token cap alone
+            return "Unknown", "unknown", {"reason": "max_tokens"}
+        case tdpn.TdpnUnknown(reason=reason):
+            return "Unknown", "unknown", {"reason": reason}
+        case dcps.DcpsReachable(configs_explored=explored):
+            return "Reachable", "yes", {"configs_explored": explored}
+        case dcps.DcpsNo(configs_explored=explored):
+            return "NotReachable (exhaustive)", "no", {"configs_explored": explored}
+        case dcps.DcpsUnknown(reason=reason, configs_explored=explored):
+            return f"Unknown reason={reason}", "unknown", {"configs_explored": explored}
+    raise TypeError(f"not a search verdict: {verdict!r}")
+
+
+def _say(verdict, prefix: str = "", **extra) -> str:
+    """Print a subcommand's summary line and return the normalized verdict.
+    The line is the label, then ` key=value` for each detail entry the label
+    does not already show, then the subcommand's extras."""
+    label, normalized, detail = _verdict(verdict)
+    fields = {k: v for k, v in detail.items() if f" {k}=" not in f" {label}"} | extra
+    print(prefix + label + "".join(f" {k}={v}" for k, v in fields.items()))
+    return normalized
+
+
+def _exit_code(*normals: str) -> int:
+    if "yes" in normals and "no" in normals:
+        return EXIT_DISAGREE
+    return EXIT_UNKNOWN if "unknown" in normals else EXIT_OK
 
 
 def _pretty(names: dict[str, str]):
@@ -113,31 +189,14 @@ def _print_descriptors(witness) -> None:
 
 
 def _cmd_run_counter(args) -> int:
-    try:
-        program = counter.parse_counter(_read(args.file))
-        bound = args.bound if args.bound is not None else lipton.simulated_bound(args.n, args.depth_mode)
-        verdict = counter.run_bounded(program, bound, fuel=args.fuel)
-    except _INPUT_ERRORS as err:
-        return _fail(args.file, err)
-    if isinstance(verdict, counter.Halts):
-        print(f"Halts steps={verdict.steps} peak={verdict.peak} bound={bound}")
-        return EXIT_OK
-    if isinstance(verdict, counter.Aborts):
-        print(f"Aborts label={verdict.label} steps={verdict.steps}")
-        return EXIT_OK
-    if isinstance(verdict, counter.BoundExceeded):
-        print(f"BoundExceeded var={verdict.var} steps={verdict.steps} bound={bound}")
-        return EXIT_OK
-    print(f"FuelExhausted steps={verdict.steps}")
-    return EXIT_UNKNOWN
+    program = _load(args.file, counter.parse_counter, counter.validate_counter)
+    bound = args.bound if args.bound is not None else lipton.simulated_bound(args.n, args.depth_mode)
+    return _exit_code(_say(counter.run_bounded(program, bound, fuel=args.fuel), bound=bound))
 
 
 def _cmd_compile_rnp(args) -> int:
-    try:
-        program = counter.parse_counter(_read(args.file))
-        compiled = lipton.compile_lipton(program, args.n, args.depth_mode)
-    except _INPUT_ERRORS as err:
-        return _fail(args.file, err)
+    program = _load(args.file, counter.parse_counter, lambda p: lipton.validate_source(p, args.n))
+    compiled = lipton.compile_lipton(program, args.n, args.depth_mode)
     out = Path(args.output) if args.output else Path(args.file).with_suffix(".rnp")
     _write(out, rnp.serialize_rnp(compiled))
     print(f"wrote {out} (max_depth={compiled.max_depth}, size={compiled.size()})")
@@ -145,28 +204,17 @@ def _cmd_compile_rnp(args) -> int:
 
 
 def _cmd_run_rnp(args) -> int:
-    try:
-        program = rnp.parse_rnp(_read(args.file))
-        verdict = rnp.explore_halting(program, max_configs=args.max_configs, max_value=args.max_value)
-    except _INPUT_ERRORS as err:
-        return _fail(args.file, err)
+    program = _load(args.file, rnp.parse_rnp, rnp.validate_rnp)
+    verdict = rnp.explore_halting(program, max_configs=args.max_configs, max_value=args.max_value)
+    extra = {}
     if isinstance(verdict, rnp.RnpHalts):
-        choices = ",".join(map(str, verdict.witness)) or "-"
-        print(f"Halts choices={choices} configs_explored={verdict.configs_explored}")
-        return EXIT_OK
-    if isinstance(verdict, rnp.RnpNo):
-        print(f"NoHalt configs_explored={verdict.configs_explored}")
-        return EXIT_OK
-    print(f"Unknown reason={verdict.reason} configs_explored={verdict.configs_explored}")
-    return EXIT_UNKNOWN
+        extra["choices"] = ",".join(map(str, verdict.witness)) or "-"
+    return _exit_code(_say(verdict, **extra))
 
 
 def _cmd_compile_tdpn(args) -> int:
-    try:
-        program = rnp.parse_rnp(_read(args.file))
-        compiled = rnp2tdpn.compile_rnp_to_tdpn(program)
-    except _INPUT_ERRORS as err:
-        return _fail(args.file, err)
+    program = _load(args.file, rnp.parse_rnp, rnp.validate_rnp)
+    compiled = rnp2tdpn.compile_rnp_to_tdpn(program)
     out = Path(args.output) if args.output else Path(args.file).with_suffix(".tdpn")
     _write(out, tdpn.serialize_tdpn(compiled.tdpn))
     _write(out.with_suffix(".addr"), rnp2tdpn.serialize_addr(compiled.book))
@@ -176,10 +224,7 @@ def _cmd_compile_tdpn(args) -> int:
 
 
 def _cmd_expand_tdpn(args) -> int:
-    try:
-        net = tdpn.parse_tdpn(_read(args.file))
-    except _INPUT_ERRORS as err:
-        return _fail(args.file, err)
+    net = _load(args.file, tdpn.parse_tdpn)
     try:
         expanded = tdpn.expand(net, place_limit=args.place_limit)
     except tdpn.PlaceLimitExceeded as err:
@@ -191,30 +236,8 @@ def _cmd_expand_tdpn(args) -> int:
     return EXIT_OK
 
 
-def _normalize_cover(verdict) -> str:
-    if isinstance(verdict, tdpn.TdpnCoverable):
-        return "yes"
-    if isinstance(verdict, tdpn.TdpnNotCoverable):
-        return "no" if verdict.complete else "unknown"
-    return "unknown"
-
-
-def _print_cover(verdict) -> None:
-    if isinstance(verdict, tdpn.TdpnCoverable):
-        print(f"{verdict.mode}: Coverable ({len(verdict.witness)} steps)")
-        _print_descriptors(verdict.witness)
-    elif isinstance(verdict, tdpn.TdpnNotCoverable):
-        qualifier = "exhaustive" if verdict.complete else "within caps"
-        print(f"{verdict.mode}: NotCoverable ({qualifier})")
-    else:
-        print(f"{verdict.mode}: Unknown reason={verdict.reason}")
-
-
 def _cmd_cover(args) -> int:
-    try:
-        net = tdpn.parse_tdpn(_read(args.file))
-    except _INPUT_ERRORS as err:
-        return _fail(args.file, err)
+    net = _load(args.file, tdpn.parse_tdpn)
     modes = ("backward", "symbolic") if args.mode == "both" else (args.mode,)
     verdicts = [
         tdpn.coverable(
@@ -226,23 +249,20 @@ def _cmd_cover(args) -> int:
         )
         for mode in modes
     ]
+    normals = []
     for verdict in verdicts:
-        _print_cover(verdict)
-    normals = [_normalize_cover(v) for v in verdicts]
-    if "yes" in normals and "no" in normals:
+        normals.append(_say(verdict, f"{verdict.mode}: "))
+        if isinstance(verdict, tdpn.TdpnCoverable):
+            _print_descriptors(verdict.witness)
+    code = _exit_code(*normals)
+    if code == EXIT_DISAGREE:
         print("snl: cross-check disagreement between backward and symbolic", file=sys.stderr)
-        return EXIT_DISAGREE
-    if "unknown" in normals:
-        return EXIT_UNKNOWN
-    return EXIT_OK
+    return code
 
 
 def _cmd_compile_dcps(args) -> int:
-    try:
-        net = tdpn.parse_tdpn(_read(args.file))
-        system = tdpn2dcps.compile_tdpn_to_killdcps(net)
-    except _INPUT_ERRORS as err:
-        return _fail(args.file, err)
+    net = _load(args.file, tdpn.parse_tdpn)
+    system = tdpn2dcps.compile_tdpn_to_killdcps(net)
     out = Path(args.output) if args.output else Path(args.file).with_suffix(".dcps")
     _write(out, dcps.serialize_dcps(system))
     _write_names(out.with_suffix(".names"), tdpn2dcps.killdcps_names(net))
@@ -252,11 +272,8 @@ def _cmd_compile_dcps(args) -> int:
 
 
 def _cmd_desugar_kill(args) -> int:
-    try:
-        system = dcps.parse_dcps(_read(args.file))
-        plain = dcps.desugar_kill(system)
-    except _INPUT_ERRORS as err:
-        return _fail(args.file, err)
+    system = _load(args.file, dcps.parse_dcps)
+    plain = dcps.desugar_kill(system)
     out = Path(args.output) if args.output else Path(args.file).with_suffix(".plain.dcps")
     _write(out, dcps.serialize_dcps(plain))
     print(f"wrote {out} (rules={len(plain.rules)}, kills=0)")
@@ -264,11 +281,11 @@ def _cmd_desugar_kill(args) -> int:
 
 
 def _cmd_to_inheritance(args) -> int:
+    system = _load(args.file, dcps.parse_dcps)
     try:
-        system = dcps.parse_dcps(_read(args.file))
         compiled, shifted = dcps.compile_to_inheritance(system, args.target)
-    except _INPUT_ERRORS as err:
-        return _fail(args.file, err)
+    except dcps.DcpsValidationError as err:  # kill rules, or an undeclared --target
+        raise _BadPath(f"{args.file}: {err}") from None
     out = Path(args.output) if args.output else Path(args.file).with_suffix(".inherit.dcps")
     _write(out, dcps.serialize_dcps(compiled))
     _write_names(out.with_suffix(".names"), dcps.inheritance_names(system))
@@ -278,28 +295,22 @@ def _cmd_to_inheritance(args) -> int:
 
 
 def _cmd_explore_dcps(args) -> int:
-    try:
-        system = dcps.parse_dcps(_read(args.file))
-        verdict = dcps.reach_state(
-            system,
-            args.target,
-            args.K,
-            max_threads=args.max_threads,
-            max_stack=args.max_stack,
-            max_configs=args.max_configs,
-            semantics=args.semantics,
-        )
-    except _INPUT_ERRORS as err:
-        return _fail(args.file, err)
-    if isinstance(verdict, dcps.DcpsReachable):
-        print(f"Reachable configs_explored={verdict.configs_explored} events={len(verdict.witness)}")
-        _print_dcps_witness(system, verdict.witness, _load_names(args.file))
-        return EXIT_OK
-    if isinstance(verdict, dcps.DcpsNo):
-        print(f"NotReachable (exhaustive) configs_explored={verdict.configs_explored}")
-        return EXIT_OK
-    print(f"Unknown reason={verdict.reason} configs_explored={verdict.configs_explored}")
-    return EXIT_UNKNOWN
+    # the SNL_MAX_CONFIGS default is read with the input, so a bad value is bad input
+    system = _load(args.file, dcps.parse_dcps, lambda _: dcps.resolve_max_configs(args.max_configs))
+    verdict = dcps.reach_state(
+        system,
+        args.target,
+        args.K,
+        max_threads=args.max_threads,
+        max_stack=args.max_stack,
+        max_configs=args.max_configs,
+        semantics=args.semantics,
+    )
+    if not isinstance(verdict, dcps.DcpsReachable):
+        return _exit_code(_say(verdict))
+    _say(verdict, events=len(verdict.witness))
+    _print_dcps_witness(system, verdict.witness, _load_names(args.file))
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -321,25 +332,9 @@ class PipelineReport:
     settings: dict
     stages: list[StageResult]
     cross_checks: list[dict]
-    timings: dict = field(default_factory=dict)  # stderr diagnostics only
 
     def serialize(self) -> str:
-        body = {
-            "input": self.input,
-            "settings": self.settings,
-            "stages": [
-                {
-                    "stage": s.stage,
-                    "artifact": s.artifact,
-                    "verdict": s.verdict,
-                    "normalized": s.normalized,
-                    "detail": s.detail,
-                }
-                for s in self.stages
-            ],
-            "cross_checks": self.cross_checks,
-        }
-        return json.dumps(body, indent=2, sort_keys=True) + "\n"
+        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
 
 def cross_check(stages: list[StageResult]) -> list[dict]:
@@ -357,51 +352,13 @@ def cross_check(stages: list[StageResult]) -> list[dict]:
     return results
 
 
-def _pipeline_counter(program, bound: int, fuel: int) -> StageResult:
-    verdict = counter.run_bounded(program, bound, fuel=fuel)
-    if isinstance(verdict, counter.Halts):
-        return StageResult(
-            "counter", "", f"Halts steps={verdict.steps} peak={verdict.peak}", "yes",
-            {"steps": verdict.steps, "peak": verdict.peak},
-        )
-    if isinstance(verdict, counter.Aborts):
-        return StageResult(
-            "counter", "", f"Aborts label={verdict.label}", "no", {"steps": verdict.steps}
-        )
-    if isinstance(verdict, counter.BoundExceeded):
-        return StageResult(
-            "counter", "", f"BoundExceeded var={verdict.var}", "no", {"steps": verdict.steps}
-        )
-    return StageResult("counter", "", "FuelExhausted", "unknown", {"steps": verdict.steps})
+def _stage(name: str, verdict, **extra) -> StageResult:
+    label, normalized, detail = _verdict(verdict)
+    return StageResult(name, "", label, normalized, detail | extra)
 
 
 def _pipeline_rnp(compiled, max_configs: int) -> StageResult:
-    verdict = rnp.explore_halting(compiled, max_configs=max_configs)
-    if isinstance(verdict, rnp.RnpHalts):
-        return StageResult(
-            "rnp", "", "Halts", "yes",
-            {"configs_explored": verdict.configs_explored, "witness_choices": len(verdict.witness)},
-        )
-    if isinstance(verdict, rnp.RnpNo):
-        return StageResult("rnp", "", "NoHalt", "no", {"configs_explored": verdict.configs_explored})
-    return StageResult(
-        "rnp", "", f"Unknown reason={verdict.reason}", "unknown",
-        {"configs_explored": verdict.configs_explored},
-    )
-
-
-def _pipeline_tdpn(net, max_tokens: int, max_markings: int) -> tuple[StageResult, tuple]:
-    verdict = tdpn.coverable(net, mode="symbolic", max_tokens=max_tokens, max_markings=max_markings)
-    if isinstance(verdict, tdpn.TdpnCoverable):
-        return (
-            StageResult("tdpn", "", "Coverable", "yes", {"witness_steps": len(verdict.witness)}),
-            verdict.witness,
-        )
-    if isinstance(verdict, tdpn.TdpnNotCoverable) and verdict.complete:
-        return StageResult("tdpn", "", "NotCoverable (exhaustive)", "no", {}), ()
-    # an incomplete NotCoverable was pruned by the token cap alone
-    reason = verdict.reason if isinstance(verdict, tdpn.TdpnUnknown) else "max_tokens"
-    return StageResult("tdpn", "", "Unknown", "unknown", {"reason": reason}), ()
+    return _stage("rnp", rnp.explore_halting(compiled, max_configs=max_configs))
 
 
 def _pipeline_dcps(net, system, tdpn_witness, caps: dict) -> StageResult:
@@ -415,80 +372,61 @@ def _pipeline_dcps(net, system, tdpn_witness, caps: dict) -> StageResult:
             "dcps", "", "Reachable (replayed witness)", "yes",
             {"method": "replay", "events": len(events)},
         )
-    verdict = dcps.reach_state(system, halt, 1, **caps)
-    if isinstance(verdict, dcps.DcpsReachable):
-        return StageResult(
-            "dcps", "", "Reachable", "yes",
-            {"method": "search", "configs_explored": verdict.configs_explored},
-        )
-    if isinstance(verdict, dcps.DcpsNo):
-        return StageResult(
-            "dcps", "", "NotReachable (exhaustive)", "no",
-            {"method": "search", "configs_explored": verdict.configs_explored},
-        )
-    return StageResult(
-        "dcps", "", f"Unknown reason={verdict.reason}", "unknown",
-        {"method": "search", "configs_explored": verdict.configs_explored},
-    )
+    return _stage("dcps", dcps.reach_state(system, halt, 1, **caps), method="search")
 
 
 def _cmd_pipeline(args) -> int:
     src = Path(args.file)
-    try:
-        program = counter.parse_counter(_read(args.file))
-        bound = args.bound if args.bound is not None else lipton.simulated_bound(args.n, args.depth_mode)
-        counter.validate_counter(program)
-    except _INPUT_ERRORS as err:
-        return _fail(args.file, err)
-
+    program = _load(args.file, counter.parse_counter, lambda p: lipton.validate_source(p, args.n))
+    bound = args.bound if args.bound is not None else lipton.simulated_bound(args.n, args.depth_mode)
     out_dir = Path(args.out_dir) if args.out_dir else src.parent / f"{src.stem}_pipeline"
     stem = src.stem
     timings: dict[str, float] = {}
     stages: list[StageResult] = []
 
-    def timed(name, thunk):
+    def timed(name, thunk, artifact=None):
+        """Run and time one step; with an artifact it is a stage, whose row
+        (or verdict, read from the table) goes into the report."""
         t0 = time.perf_counter()
         result = thunk()
         timings[name] = time.perf_counter() - t0
+        if artifact is not None:
+            stage = result if isinstance(result, StageResult) else _stage(name, result)
+            stage.artifact = artifact
+            stages.append(stage)
         return result
 
-    try:
-        stage = timed("counter", lambda: _pipeline_counter(program, bound, args.fuel))
-        stage.artifact = src.name
-        stages.append(stage)
+    timed("counter", lambda: counter.run_bounded(program, bound, fuel=args.fuel), src.name)
 
-        compiled_rnp = timed("compile-rnp", lambda: lipton.compile_lipton(program, args.n, args.depth_mode))
-        rnp_path = out_dir / f"{stem}.rnp"
-        _write(rnp_path, rnp.serialize_rnp(compiled_rnp))
-        stage = timed("rnp", lambda: _pipeline_rnp(compiled_rnp, args.max_configs))
-        stage.artifact = rnp_path.name
-        stages.append(stage)
+    compiled_rnp = timed("compile-rnp", lambda: lipton.compile_lipton(program, args.n, args.depth_mode))
+    rnp_path = out_dir / f"{stem}.rnp"
+    _write(rnp_path, rnp.serialize_rnp(compiled_rnp))
+    timed("rnp", lambda: _pipeline_rnp(compiled_rnp, args.max_configs), rnp_path.name)
 
-        compilation = timed("compile-tdpn", lambda: rnp2tdpn.compile_rnp_to_tdpn(compiled_rnp))
-        net = compilation.tdpn
-        tdpn_path = out_dir / f"{stem}.tdpn"
-        _write(tdpn_path, tdpn.serialize_tdpn(net))
-        _write(tdpn_path.with_suffix(".addr"), rnp2tdpn.serialize_addr(compilation.book))
-        stage, tdpn_witness = timed(
-            "tdpn", lambda: _pipeline_tdpn(net, args.max_tokens, args.max_markings)
-        )
-        stage.artifact = tdpn_path.name
-        stages.append(stage)
+    compilation = timed("compile-tdpn", lambda: rnp2tdpn.compile_rnp_to_tdpn(compiled_rnp))
+    net = compilation.tdpn
+    tdpn_path = out_dir / f"{stem}.tdpn"
+    _write(tdpn_path, tdpn.serialize_tdpn(net))
+    _write(tdpn_path.with_suffix(".addr"), rnp2tdpn.serialize_addr(compilation.book))
+    cover = timed(
+        "tdpn",
+        lambda: tdpn.coverable(
+            net, mode="symbolic", max_tokens=args.max_tokens, max_markings=args.max_markings
+        ),
+        tdpn_path.name,
+    )
 
-        system = timed("compile-dcps", lambda: tdpn2dcps.compile_tdpn_to_killdcps(net))
-        dcps_path = out_dir / f"{stem}.dcps"
-        _write(dcps_path, dcps.serialize_dcps(system))
-        _write_names(dcps_path.with_suffix(".names"), tdpn2dcps.killdcps_names(net))
-        dcps_caps = dict(
-            max_threads=3 * net.width + 4,
-            max_stack=net.width + 1,
-            max_configs=args.dcps_max_configs,
-        )
-        stage = timed("dcps", lambda: _pipeline_dcps(net, system, tdpn_witness, dcps_caps))
-        stage.artifact = dcps_path.name
-        stages.append(stage)
-    except (OSError, lipton.LiptonInputError) as err:
-        return _fail(args.file, err)
+    system = timed("compile-dcps", lambda: tdpn2dcps.compile_tdpn_to_killdcps(net))
+    dcps_path = out_dir / f"{stem}.dcps"
+    _write(dcps_path, dcps.serialize_dcps(system))
+    _write_names(dcps_path.with_suffix(".names"), tdpn2dcps.killdcps_names(net))
+    dcps_caps = dict(
+        max_threads=3 * net.width + 4,
+        max_stack=net.width + 1,
+        max_configs=args.dcps_max_configs,
+    )
+    witness = cover.witness if isinstance(cover, tdpn.TdpnCoverable) else ()
+    timed("dcps", lambda: _pipeline_dcps(net, system, witness, dcps_caps), dcps_path.name)
 
     report = PipelineReport(
         input=src.name,
@@ -504,7 +442,6 @@ def _cmd_pipeline(args) -> int:
         },
         stages=stages,
         cross_checks=cross_check(stages),
-        timings=timings,
     )
     report_path = Path(args.report) if args.report else out_dir / "report.json"
     _write(report_path, report.serialize())
@@ -524,11 +461,7 @@ def _cmd_pipeline(args) -> int:
     print(f"report: {report_path}")
     for name in sorted(timings):
         print(f"snl: timing {name}: {timings[name]:.3f}s", file=sys.stderr)
-    if disagreements:
-        return EXIT_DISAGREE
-    if unknowns:
-        return EXIT_UNKNOWN
-    return EXIT_OK
+    return _exit_code(*(s.normalized for s in stages))
 
 
 # ---------------------------------------------------------------------------
@@ -632,6 +565,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
+    except _BadPath as err:
+        print(f"snl: {err}", file=sys.stderr)
+        return EXIT_INPUT
     except BrokenPipeError:
         # downstream pager/head closed stdout; not an input failure
         devnull = os.open(os.devnull, os.O_WRONLY)

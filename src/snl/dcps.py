@@ -388,7 +388,7 @@ class DcpsUnknown:
     configs_explored: int
 
 
-def _resolve_max_configs(max_configs: int | None) -> int:
+def resolve_max_configs(max_configs: int | None) -> int:
     if max_configs is not None:
         return max_configs
     raw = os.environ.get("SNL_MAX_CONFIGS")
@@ -412,7 +412,7 @@ def _search(system: Dcps, budget: int, goal, max_threads: int, max_stack: int,
     validate_dcps(system)
     if semantics not in SEMANTICS:
         raise ValueError(f"unknown semantics {semantics!r}")
-    max_configs = _resolve_max_configs(max_configs)
+    max_configs = resolve_max_configs(max_configs)
 
     def step(config: DcpsConfig):
         events = _events(system, config, budget, skip_corpse_switch=True)

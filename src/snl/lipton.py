@@ -212,16 +212,10 @@ def _translate_sim(program: counter.CounterProgram) -> list[Command]:
     return out
 
 
-def compile_lipton(
-    program: counter.CounterProgram, n: int, depth_mode: str = "double"
-) -> Rnp:
-    """Compile a counter program into an equivalent recursive net program.
-
-    The result halts iff the source halts under a B-bounded run with
-    B = 2^(2^n) (or the triply exponential variant).  Source labels must
-    not contain '__' (reserved for generated labels) and source counters
-    must avoid the six helper names and the 'bar_' prefix.
-    """
+def validate_source(program: counter.CounterProgram, n: int) -> None:
+    """Raise a ValueError unless compile_lipton accepts the program at n:
+    n >= 1, a valid counter program, no label containing '__' (reserved for
+    generated labels) and no counter named like a helper or 'bar_...'."""
     if n < 1:
         raise LiptonInputError(f"n must be at least 1, got {n}")
     counter.validate_counter(program)
@@ -232,6 +226,17 @@ def compile_lipton(
         if var in HELPER_VARS or var.startswith("bar_"):
             raise LiptonInputError(f"variable {var!r} is reserved")
 
+
+def compile_lipton(
+    program: counter.CounterProgram, n: int, depth_mode: str = "double"
+) -> Rnp:
+    """Compile a counter program into an equivalent recursive net program.
+
+    The result halts iff the source halts under a B-bounded run with
+    B = 2^(2^n) (or the triply exponential variant).  The input must pass
+    validate_source.
+    """
+    validate_source(program, n)
     sim = _translate_sim(program)
     first_sim_label = sim[0].label
     init: list[Command] = [

@@ -4,6 +4,7 @@ Each test drives cli.main directly with an argv list, so exit codes,
 stdout, and stderr are checked exactly as a shell user sees them.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -318,3 +319,160 @@ def test_cross_check_unknown_never_disagrees():
 
 def test_cross_check_single_stage_is_empty():
     assert cross_check([stage("a", "yes")]) == []
+
+
+# ---------------------------------------------------------------------------
+# one verdict table: golden summary lines, report digests, completeness
+
+
+@pytest.fixture(scope="module")
+def compiled(tmp_path_factory):
+    """halt, abort_dec and count4 compiled at n=1, plus abort_dec's net."""
+    out = tmp_path_factory.mktemp("compiled")
+    for name in ("halt", "abort_dec", "count4"):
+        code = cli.main(["compile-rnp", str(CORPUS / f"{name}.cp"), "--n", "1",
+                         "-o", str(out / f"{name}.rnp")])
+        assert code == EXIT_OK
+    assert cli.main(["compile-tdpn", str(out / "abort_dec.rnp")]) == EXIT_OK
+    return out
+
+
+@pytest.mark.parametrize("argv, code, line", [
+    (("count4.cp", "--n", 1), EXIT_OK, "Halts steps=4 peak=4 bound=4"),
+    (("abort_dec.cp", "--n", 1), EXIT_OK, "Aborts label=l1 steps=0 bound=4"),
+    (("exceed_loop.cp", "--bound", 4), EXIT_OK, "BoundExceeded var=x steps=8 bound=4"),
+    (("infinite_loop.cp", "--bound", 4, "--fuel", 1000), EXIT_UNKNOWN,
+     "FuelExhausted steps=1000 bound=4"),
+])
+def test_run_counter_summary_lines(capsys, argv, code, line):
+    got, out, _ = run_cli(capsys, "run-counter", CORPUS / argv[0], *argv[1:])
+    assert (got, out) == (code, line + "\n")
+
+
+CHOICES = "0,1,1,0,0,0,1,1,0,1,1,0,0,0,0,1,1,1,1,0,0,1,1,0,0,0,1,1,0,1,1,0"
+
+
+@pytest.mark.parametrize("argv, code, line", [
+    (("halt.rnp",), EXIT_OK, f"Halts configs_explored=1635 witness_choices=32 choices={CHOICES}"),
+    (("abort_dec.rnp",), EXIT_OK, "NoHalt configs_explored=1639"),
+    (("count4.rnp", "--max-value", 1), EXIT_UNKNOWN, "Unknown reason=max_value configs_explored=4"),
+])
+def test_run_rnp_summary_lines(capsys, compiled, argv, code, line):
+    got, out, _ = run_cli(capsys, "run-rnp", compiled / argv[0], *argv[1:])
+    assert (got, out) == (code, line + "\n")
+
+
+@pytest.mark.parametrize("argv, code, out", [
+    (("--mode", "both", TINY), EXIT_OK,
+     "backward: Coverable witness_steps=1\n  move 0 -> 1\n"
+     "symbolic: Coverable witness_steps=1\n  move 0 -> 1\n"),
+    (("--mode", "symbolic", "abort_dec.tdpn"), EXIT_OK, "symbolic: NotCoverable (exhaustive)\n"),
+    (("--mode", "symbolic", "--max-tokens", 3, "abort_dec.tdpn"), EXIT_UNKNOWN,
+     "symbolic: Unknown reason=max_tokens\n"),
+    (("--mode", "symbolic", "--max-markings", 5, "abort_dec.tdpn"), EXIT_UNKNOWN,
+     "symbolic: Unknown reason=max_markings\n"),
+])
+def test_cover_summary_lines(capsys, compiled, argv, code, out):
+    argv = [compiled / a if a == "abort_dec.tdpn" else a for a in argv]
+    assert run_cli(capsys, "cover", *argv)[:2] == (code, out)
+
+
+@pytest.mark.parametrize("argv, code, line", [
+    (("--K", 1), EXIT_OK, "Reachable configs_explored=1241 events=14"),
+    (("--K", 0), EXIT_OK, "NotReachable (exhaustive) configs_explored=176"),
+    (("--K", 1, "--max-configs", 3), EXIT_UNKNOWN, "Unknown reason=max_configs configs_explored=3"),
+])
+def test_explore_dcps_summary_lines(capsys, tiny_dcps, argv, code, line):
+    got, out, _ = run_cli(capsys, "explore-dcps", tiny_dcps, "--target", "g_halt", *argv)
+    assert (got, out.splitlines()[0]) == (code, line)
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("halt.cp",), "cfedb0c892f2fd1ae47a157b1daed6c1b85971671ec571820ad62c3f0b5f84a3"),
+    (("abort_dec.cp", "--dcps-max-configs", 20000),
+     "b6df0cf2705c26cc9cd9bed36dc606a45c3b86694a878dac398b1b26a0965b2d"),
+])
+def test_pipeline_report_digest(capsys, tmp_path, argv, digest):
+    run_cli(capsys, "pipeline", "--n", 1, CORPUS / argv[0], *argv[1:], "--out-dir", tmp_path)
+    assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == digest
+
+
+MOVE = ("move", ("0", "1"))
+
+
+@pytest.mark.parametrize("stage_name, verdict, row", [
+    ("counter", counter.Halts(peak=4, steps=4),
+     ("Halts steps=4 peak=4", "yes", {"steps": 4, "peak": 4})),
+    ("counter", counter.Aborts(steps=0, label="l1"), ("Aborts label=l1", "no", {"steps": 0})),
+    ("counter", counter.BoundExceeded(steps=8, var="x"),
+     ("BoundExceeded var=x", "no", {"steps": 8})),
+    ("counter", counter.FuelExhausted(steps=1000), ("FuelExhausted", "unknown", {"steps": 1000})),
+    ("rnp", rnp.RnpHalts((0, 1, 1), None, 1635),
+     ("Halts", "yes", {"configs_explored": 1635, "witness_choices": 3})),
+    ("rnp", rnp.RnpNo(1639), ("NoHalt", "no", {"configs_explored": 1639})),
+    ("rnp", rnp.RnpUnknown("max_value", 4),
+     ("Unknown reason=max_value", "unknown", {"configs_explored": 4})),
+    ("tdpn", tdpn.TdpnCoverable((MOVE, MOVE), "symbolic"), ("Coverable", "yes", {"witness_steps": 2})),
+    ("tdpn", tdpn.TdpnNotCoverable("symbolic", True), ("NotCoverable (exhaustive)", "no", {})),
+    ("tdpn", tdpn.TdpnNotCoverable("symbolic", False), ("Unknown", "unknown", {"reason": "max_tokens"})),
+    ("tdpn", tdpn.TdpnUnknown("symbolic", "max_markings"),
+     ("Unknown", "unknown", {"reason": "max_markings"})),
+    ("dcps", dcps.DcpsReachable((), 1241),
+     ("Reachable", "yes", {"method": "search", "configs_explored": 1241})),
+    ("dcps", dcps.DcpsNo(176),
+     ("NotReachable (exhaustive)", "no", {"method": "search", "configs_explored": 176})),
+    ("dcps", dcps.DcpsUnknown("max_configs,max_threads", 3),
+     ("Unknown reason=max_configs,max_threads", "unknown", {"method": "search", "configs_explored": 3})),
+])
+def test_every_verdict_class_has_its_report_row(monkeypatch, stage_name, verdict, row):
+    # the rows the pipeline wrote for each class before the table was shared
+    if stage_name == "rnp":
+        monkeypatch.setattr(rnp, "explore_halting", lambda *args, **kwargs: verdict)
+        got = cli._pipeline_rnp(None, 0)
+    elif stage_name == "dcps":
+        monkeypatch.setattr(dcps, "reach_state", lambda *args, **kwargs: verdict)
+        got = cli._pipeline_dcps(tdpn.parse_tdpn(CORPUS.joinpath("tiny.tdpn").read_text()), None, (), {})
+    else:
+        got = cli._stage(stage_name, verdict)
+    assert (got.stage, got.verdict, got.normalized, got.detail) == (stage_name, *row)
+
+
+# ---------------------------------------------------------------------------
+# the input boundary: bad input is exit 2, a failure after loading is exit 5
+
+
+def test_explore_dcps_failed_replay_is_internal_error(capsys, tiny_dcps, monkeypatch):
+    replay = dcps._replay
+    # the pool starts empty, so the leading kill cannot apply: the fault is the program's
+    monkeypatch.setattr(
+        dcps, "_replay",
+        lambda system, witness, budget, semantics:
+            replay(system, (("kill", 0, 0), *witness), budget, semantics),
+    )
+    code, _, err = run_cli(capsys, "explore-dcps", tiny_dcps, "--target", "g_halt", "--K", 1)
+    assert code == EXIT_INTERNAL
+    assert "snl: internal error:" in err
+
+
+def test_run_counter_validates_jump_targets(capsys, tmp_path):
+    bad = tmp_path / "nowhere.cp"
+    bad.write_text("l0: goto nowhere;\n")
+    code, _, err = run_cli(capsys, "run-counter", bad, "--n", 1)
+    assert code == EXIT_INPUT
+    assert str(bad) in err
+
+
+def test_unwritable_output_is_input_error(capsys, tmp_path):
+    regular = tmp_path / "regular"
+    regular.write_text("")
+    out = regular / "x.rnp"
+    code, _, err = run_cli(capsys, "compile-rnp", CORPUS / "halt.cp", "--n", 1, "-o", out)
+    assert code == EXIT_INPUT
+    assert str(out) in err
+
+
+def test_bad_env_cap_is_input_error(capsys, tiny_dcps, monkeypatch):
+    monkeypatch.setenv("SNL_MAX_CONFIGS", "banana")
+    code, _, err = run_cli(capsys, "explore-dcps", tiny_dcps, "--target", "g_halt", "--K", 1)
+    assert code == EXIT_INPUT
+    assert "SNL_MAX_CONFIGS" in err
