@@ -11,9 +11,9 @@ Exit codes: 0 a verdict was produced, 2 an input did not read, parse or
 validate, or an output path could not be written, 3 a search gave up within
 its caps (Unknown), 4 cross-checked verdicts disagree, 5 any failure after
 that, such as a witness that does not replay.  Only `_boundary`, around
-`_load` and `_write`, turns an error into exit 2; the two refusals found
-later are named where they occur.  An Unknown never counts as a
-disagreement.
+`_load`, `_write` and `run-counter`'s bound, turns an error into exit 2; the
+two refusals found later are named where they occur.  An Unknown never
+counts as a disagreement.
 
 Reports and generated files are deterministic for fixed inputs and caps;
 wall-clock timings go to stderr only.
@@ -190,7 +190,8 @@ def _print_descriptors(witness) -> None:
 
 def _cmd_run_counter(args) -> int:
     program = _load(args.file, counter.parse_counter, counter.validate_counter)
-    bound = args.bound if args.bound is not None else lipton.simulated_bound(args.n, args.depth_mode)
+    with _boundary(args.file):  # the depth rule refuses n < 1
+        bound = args.bound if args.bound is not None else lipton.simulated_bound(args.n, args.depth_mode)
     return _exit_code(_say(counter.run_bounded(program, bound, fuel=args.fuel), bound=bound))
 
 
@@ -295,8 +296,12 @@ def _cmd_to_inheritance(args) -> int:
 
 
 def _cmd_explore_dcps(args) -> int:
-    # the SNL_MAX_CONFIGS default is read with the input, so a bad value is bad input
-    system = _load(args.file, dcps.parse_dcps, lambda _: dcps.resolve_max_configs(args.max_configs))
+    # K and the SNL_MAX_CONFIGS default are read with the input: a bad value is bad input
+    def check(_):
+        dcps.check_budget(args.K)
+        dcps.resolve_max_configs(args.max_configs)
+
+    system = _load(args.file, dcps.parse_dcps, check)
     verdict = dcps.reach_state(
         system,
         args.target,

@@ -1,4 +1,5 @@
-"""Bounded counter programs.
+"""Bounded counter programs, and the command vocabulary and statement grammar
+that recursive net programs share.
 
 A counter program is a finite sequence of labelled commands over a set of
 counters that hold natural numbers (all initially zero):
@@ -13,10 +14,15 @@ Execution is deterministic.  Decrementing a zero counter aborts the run,
 which is distinct from halting.  A B-bounded run additionally stops the
 moment an increment *would* push a counter above B, so the peak counter
 value of a completed run never exceeds B.
+
+`Inc`, `Dec`, `Goto` and `Halt` are defined here once; `snl.rnp` imports
+them and adds its own commands.  Each language is a `Grammar`, a table from
+command class to statement form, which both parses and prints statements.
 """
 
 from __future__ import annotations
 
+import collections
 import re
 from dataclasses import dataclass
 
@@ -24,7 +30,7 @@ from snl.text import strip_comments
 
 DEFAULT_FUEL = 10_000_000
 
-IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 
 
 class CounterParseError(ValueError):
@@ -75,11 +81,8 @@ class CounterProgram:
 
     @property
     def variables(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for cmd in self.commands:
-            if isinstance(cmd, (Inc, Dec, IfZero)):
-                seen.setdefault(cmd.var, None)
-        return tuple(sorted(seen))
+        counters = {cmd.var for cmd in self.commands if isinstance(cmd, (Inc, Dec, IfZero))}
+        return tuple(sorted(counters))
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -120,70 +123,87 @@ Verdict = Halts | Aborts | BoundExceeded | FuelExhausted
 
 
 # ---------------------------------------------------------------------------
-# Parsing and serialization
+# Statement grammar
 
 
-def _check_ident(name: str, what: str, stmt: str) -> str:
-    if not IDENT.match(name):
-        raise CounterParseError(f"bad {what} {name!r} in statement {stmt!r}")
-    return name
+class Grammar:
+    """A statement language: a table from command class to statement form.
+
+    A form is the text after `label:`, with `{field}` standing for an
+    identifier that fills that field of the command.  Between two words of
+    a form a space is required; next to a symbol such as `=` it is optional,
+    so `if x=0 then ...` still parses.  The same table prints a command.
+    """
+
+    def __init__(self, forms: dict[type, str], error: type[ValueError]):
+        self.forms = forms
+        self.error = error
+        self.patterns = [(cls, re.compile(_pattern(form))) for cls, form in forms.items()]
+
+    def parse(self, text: str, where: str) -> tuple:
+        """Parse `label: command;` statements.  A missing semicolon after
+        the final statement is tolerated; format always emits one."""
+        commands = []
+        for stmt in text.split(";"):
+            stmt = stmt.strip()
+            if not stmt:
+                continue
+            label, colon, body = stmt.partition(":")
+            label = label.strip()
+            if not colon:
+                raise self.error(f"missing label in {where}: {stmt!r}")
+            if not re.fullmatch(IDENT, label):
+                raise self.error(f"bad label {label!r} in {where}")
+            body = " ".join(body.split())
+            for cls, pattern in self.patterns:
+                m = pattern.fullmatch(body)
+                if m:
+                    commands.append(cls(label, **m.groupdict()))
+                    break
+            else:
+                raise self.error(f"unrecognized command {body!r} in {where}")
+        return tuple(commands)
+
+    def format(self, cmd) -> str:
+        return f"{cmd.label}: {self.forms[type(cmd)].format_map(vars(cmd))};"
 
 
-_IF_RE = re.compile(
-    r"if\s+(\w+)\s*=\s*0\s+then\s+goto\s+(\w+)\s+else\s+goto\s+(\w+)\Z"
+def _pattern(form: str) -> str:
+    words = form.split(" ")
+    wordy = [w.startswith("{") or w[0].isalnum() for w in words]
+    out = []
+    for i, word in enumerate(words):
+        if i:
+            out.append(r"\s+" if wordy[i - 1] and wordy[i] else r"\s*")
+        out.append(f"(?P<{word[1:-1]}>{IDENT})" if word.startswith("{") else re.escape(word))
+    return "".join(out)
+
+
+SHARED_FORMS = {Inc: "inc {var}", Dec: "dec {var}", Goto: "goto {target}", Halt: "halt"}
+
+GRAMMAR = Grammar(
+    SHARED_FORMS | {IfZero: "if {var} = 0 then goto {target_zero} else goto {target_nonzero}"},
+    CounterParseError,
 )
 
 
 def parse_counter(text: str) -> CounterProgram:
-    """Parse counter program source.  A missing semicolon after the final
-    command is tolerated; the serializer always emits one."""
-    commands: list[Command] = []
-    for stmt in strip_comments(text).split(";"):
-        stmt = stmt.strip()
-        if not stmt:
-            continue
-        label, colon, body = stmt.partition(":")
-        if not colon:
-            raise CounterParseError(f"missing label in statement {stmt!r}")
-        label = _check_ident(label.strip(), "label", stmt)
-        body = " ".join(body.split())
-        if body == "halt":
-            commands.append(Halt(label))
-            continue
-        m = _IF_RE.match(body)
-        if m:
-            var, lz, lnz = m.groups()
-            commands.append(IfZero(label, _check_ident(var, "variable", stmt), lz, lnz))
-            continue
-        parts = body.split(" ")
-        if len(parts) == 2 and parts[0] == "inc":
-            commands.append(Inc(label, _check_ident(parts[1], "variable", stmt)))
-        elif len(parts) == 2 and parts[0] == "dec":
-            commands.append(Dec(label, _check_ident(parts[1], "variable", stmt)))
-        elif len(parts) == 2 and parts[0] == "goto":
-            commands.append(Goto(label, _check_ident(parts[1], "label", stmt)))
-        else:
-            raise CounterParseError(f"unrecognized command {body!r} in {stmt!r}")
-    return CounterProgram(tuple(commands))
+    return CounterProgram(GRAMMAR.parse(strip_comments(text), "counter program"))
 
 
 def serialize_counter(program: CounterProgram) -> str:
-    lines = []
-    for cmd in program.commands:
-        if isinstance(cmd, Inc):
-            lines.append(f"{cmd.label}: inc {cmd.var};")
-        elif isinstance(cmd, Dec):
-            lines.append(f"{cmd.label}: dec {cmd.var};")
-        elif isinstance(cmd, Goto):
-            lines.append(f"{cmd.label}: goto {cmd.target};")
-        elif isinstance(cmd, IfZero):
-            lines.append(
-                f"{cmd.label}: if {cmd.var} = 0 then goto {cmd.target_zero}"
-                f" else goto {cmd.target_nonzero};"
-            )
-        else:
-            lines.append(f"{cmd.label}: halt;")
-    return "\n".join(lines) + "\n"
+    return "\n".join(GRAMMAR.format(cmd) for cmd in program.commands) + "\n"
+
+
+def duplicates(what: str, names: list[str]) -> str | None:
+    """The problem line naming every one of `names` that occurs twice."""
+    dupes = sorted(name for name, count in collections.Counter(names).items() if count > 1)
+    return f"duplicate {what}: {', '.join(dupes)}" if dupes else None
+
+
+def jump_targets(cmd) -> tuple[str, ...]:
+    """The labels a command may jump to: its `target...` fields."""
+    return tuple(value for field, value in vars(cmd).items() if field.startswith("target"))
 
 
 def validate_counter(program: CounterProgram) -> None:
@@ -193,9 +213,8 @@ def validate_counter(program: CounterProgram) -> None:
     problems = []
     labels = [cmd.label for cmd in program.commands]
     label_set = set(labels)
-    if len(label_set) != len(labels):
-        dupes = sorted({l for l in labels if labels.count(l) > 1})
-        problems.append(f"duplicate labels: {', '.join(dupes)}")
+    if dupes := duplicates("labels", labels):
+        problems.append(dupes)
     if not program.commands:
         problems.append("empty program")
     else:
@@ -203,12 +222,7 @@ def validate_counter(program: CounterProgram) -> None:
         if len(halts) != 1 or not isinstance(program.commands[-1], Halt):
             problems.append("program must contain exactly one halt, as its last command")
     for cmd in program.commands:
-        targets = []
-        if isinstance(cmd, Goto):
-            targets = [cmd.target]
-        elif isinstance(cmd, IfZero):
-            targets = [cmd.target_zero, cmd.target_nonzero]
-        for t in targets:
+        for t in jump_targets(cmd):
             if t not in label_set:
                 problems.append(f"jump target {t!r} of {cmd.label!r} is undefined")
     if problems:

@@ -400,6 +400,12 @@ def resolve_max_configs(max_configs: int | None) -> int:
         raise ValueError(f"SNL_MAX_CONFIGS must be an integer, got {raw!r}") from None
 
 
+def check_budget(budget: int) -> None:
+    """Reject a negative switch budget, under which a "no" would say nothing."""
+    if budget < 0:
+        raise ValueError(f"switch budget K must be at least 0, got {budget}")
+
+
 def _search(system: Dcps, budget: int, goal, max_threads: int, max_stack: int,
             max_configs: int | None, semantics: str):
     """Breadth-first search over canonical configurations.
@@ -410,6 +416,7 @@ def _search(system: Dcps, budget: int, goal, max_threads: int, max_stack: int,
     avoiding corpse-count churn.
     """
     validate_dcps(system)
+    check_budget(budget)
     if semantics not in SEMANTICS:
         raise ValueError(f"unknown semantics {semantics!r}")
     max_configs = resolve_max_configs(max_configs)

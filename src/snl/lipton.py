@@ -14,6 +14,10 @@ depth further down.  With max call depth k = n+1 the depth-1 budget is
 exactly B, which is what the zero-test gadget needs to validate a swap of
 x and bar_x.  A "triple" depth mode keeps the same bodies but sets
 k = 2^n + 1, pushing the budget to a triply exponential value.
+
+Source and target share `Inc`, `Dec`, `Goto` and `Halt` (`snl.counter`
+defines them), so jumps and the halt pass through.  `max_depth_for` is the
+one depth-mode rule; the simulated bound follows as B = 2^(2^(k-1)).
 """
 
 from __future__ import annotations
@@ -44,16 +48,10 @@ def complement(var: str) -> str:
     return var[4:] if var.startswith("bar_") else "bar_" + var
 
 
-def simulated_bound(n: int, depth_mode: str = "double") -> int:
-    """Counter cap the compiled program enforces on the source counters."""
-    if depth_mode == "double":
-        return 2 ** (2**n)
-    if depth_mode == "triple":
-        return 2 ** (2 ** (2**n))
-    raise LiptonInputError(f"unknown depth mode {depth_mode!r}")
-
-
 def max_depth_for(n: int, depth_mode: str = "double") -> int:
+    """Call depth limit k of the compiled program; rejects n < 1."""
+    if n < 1:
+        raise LiptonInputError(f"n must be at least 1, got {n}")
     if depth_mode == "double":
         return n + 1
     if depth_mode == "triple":
@@ -61,12 +59,20 @@ def max_depth_for(n: int, depth_mode: str = "double") -> int:
     raise LiptonInputError(f"unknown depth mode {depth_mode!r}")
 
 
+def simulated_bound(n: int, depth_mode: str = "double") -> int:
+    """Counter cap the compiled program enforces on the source counters."""
+    return 2 ** (2 ** (max_depth_for(n, depth_mode) - 1))
+
+
 # ---------------------------------------------------------------------------
 # Gadget expansions
 
 
-def expand_test(var: str, l_zero: str, l_nonzero: str, entry: str) -> tuple[Command, ...]:
-    """Zero test on a simulated counter (depth 0 copies, direct inc/dec).
+def _zero_test(
+    var: str, l_zero: str, l_nonzero: str, entry: str, tag: str, inc, dec
+) -> tuple[Command, ...]:
+    """Zero test on `var`; `inc(label, counter)` and `dec(label, counter)`
+    make the command that moves a counter, and `tag` marks the labels.
 
     Nondeterministic: the nonzero branch proves var > 0 by moving it down
     and up; the zero branch swaps var with its complement, validating the
@@ -74,14 +80,14 @@ def expand_test(var: str, l_zero: str, l_nonzero: str, entry: str) -> tuple[Comm
     branch does not match the truth gets stuck.
     """
     bar = complement(var)
-    lab = lambda role: f"{entry}__test__{var}__{role}"
+    lab = lambda role: f"{entry}__{tag}__{var}__{role}"
     return (
         GotoOr(entry, lab("nztest"), lab("loop")),
-        Dec(lab("nztest"), var),
-        Inc(lab("nz2"), var),
+        dec(lab("nztest"), var),
+        inc(lab("nz2"), var),
         Goto(lab("nz3"), l_nonzero),
-        Dec(lab("loop"), bar),
-        Inc(lab("lp2"), var),
+        dec(lab("loop"), bar),
+        inc(lab("lp2"), var),
         Call(lab("lp3"), "bar_s_dec"),
         Call(lab("lp4"), "s_inc"),
         GotoOr(lab("lp5"), lab("exit"), lab("loop")),
@@ -90,26 +96,19 @@ def expand_test(var: str, l_zero: str, l_nonzero: str, entry: str) -> tuple[Comm
     )
 
 
-def expand_test_plus1(var: str, l_zero: str, l_nonzero: str, entry: str) -> tuple[Command, ...]:
-    """Zero test on a helper counter one depth below the current one.
+def expand_test(var: str, l_zero: str, l_nonzero: str, entry: str) -> tuple[Command, ...]:
+    """Zero test on a simulated counter (depth 0 copies, direct inc/dec)."""
+    return _zero_test(var, l_zero, l_nonzero, entry, "test", Inc, Dec)
 
-    Same shape as expand_test, but every counter move goes through the
-    one-step helper procedures so it lands on the depth d+1 copies.
-    """
-    bar = complement(var)
-    lab = lambda role: f"{entry}__testp1__{var}__{role}"
-    return (
-        GotoOr(entry, lab("nztest"), lab("loop")),
-        Call(lab("nztest"), f"{var}_dec"),
-        Call(lab("nz2"), f"{var}_inc"),
-        Goto(lab("nz3"), l_nonzero),
-        Call(lab("loop"), f"{bar}_dec"),
-        Call(lab("lp2"), f"{var}_inc"),
-        Call(lab("lp3"), "bar_s_dec"),
-        Call(lab("lp4"), "s_inc"),
-        GotoOr(lab("lp5"), lab("exit"), lab("loop")),
-        Call(lab("exit"), "dec"),
-        Goto(lab("ex2"), l_zero),
+
+def expand_test_plus1(var: str, l_zero: str, l_nonzero: str, entry: str) -> tuple[Command, ...]:
+    """Zero test on a helper counter one depth below the current one: every
+    counter move goes through the one-step helper procedures, so it lands
+    on the depth d+1 copies."""
+    return _zero_test(
+        var, l_zero, l_nonzero, entry, "testp1",
+        lambda label, v: Call(label, f"{v}_inc"),
+        lambda label, v: Call(label, f"{v}_dec"),
     )
 
 
@@ -132,58 +131,44 @@ def _one_step_procs() -> list[Proc]:
     return procs
 
 
-def _dec_proc() -> Proc:
-    lt = (
-        Call("dec__lt__outer", "y_dec"),
-        Call("dec__lt__o2", "bar_y_inc"),
-        Call("dec__lt__inner", "z_dec"),
-        Call("dec__lt__i2", "bar_z_inc"),
-        Dec("dec__lt__i3", "s"),
-        Inc("dec__lt__i4", "bar_s"),
-        *expand_test_plus1("z", "dec__lt__next", "dec__lt__inner", entry="dec__lt__t1"),
-        *expand_test_plus1("y", "dec__lt__exit", "dec__lt__outer", entry="dec__lt__next"),
-        Return("dec__lt__exit"),
+def _ladder_proc(name: str, start: tuple[Command, ...], moves, eq_moves) -> Proc:
+    """`dec` or `inc`: after `start`, the lt_max body makes `moves` once per
+    pass of a loop over z nested in a loop over y (the depth d+1 helpers);
+    the eq_max body makes `eq_moves`.  A move is a (command, counter) pair."""
+    lt = lambda role: f"{name}__lt__{role}"
+    eq = [cls(f"{name}__eq__{i}", var) for i, (cls, var) in enumerate(eq_moves, 1)]
+    return Proc(
+        name,
+        (
+            *start,
+            Call(lt("outer"), "y_dec"),
+            Call(lt("o2"), "bar_y_inc"),
+            Call(lt("inner"), "z_dec"),
+            Call(lt("i2"), "bar_z_inc"),
+            *(cls(lt(f"i{i}"), var) for i, (cls, var) in enumerate(moves, 3)),
+            *expand_test_plus1("z", lt("next"), lt("inner"), entry=lt("t1")),
+            *expand_test_plus1("y", lt("exit"), lt("outer"), entry=lt("next")),
+            Return(lt("exit")),
+        ),
+        (*eq, Return(f"{name}__eq__{len(eq) + 1}")),
     )
-    eq = (
-        Dec("dec__eq__1", "s"),
-        Inc("dec__eq__2", "bar_s"),
-        Dec("dec__eq__3", "s"),
-        Inc("dec__eq__4", "bar_s"),
-        Return("dec__eq__5"),
-    )
-    return Proc("dec", lt, eq)
-
-
-def _inc_proc() -> Proc:
-    lt = (
-        Call("inc__lt__start", "inc"),
-        Call("inc__lt__outer", "y_dec"),
-        Call("inc__lt__o2", "bar_y_inc"),
-        Call("inc__lt__inner", "z_dec"),
-        Call("inc__lt__i2", "bar_z_inc"),
-        Inc("inc__lt__i3", "y"),
-        Inc("inc__lt__i4", "z"),
-        Inc("inc__lt__i5", "bar_s"),
-        *expand_test_plus1("z", "inc__lt__next", "inc__lt__inner", entry="inc__lt__t1"),
-        *expand_test_plus1("y", "inc__lt__exit", "inc__lt__outer", entry="inc__lt__next"),
-        Return("inc__lt__exit"),
-    )
-    eq = (
-        Inc("inc__eq__1", "y"),
-        Inc("inc__eq__2", "y"),
-        Inc("inc__eq__3", "z"),
-        Inc("inc__eq__4", "z"),
-        Inc("inc__eq__5", "bar_s"),
-        Inc("inc__eq__6", "bar_s"),
-        Return("inc__eq__7"),
-    )
-    return Proc("inc", lt, eq)
 
 
 def helper_procs() -> tuple[Proc, ...]:
     """The fourteen fixed procedures: twelve one-step helpers plus the
     budget-draining dec and the ladder-building inc."""
-    return tuple(_one_step_procs() + [_dec_proc(), _inc_proc()])
+    drain = [(Dec, "s"), (Inc, "bar_s")]
+    build = [(Inc, "y"), (Inc, "z"), (Inc, "bar_s")]
+    return (
+        *_one_step_procs(),
+        _ladder_proc("dec", (), drain, drain * 2),
+        _ladder_proc(
+            "inc",
+            (Call("inc__lt__start", "inc"),),
+            build,
+            [(Inc, var) for var in ("y", "y", "z", "z", "bar_s", "bar_s")],
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -193,16 +178,14 @@ def helper_procs() -> tuple[Proc, ...]:
 def _translate_sim(program: counter.CounterProgram) -> list[Command]:
     out: list[Command] = []
     for cmd in program.commands:
-        if isinstance(cmd, counter.Inc):
+        if isinstance(cmd, Inc):
             out.append(Dec(cmd.label, complement(cmd.var)))
             out.append(Inc(f"{cmd.label}__inc2", cmd.var))
-        elif isinstance(cmd, counter.Dec):
+        elif isinstance(cmd, Dec):
             out.append(Dec(cmd.label, cmd.var))
             out.append(Inc(f"{cmd.label}__dec2", complement(cmd.var)))
-        elif isinstance(cmd, counter.Goto):
-            out.append(Goto(cmd.label, cmd.target))
-        elif isinstance(cmd, counter.Halt):
-            out.append(Halt(cmd.label))
+        elif isinstance(cmd, (Goto, Halt)):
+            out.append(cmd)
         else:
             cont = f"{cmd.label}__cont"
             out.extend(expand_test(cmd.var, cont, cmd.target_nonzero, entry=cmd.label))
@@ -216,8 +199,7 @@ def validate_source(program: counter.CounterProgram, n: int) -> None:
     """Raise a ValueError unless compile_lipton accepts the program at n:
     n >= 1, a valid counter program, no label containing '__' (reserved for
     generated labels) and no counter named like a helper or 'bar_...'."""
-    if n < 1:
-        raise LiptonInputError(f"n must be at least 1, got {n}")
+    max_depth_for(n)
     counter.validate_counter(program)
     for label in program.labels:
         if "__" in label:
@@ -227,9 +209,7 @@ def validate_source(program: counter.CounterProgram, n: int) -> None:
             raise LiptonInputError(f"variable {var!r} is reserved")
 
 
-def compile_lipton(
-    program: counter.CounterProgram, n: int, depth_mode: str = "double"
-) -> Rnp:
+def compile_lipton(program: counter.CounterProgram, n: int, depth_mode: str = "double") -> Rnp:
     """Compile a counter program into an equivalent recursive net program.
 
     The result halts iff the source halts under a B-bounded run with
@@ -238,19 +218,13 @@ def compile_lipton(
     """
     validate_source(program, n)
     sim = _translate_sim(program)
-    first_sim_label = sim[0].label
-    init: list[Command] = [
+    init = (
         Call("init__start", "inc"),
         Call("init__loop", "y_dec"),
         Call("init__l2", "bar_y_inc"),
-    ]
-    init.extend(Inc(f"init__x__{x}", complement(x)) for x in program.variables)
-    init.extend(expand_test_plus1("y", first_sim_label, "init__loop", entry="init__t1"))
-
-    result = Rnp(
-        max_depth=max_depth_for(n, depth_mode),
-        main=tuple(init) + tuple(sim),
-        procs=helper_procs(),
+        *(Inc(f"init__x__{x}", complement(x)) for x in program.variables),
+        *expand_test_plus1("y", sim[0].label, "init__loop", entry="init__t1"),
     )
+    result = Rnp(max_depth_for(n, depth_mode), init + tuple(sim), helper_procs())
     validate_rnp(result)
     return result

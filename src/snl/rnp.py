@@ -18,6 +18,11 @@ of a zero counter has no successor (the branch is stuck, there is no abort
 verdict).  Calling pushes the call command's label; depth is the stack
 length; the callee body is lt_max when the new depth is below k and eq_max
 when it equals k.  Returning pops a label and resumes right after it.
+
+`Inc`, `Dec`, `Goto` and `Halt` are the counter-program commands of
+`snl.counter`, re-exported here; this module adds `GotoOr`, `Call` and
+`Return`.  Bodies are parsed and printed by a `counter.Grammar` whose table
+extends the shared statement forms with these three.
 """
 
 from __future__ import annotations
@@ -27,6 +32,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
+from snl.counter import IDENT, SHARED_FORMS, Grammar, duplicates, jump_targets
+from snl.counter import Dec, Goto, Halt, Inc  # the commands both languages share
 from snl.search import Capped, Found, bfs
 from snl.text import strip_comments
 
@@ -47,24 +54,6 @@ class RnpStructureError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Inc:
-    label: str
-    var: str
-
-
-@dataclass(frozen=True)
-class Dec:
-    label: str
-    var: str
-
-
-@dataclass(frozen=True)
-class Goto:
-    label: str
-    target: str
-
-
-@dataclass(frozen=True)
 class GotoOr:
     label: str
     target1: str
@@ -79,11 +68,6 @@ class Call:
 
 @dataclass(frozen=True)
 class Return:
-    label: str
-
-
-@dataclass(frozen=True)
-class Halt:
     label: str
 
 
@@ -260,8 +244,8 @@ def validate_rnp(rnp: Rnp) -> None:
     if rnp.max_depth < 1:
         problems.append(f"max depth must be at least 1, got {rnp.max_depth}")
     names = [p.name for p in rnp.procs]
-    if len(set(names)) != len(names):
-        problems.append("duplicate procedure names")
+    if dupes := duplicates("procedure names", names):
+        problems.append(dupes)
     all_labels: list[str] = []
     for seq_id, cmds in rnp.sequences():
         where = "/".join(map(str, seq_id))
@@ -276,15 +260,11 @@ def validate_rnp(rnp: Rnp) -> None:
                 problems.append(
                     f"{type(cmd).__name__.lower()} at {cmd.label!r} may not end sequence {where}"
                 )
-            if isinstance(cmd, (Goto, GotoOr)):
-                targets = (
-                    [cmd.target] if isinstance(cmd, Goto) else [cmd.target1, cmd.target2]
-                )
-                for t in targets:
-                    if t not in local:
-                        problems.append(
-                            f"jump target {t!r} of {cmd.label!r} is outside sequence {where}"
-                        )
+            for t in jump_targets(cmd):
+                if t not in local:
+                    problems.append(
+                        f"jump target {t!r} of {cmd.label!r} is outside sequence {where}"
+                    )
             if isinstance(cmd, Call):
                 if cmd.proc not in set(names):
                     problems.append(f"call to undefined procedure {cmd.proc!r} at {cmd.label!r}")
@@ -299,9 +279,8 @@ def validate_rnp(rnp: Rnp) -> None:
                     problems.append(f"halt at {cmd.label!r} is not the last command of main")
     if not rnp.main or not isinstance(rnp.main[-1], Halt):
         problems.append("main must end with halt")
-    if len(set(all_labels)) != len(all_labels):
-        dupes = sorted({l for l in all_labels if all_labels.count(l) > 1})
-        problems.append(f"labels not globally unique: {', '.join(dupes)}")
+    if dupes := duplicates("labels", all_labels):
+        problems.append(dupes)
     if problems:
         raise RnpValidationError("; ".join(problems))
 
@@ -419,49 +398,17 @@ def run_scheduled(
 # Parsing and serialization
 
 
-_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
-_GOTO_OR_RE = re.compile(rf"goto\s+({_IDENT})\s+or\s+goto\s+({_IDENT})\Z")
-
-
-def _parse_body(text: str, where: str) -> tuple[Command, ...]:
-    commands: list[Command] = []
-    for stmt in text.split(";"):
-        stmt = stmt.strip()
-        if not stmt:
-            continue
-        label, colon, body = stmt.partition(":")
-        if not colon:
-            raise RnpParseError(f"missing label in {where}: {stmt!r}")
-        label = label.strip()
-        if not re.fullmatch(_IDENT, label):
-            raise RnpParseError(f"bad label {label!r} in {where}")
-        body = " ".join(body.split())
-        m = _GOTO_OR_RE.fullmatch(body)
-        if m:
-            commands.append(GotoOr(label, m.group(1), m.group(2)))
-            continue
-        parts = body.split(" ")
-        if body == "halt":
-            commands.append(Halt(label))
-        elif body == "return":
-            commands.append(Return(label))
-        elif len(parts) == 2 and parts[0] == "inc":
-            commands.append(Inc(label, parts[1]))
-        elif len(parts) == 2 and parts[0] == "dec":
-            commands.append(Dec(label, parts[1]))
-        elif len(parts) == 2 and parts[0] == "goto":
-            commands.append(Goto(label, parts[1]))
-        elif len(parts) == 2 and parts[0] == "call":
-            commands.append(Call(label, parts[1]))
-        else:
-            raise RnpParseError(f"unrecognized command {body!r} in {where}")
-    return tuple(commands)
+GRAMMAR = Grammar(
+    SHARED_FORMS
+    | {GotoOr: "goto {target1} or goto {target2}", Call: "call {proc}", Return: "return"},
+    RnpParseError,
+)
 
 
 _MAXDEPTH_RE = re.compile(r"\s*maxdepth\s+(\d+)\s*;")
 _MAIN_RE = re.compile(r"\s*main\s*:\s*\{([^}]*)\}")
 _PROC_RE = re.compile(
-    rf"\s*proc\s+({_IDENT})\s+ltmax\s*\{{([^}}]*)\}}\s*eqmax\s*\{{([^}}]*)\}}"
+    rf"\s*proc\s+({IDENT})\s+ltmax\s*\{{([^}}]*)\}}\s*eqmax\s*\{{([^}}]*)\}}"
 )
 
 
@@ -475,7 +422,7 @@ def parse_rnp(text: str) -> Rnp:
     m = _MAIN_RE.match(text, pos)
     if not m:
         raise RnpParseError("expected 'main: { ... }' after maxdepth")
-    main = _parse_body(m.group(1), "main")
+    main = GRAMMAR.parse(m.group(1), "main")
     pos = m.end()
     procs: list[Proc] = []
     while True:
@@ -484,7 +431,11 @@ def parse_rnp(text: str) -> Rnp:
             break
         name, lt_body, eq_body = m.groups()
         procs.append(
-            Proc(name, _parse_body(lt_body, f"proc {name} ltmax"), _parse_body(eq_body, f"proc {name} eqmax"))
+            Proc(
+                name,
+                GRAMMAR.parse(lt_body, f"proc {name} ltmax"),
+                GRAMMAR.parse(eq_body, f"proc {name} eqmax"),
+            )
         )
         pos = m.end()
     if text[pos:].strip():
@@ -492,30 +443,14 @@ def parse_rnp(text: str) -> Rnp:
     return Rnp(max_depth, main, tuple(procs))
 
 
-def _serialize_command(cmd: Command) -> str:
-    if isinstance(cmd, Inc):
-        return f"{cmd.label}: inc {cmd.var};"
-    if isinstance(cmd, Dec):
-        return f"{cmd.label}: dec {cmd.var};"
-    if isinstance(cmd, Goto):
-        return f"{cmd.label}: goto {cmd.target};"
-    if isinstance(cmd, GotoOr):
-        return f"{cmd.label}: goto {cmd.target1} or goto {cmd.target2};"
-    if isinstance(cmd, Call):
-        return f"{cmd.label}: call {cmd.proc};"
-    if isinstance(cmd, Return):
-        return f"{cmd.label}: return;"
-    return f"{cmd.label}: halt;"
-
-
 def serialize_rnp(rnp: Rnp) -> str:
     lines = [f"maxdepth {rnp.max_depth};", "main: {"]
-    lines.extend(f"  {_serialize_command(c)}" for c in rnp.main)
+    lines.extend(f"  {GRAMMAR.format(c)}" for c in rnp.main)
     lines.append("}")
     for p in rnp.procs:
         lines.append(f"proc {p.name} ltmax {{")
-        lines.extend(f"  {_serialize_command(c)}" for c in p.lt_max)
+        lines.extend(f"  {GRAMMAR.format(c)}" for c in p.lt_max)
         lines.append("} eqmax {")
-        lines.extend(f"  {_serialize_command(c)}" for c in p.eq_max)
+        lines.extend(f"  {GRAMMAR.format(c)}" for c in p.eq_max)
         lines.append("}")
     return "\n".join(lines) + "\n"

@@ -476,3 +476,18 @@ def test_bad_env_cap_is_input_error(capsys, tiny_dcps, monkeypatch):
     code, _, err = run_cli(capsys, "explore-dcps", tiny_dcps, "--target", "g_halt", "--K", 1)
     assert code == EXIT_INPUT
     assert "SNL_MAX_CONFIGS" in err
+
+
+def test_negative_switch_budget_is_input_error(capsys, tiny_dcps):
+    code, out, err = run_cli(capsys, "explore-dcps", tiny_dcps, "--target", "g_halt", "--K", -1)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "K must be at least 0" in err
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_run_counter_n_below_one_is_input_error(capsys, n):
+    code, out, err = run_cli(capsys, "run-counter", CORPUS / "count4.cp", "--n", n)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "n must be at least 1" in err

@@ -47,6 +47,11 @@ def test_parse_tolerates_missing_final_semicolon_and_comments():
     assert serialize_counter(prog).endswith("halt;\n")
 
 
+def test_parse_if_zero_without_spaces_around_equals():
+    prog = parse_counter("l1: if x=0 then goto l2 else goto l2; l2: halt")
+    assert prog.commands[0] == counter.IfZero("l1", "x", "l2", "l2")
+
+
 def test_parse_if_zero():
     prog = parse_counter("l1: if x = 0 then goto l2 else goto l3; l2: inc x; l3: halt;")
     cmd = prog.commands[0]
@@ -62,6 +67,9 @@ def test_parse_if_zero():
         "l1: inc;",  # missing operand
         "l1: if x = 1 then goto a else goto b;",  # only zero tests exist
         "1l: inc x;",  # bad identifier
+        "l1: call p;",  # net-program commands are not counter commands
+        "l1: return;",
+        "l1: goto a or goto b;",
     ],
 )
 def test_parse_errors(src):
@@ -177,3 +185,23 @@ def test_bounded_run_properties(prog, bound):
     # round-trip through the text format preserves behavior
     reparsed = parse_counter(serialize_counter(prog))
     assert run_bounded(reparsed, bound) == verdict
+
+
+# ---------------------------------------------------------------------------
+# The text format round-trips every command class, whatever the identifiers.
+
+IDENTS = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,4}", fullmatch=True)
+COMMANDS = st.one_of(
+    st.builds(counter.Inc, IDENTS, IDENTS),
+    st.builds(counter.Dec, IDENTS, IDENTS),
+    st.builds(counter.Goto, IDENTS, IDENTS),
+    st.builds(counter.IfZero, IDENTS, IDENTS, IDENTS, IDENTS),
+    st.builds(counter.Halt, IDENTS),
+)
+
+
+@given(st.lists(COMMANDS, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_format_then_parse_is_identity(commands):
+    prog = counter.CounterProgram(tuple(commands))
+    assert parse_counter(serialize_counter(prog)) == prog

@@ -380,6 +380,15 @@ def test_replay_final_matches_replay_witness_on_random_walks():
     assert kill_walks
 
 
+def test_negative_budget_is_refused():
+    # no switch is within a negative budget, so a search would certify a hollow "no"
+    system = make_dcps("g0", "a", (DcpsRule("g0", "a", "g1", ()),))
+    with pytest.raises(ValueError, match="K must be at least 0"):
+        reach_state(system, "g2", -1)
+    with pytest.raises(ValueError, match="K must be at least 0"):
+        reachable_states(system, -1)
+
+
 def test_reachable_states_reports_completeness():
     finite = make_dcps("g0", "a", (DcpsRule("g0", "a", "g1", ()),))
     states, complete = reachable_states(finite, 0)

@@ -5,10 +5,13 @@ gadgets at n = 1 (helper budget 2^(2^1) = 4 at depth 1, 2^(2^0) = 2 at
 depth 2) before the implementation existed; see the harness docstrings.
 """
 
+import hashlib
+
 import pytest
 
 from helpers import (
     FULL_DEPTH2,
+    corpus_program,
     dec_depth2_harness,
     dec_harness,
     halting_effect,
@@ -27,7 +30,7 @@ from snl.lipton import (
     max_depth_for,
     simulated_bound,
 )
-from snl.rnp import Call, GotoOr, RnpHalts, RnpNo, explore_halting
+from snl.rnp import Call, GotoOr, RnpHalts, RnpNo, explore_halting, serialize_rnp
 
 
 def test_complement_is_an_involution():
@@ -107,6 +110,46 @@ def test_depth_modes():
     # only the depth limit differs
     assert double.main == triple.main
     assert double.procs == triple.procs
+
+
+# SHA-256 of the serialized compiled program at each (n, depth mode) of
+# RNP_SETTINGS; a change to the gadgets, the generated labels or the printer
+# shows here
+RNP_SETTINGS = ((1, "double"), (2, "double"), (1, "triple"))
+STABLE_RNP_DIGESTS = {
+    "branch_zero.cp": (
+        "95d5b25886e902763dfb2761db720d27e2c4944202c08f746dbc51ceb720a961",
+        "db3506711d02e74b1e213658f1e0c4e27ffcef1a409df5d2dd6fac0adf3ac739",
+        "db3506711d02e74b1e213658f1e0c4e27ffcef1a409df5d2dd6fac0adf3ac739",
+    ),
+    "count4.cp": (
+        "3ee45161099af0f5291440101a28bcdba478e094e63db1a177912a2bff6928c3",
+        "82aa2b15af5931628ab168e733292450fff9e056560c768c7a33b8b224af18c6",
+        "82aa2b15af5931628ab168e733292450fff9e056560c768c7a33b8b224af18c6",
+    ),
+    "updown_loop.cp": (
+        "1a15c4d82b2a44c073e35fa65867f8e5b98f83c952ed295dd16bf43e73dfec9f",
+        "0467a81be4319427cde678a814614220de358fb32983fc9143f863c11d50264c",
+        "0467a81be4319427cde678a814614220de358fb32983fc9143f863c11d50264c",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STABLE_RNP_DIGESTS))
+def test_compiled_program_is_byte_stable(name):
+    program = corpus_program(name)
+    digests = tuple(
+        hashlib.sha256(serialize_rnp(compile_lipton(program, n, mode)).encode()).hexdigest()
+        for n, mode in RNP_SETTINGS
+    )
+    assert digests == STABLE_RNP_DIGESTS[name]
+
+
+@pytest.mark.parametrize("n, mode", [(0, "double"), (-1, "triple"), (1, "quad")])
+def test_depth_rule_rejects_n_below_one_and_unknown_modes(n, mode):
+    for rule in (max_depth_for, simulated_bound):
+        with pytest.raises(LiptonInputError):
+            rule(n, mode)
 
 
 def _straightline(m: int) -> counter.CounterProgram:

@@ -1,8 +1,9 @@
 """Recursive net program semantics, exploration, and the text format."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from snl import rnp
+from snl import counter, rnp
 from snl.rnp import (
     Call,
     Dec,
@@ -62,6 +63,50 @@ def test_parse_errors():
         parse_rnp("maxdepth 2;\nmain: { l1: halt; }\nstray")
     with pytest.raises(RnpParseError):
         parse_rnp("maxdepth 2;\nmain: { l1: jump l2; }")
+
+
+@pytest.mark.parametrize("body", [
+    "l1: inc 3x;",  # operands are identifiers
+    "l1: call 9p;",
+    "l1: goto 1l;",
+    "l1: if x = 0 then goto l2 else goto l2;",  # zero tests are counter-only
+])
+def test_parse_rejects_bad_commands(body):
+    with pytest.raises(RnpParseError):
+        parse_rnp(f"maxdepth 1;\nmain: {{ {body} l2: halt; }}")
+
+
+def test_shared_commands_are_the_counter_commands():
+    assert (rnp.Inc, rnp.Dec, rnp.Goto, rnp.Halt) == (
+        counter.Inc, counter.Dec, counter.Goto, counter.Halt
+    )
+
+
+IDENTS = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,4}", fullmatch=True)
+BODIES = st.lists(
+    st.one_of(
+        st.builds(Inc, IDENTS, IDENTS),
+        st.builds(Dec, IDENTS, IDENTS),
+        st.builds(Goto, IDENTS, IDENTS),
+        st.builds(GotoOr, IDENTS, IDENTS, IDENTS),
+        st.builds(Call, IDENTS, IDENTS),
+        st.builds(Return, IDENTS),
+        st.builds(Halt, IDENTS),
+    ),
+    max_size=6,
+).map(tuple)
+
+
+@given(
+    st.integers(min_value=0, max_value=9),
+    BODIES,
+    st.lists(st.builds(Proc, IDENTS, BODIES, BODIES), max_size=3).map(tuple),
+)
+@settings(max_examples=200, deadline=None)
+def test_format_then_parse_is_identity(k, main, procs):
+    # every command class, unvalidated, whatever the identifiers
+    prog = Rnp(k, main, procs)
+    assert parse_rnp(serialize_rnp(prog)) == prog
 
 
 def _simple(k, main, procs=()):
