@@ -296,8 +296,11 @@ def _cmd_to_inheritance(args) -> int:
 
 
 def _cmd_explore_dcps(args) -> int:
-    # K and the SNL_MAX_CONFIGS default are read with the input: a bad value is bad input
-    def check(_):
+    # K, the target and the SNL_MAX_CONFIGS default are read with the input:
+    # a bad value is bad input; an undeclared target would get a hollow "no"
+    def check(system):
+        if args.target not in system.states:
+            raise dcps.DcpsValidationError(f"target state {args.target!r} not declared")
         dcps.check_budget(args.K)
         dcps.resolve_max_configs(args.max_configs)
 

@@ -28,6 +28,11 @@ Threads whose stack has emptied are inert: no rule applies to them and kills
 cannot target them, but they may still be switched in and out.  Canonical
 configurations keep at most one empty-stack thread per switch count, which
 preserves state reachability while keeping pools finite.
+
+The searches behind `reach_state` and `reachable_states` never switch in a
+thread that could only switch out again (a dead thread, see `_search`).
+That pruning is exact, not a cap: an exhausted search still certifies "no",
+and every witness it finds replays under the unpruned semantics.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from snl.search import Capped, Exhausted, Found, bfs
 from snl.text import strip_comments
@@ -211,8 +216,7 @@ def validate_dcps(system: Dcps) -> None:
 # Operational semantics
 
 
-@dataclass(frozen=True)
-class DcpsConfig:
+class DcpsConfig(NamedTuple):
     """Global state, active thread, and the inactive pool (canonical)."""
 
     state: str
@@ -255,7 +259,12 @@ def _remove(pool: tuple[Thread, ...], thread: Thread) -> tuple[Thread, ...]:
 
 
 def _events(
-    system: Dcps, config: DcpsConfig, budget: int, skip_corpse_switch: bool = False
+    system: Dcps,
+    config: DcpsConfig,
+    budget: int,
+    skip_corpse_switch: bool = False,
+    *,
+    skip_dead_switch: bool = False,
 ) -> Iterator[Event]:
     """The events enabled at config, in successor order.
 
@@ -263,16 +272,21 @@ def _events(
     what it does.  The pool is sorted, so a kill's candidate victims are
     one run of (victim,) threads in ascending count, found by bisection,
     and equal switch entries are adjacent.
+
+    The skip flags leave out switches that a search may drop (see
+    _search): skip_corpse_switch those to an empty stack, skip_dead_switch
+    those to any thread that could do nothing but switch out again.
     """
     rule_buckets, kill_buckets = system.buckets
+    state = config.state
     pool = config.pool
     stack = config.active[0]
     if stack:
         top = stack[0]
-        for idx in rule_buckets.get((config.state, top), ()):
+        for idx in rule_buckets.get((state, top), ()):
             yield ("rule", idx)
         if len(stack) == 1:
-            for idx, k in kill_buckets.get((config.state, top), ()):
+            for idx, k in kill_buckets.get((state, top), ()):
                 victim = (k.victim,)
                 last = None
                 for pos in range(bisect_left(pool, (victim,)), len(pool)):
@@ -286,7 +300,14 @@ def _events(
     for entry in pool:
         if entry[1] > budget or entry == last:
             continue
-        if skip_corpse_switch and not entry[0]:
+        w = entry[0]
+        if skip_corpse_switch and not w:
+            continue
+        if skip_dead_switch and (
+            not w
+            or ((state, w[0]) not in rule_buckets
+                and (len(w) != 1 or (state, w[0]) not in kill_buckets))
+        ):
             continue
         last = entry
         yield ("switch", entry)
@@ -359,18 +380,6 @@ def replay_final(
     return deque(_replay(system, witness, budget, semantics), maxlen=1)[0]
 
 
-def _live_threads(config: DcpsConfig) -> int:
-    n = 1 if config.active[0] else 0
-    return n + sum(1 for w, _ in config.pool if w)
-
-
-def _deepest_stack(config: DcpsConfig) -> int:
-    depth = len(config.active[0])
-    for w, _ in config.pool:
-        depth = max(depth, len(w))
-    return depth
-
-
 @dataclass(frozen=True)
 class DcpsReachable:
     witness: tuple[Event, ...]
@@ -406,14 +415,44 @@ def check_budget(budget: int) -> None:
         raise ValueError(f"switch budget K must be at least 0, got {budget}")
 
 
+def _cap_rule(max_threads: int, max_stack: int):
+    """The cap a search prunes by: "max_threads" when more than max_threads
+    threads have a non-empty stack, else "max_stack" when a stack is deeper
+    than max_stack, else None."""
+
+    def cap(config: DcpsConfig) -> str | None:
+        stack = config.active[0]
+        pool = config.pool
+        # a pool this small cannot hold more live threads than the cap
+        if len(pool) + 1 > max_threads:
+            live = sum(1 for w, _ in pool if w) + (1 if stack else 0)
+            if live > max_threads:
+                return "max_threads"
+        if len(stack) > max_stack:
+            return "max_stack"
+        for w, _ in pool:
+            if len(w) > max_stack:
+                return "max_stack"
+        return None
+
+    return cap
+
+
 def _search(system: Dcps, budget: int, goal, max_threads: int, max_stack: int,
             max_configs: int | None, semantics: str):
     """Breadth-first search over canonical configurations.
 
-    The search never switches in an empty-stack thread: such a step keeps
-    the global state and can only be followed by switching out again, so
-    dropping these stutters preserves the reachable state set exactly while
-    avoiding corpse-count churn.
+    The search never switches in a dead thread: one whose top has no rule
+    in the current global state and, unless its stack is a singleton with
+    a kill rule on that top, no kill either (an empty stack is dead too).
+    Such a switch keeps the global state, and the thread can do nothing
+    once active, so only another switch can follow.  The pair ends where
+    one direct switch would (or, if it switches the parked thread back,
+    where it began), only with the dead thread's count one higher (and,
+    in the second case, the parked thread's).  Lower counts dominate under
+    both semantics, so dropping these detours keeps the reachable
+    global-state set and target reachability exactly.  It is not a cap:
+    an exhausted search still certifies "no".
     """
     validate_dcps(system)
     check_budget(budget)
@@ -422,16 +461,10 @@ def _search(system: Dcps, budget: int, goal, max_threads: int, max_stack: int,
     max_configs = resolve_max_configs(max_configs)
 
     def step(config: DcpsConfig):
-        events = _events(system, config, budget, skip_corpse_switch=True)
+        events = _events(system, config, budget, skip_dead_switch=True)
         return [(event, _apply(system, config, event, semantics)) for event in events]
 
-    def cap(config: DcpsConfig) -> str | None:
-        if _live_threads(config) > max_threads:
-            return "max_threads"
-        if _deepest_stack(config) > max_stack:
-            return "max_stack"
-        return None
-
+    cap = _cap_rule(max_threads, max_stack)
     return bfs(initial_config(system), step, goal, max_configs, "max_configs", cap)
 
 

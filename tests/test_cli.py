@@ -378,8 +378,8 @@ def test_cover_summary_lines(capsys, compiled, argv, code, out):
 
 
 @pytest.mark.parametrize("argv, code, line", [
-    (("--K", 1), EXIT_OK, "Reachable configs_explored=1241 events=14"),
-    (("--K", 0), EXIT_OK, "NotReachable (exhaustive) configs_explored=176"),
+    (("--K", 1), EXIT_OK, "Reachable configs_explored=44 events=14"),
+    (("--K", 0), EXIT_OK, "NotReachable (exhaustive) configs_explored=35"),
     (("--K", 1, "--max-configs", 3), EXIT_UNKNOWN, "Unknown reason=max_configs configs_explored=3"),
 ])
 def test_explore_dcps_summary_lines(capsys, tiny_dcps, argv, code, line):
@@ -483,6 +483,15 @@ def test_negative_switch_budget_is_input_error(capsys, tiny_dcps):
     assert code == EXIT_INPUT
     assert out == ""
     assert "K must be at least 0" in err
+
+
+def test_undeclared_dcps_target_is_input_error(capsys, tiny_dcps):
+    # a search for a state the system lacks would exhaust and certify a hollow "no"
+    code, out, err = run_cli(capsys, "explore-dcps", tiny_dcps, "--target", "g_hlat", "--K", 1)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "target state 'g_hlat' not declared" in err
+    assert str(tiny_dcps) in err
 
 
 @pytest.mark.parametrize("n", [0, -1])

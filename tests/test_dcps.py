@@ -31,7 +31,8 @@ from snl.dcps import (
     successors,
     validate_dcps,
 )
-from snl.dcps import _events
+from snl.dcps import _apply, _cap_rule, _events, _search
+from snl.search import Capped, Exhausted, Found, bfs
 from genutil import random_kill_dcps, random_plain_dcps
 
 
@@ -396,6 +397,142 @@ def test_reachable_states_reports_completeness():
     pump = make_dcps("g0", "a", (DcpsRule("g0", "a", "g0", ("a",), "b"),))
     _, complete = reachable_states(pump, 0, max_threads=3)
     assert not complete
+
+
+# ---------------------------------------------------------------------------
+# Dead-switch pruning against the unpruned search
+
+
+def live_threads(config):
+    n = 1 if config.active[0] else 0
+    return n + sum(1 for w, _ in config.pool if w)
+
+
+def deepest_stack(config):
+    depth = len(config.active[0])
+    for w, _ in config.pool:
+        depth = max(depth, len(w))
+    return depth
+
+
+def reference_cap(config, max_threads, max_stack):
+    if live_threads(config) > max_threads:
+        return "max_threads"
+    if deepest_stack(config) > max_stack:
+        return "max_stack"
+    return None
+
+
+def reference_search(system, budget, goal, semantics, max_threads, max_stack, max_configs):
+    """The search without dead-switch pruning: it skips only switches to an
+    empty stack, and caps by the two helpers above."""
+
+    def step(config):
+        events = _events(system, config, budget, skip_corpse_switch=True)
+        return [(event, _apply(system, config, event, semantics)) for event in events]
+
+    def cap(config):
+        return reference_cap(config, max_threads, max_stack)
+
+    return bfs(initial_config(system), step, goal, max_configs, "max_configs", cap)
+
+
+ANSWERS = {
+    Found: "yes", Exhausted: "no", Capped: "unknown",
+    DcpsReachable: "yes", DcpsNo: "no", DcpsUnknown: "unknown",
+}
+
+
+DIFF_CAPS = dict(max_threads=5, max_stack=6, max_configs=3000)
+
+
+def check_pruning_is_exact(system, budget, semantics):
+    """Compare the pruned search with the reference on reachable states and
+    on every declared target.  Return the two explored totals and whether
+    the reference was exhaustive, so that the state sets were compared."""
+    caps = (DIFF_CAPS["max_threads"], DIFF_CAPS["max_stack"], DIFF_CAPS["max_configs"])
+    where = (serialize_dcps(system), budget, semantics)
+    full = reference_search(system, budget, lambda c: False, semantics, *caps)
+    pruned = _search(system, budget, lambda c: False, *caps, semantics)
+    assert pruned.explored <= full.explored, where
+    states, complete = reachable_states(system, budget, semantics=semantics, **DIFF_CAPS)
+    assert complete == isinstance(pruned, Exhausted), where
+    exhaustive = isinstance(full, Exhausted)
+    if exhaustive:
+        # the pruned configurations are some of the reference's, so no cap trips
+        assert complete and states == {c.state for c in full.seen}, where
+    totals = [full.explored, pruned.explored, exhaustive]
+    for target in system.states:
+        ref = reference_search(system, budget, lambda c: c.state == target, semantics, *caps)
+        got = reach_state(system, target, budget, semantics=semantics, **DIFF_CAPS)
+        assert got.configs_explored <= ref.explored, (where, target)
+        assert {ANSWERS[type(ref)], ANSWERS[type(got)]} != {"yes", "no"}, (where, target)
+        if isinstance(got, DcpsReachable):
+            assert replay_final(system, got.witness, budget, semantics).state == target
+        totals[0] += ref.explored
+        totals[1] += got.configs_explored
+    return totals
+
+
+def test_dead_switch_pruning_is_exact_on_random_systems():
+    rng = random.Random(20261018)
+    exhaustive_pairs = 0
+    for trial in range(24):
+        system = random_kill_dcps(rng) if trial % 2 else random_plain_dcps(rng)
+        for semantics in SEMANTICS:
+            for budget in (0, 1, 2):
+                exhaustive_pairs += check_pruning_is_exact(system, budget, semantics)[2]
+    # the state-set comparison really ran
+    assert exhaustive_pairs
+
+
+def test_dead_switch_pruning_on_hand_built_systems():
+    # a spawns d, a thread with no rule at all: switching it in is a detour
+    # that only permutes counts, so the pruned search explores strictly less
+    rules = (
+        DcpsRule("g0", "a", "g0", ("b",), "d"),
+        DcpsRule("g0", "b", "g1", ("b",), "d"),
+        DcpsRule("g1", "b", "g2", ()),
+    )
+    idle = make_dcps("g0", "a", rules)
+    for semantics in SEMANTICS:
+        for budget in (0, 1, 2):
+            full, pruned, exhaustive = check_pruning_is_exact(idle, budget, semantics)
+            assert exhaustive
+            if budget:
+                assert pruned < full, (budget, semantics)
+    # v can kill u, but no u is parked when v would be switched in: the
+    # switch itself parks the active u, so v is live although no victim is
+    rules = (DcpsRule("g0", "u", "g2", ("u",), "v"),)
+    kills = (KillRule("g2", "v", "g1", True, "u"),)
+    victim = make_dcps("g0", "u", rules, kills, frozenset({"u", "v"}))
+    for semantics in SEMANTICS:
+        for budget in (0, 1, 2):
+            check_pruning_is_exact(victim, budget, semantics)
+        assert isinstance(reach_state(victim, "g1", 1, semantics=semantics), DcpsReachable)
+        assert isinstance(reach_state(victim, "g1", 0, semantics=semantics), DcpsNo)
+
+
+def random_canonical_config(rng):
+    def stack():
+        return tuple(rng.choice("ab") for _ in range(rng.choice([0, 0, 1, 1, 2, 3, 4, 5])))
+
+    pool = [(stack(), rng.randint(0, 2)) for _ in range(rng.randint(0, 6))]
+    return make_config("g0", (stack(), rng.randint(0, 2)), pool)
+
+
+def test_cap_rule_matches_the_two_helpers():
+    rng = random.Random(9)
+    tripped = set()
+    for _ in range(400):
+        config = random_canonical_config(rng)
+        for max_threads in range(5):
+            for max_stack in range(5):
+                got = _cap_rule(max_threads, max_stack)(config)
+                want = reference_cap(config, max_threads, max_stack)
+                assert got == want, (config, max_threads, max_stack)
+                tripped.add(got)
+    assert tripped == {"max_threads", "max_stack", None}
 
 
 # ---------------------------------------------------------------------------
