@@ -32,7 +32,9 @@ preserves state reachability while keeping pools finite.
 The searches behind `reach_state` and `reachable_states` never switch in a
 thread that could only switch out again (a dead thread, see `_search`).
 That pruning is exact, not a cap: an exhausted search still certifies "no",
-and every witness it finds replays under the unpruned semantics.
+and every witness it finds replays under the unpruned semantics.  A replay
+checks each event by its own guard (`_enabled`) and never scans for the
+other enabled events.
 """
 
 from __future__ import annotations
@@ -67,8 +69,7 @@ class DcpsValidationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class DcpsRule:
+class DcpsRule(NamedTuple):
     """Rewrite the active top symbol; optionally spawn one thread."""
 
     state: str
@@ -78,8 +79,7 @@ class DcpsRule:
     spawn: str | None = None
 
 
-@dataclass(frozen=True)
-class KillRule:
+class KillRule(NamedTuple):
     """Remove one pool thread whose stack is exactly (victim,).
 
     Applies only when the active stack is exactly (top,); the active
@@ -181,33 +181,33 @@ def validate_dcps(system: Dcps) -> None:
     if not system.kill_syms <= sym_set:
         extra = sorted(system.kill_syms - sym_set)
         problems.append(f"kill symbols {extra} not declared")
-    for i, r in enumerate(system.rules):
-        where = f"rule {i}"
-        if len(r.push) > 2:
-            problems.append(f"{where}: pushes {len(r.push)} symbols (limit 2)")
-        for role, name in (("state", r.state), ("target state", r.new_state)):
+    kill_syms = system.kill_syms
+
+    def at(where: str, i: int, problem: str) -> None:
+        problems.append(f"{where} {i}: {problem}")
+
+    for i, (state, top, new_state, push, spawn) in enumerate(system.rules):
+        if len(push) > 2:
+            at("rule", i, f"pushes {len(push)} symbols (limit 2)")
+        for role, name in (("state", state), ("target state", new_state)):
             if name not in state_set:
-                problems.append(f"{where}: {role} {name!r} not declared")
-        mentioned = (r.top,) + r.push + ((r.spawn,) if r.spawn is not None else ())
-        for s in mentioned:
+                at("rule", i, f"{role} {name!r} not declared")
+        for s in (top, *push) if spawn is None else (top, *push, spawn):
             if s not in sym_set:
-                problems.append(f"{where}: symbol {s!r} not declared")
-        if r.top in system.kill_syms:
+                at("rule", i, f"symbol {s!r} not declared")
+        if top in kill_syms:
             # kill-topped stacks must stay singletons
-            if len(r.push) > 1 or any(s not in system.kill_syms for s in r.push):
-                problems.append(
-                    f"{where}: kill-symbol top may push at most one kill symbol"
-                )
-        elif any(s in system.kill_syms for s in r.push):
-            problems.append(f"{where}: regular top must not push kill symbols")
-    for i, k in enumerate(system.kills):
-        where = f"kill rule {i}"
-        for role, name in (("state", k.state), ("target state", k.new_state)):
+            if len(push) > 1 or any(s not in kill_syms for s in push):
+                at("rule", i, "kill-symbol top may push at most one kill symbol")
+        elif any(s in kill_syms for s in push):
+            at("rule", i, "regular top must not push kill symbols")
+    for i, (state, top, new_state, _, victim) in enumerate(system.kills):
+        for role, name in (("state", state), ("target state", new_state)):
             if name not in state_set:
-                problems.append(f"{where}: {role} {name!r} not declared")
-        for role, s in (("top", k.top), ("victim", k.victim)):
-            if s not in system.kill_syms:
-                problems.append(f"{where}: {role} {s!r} is not a kill symbol")
+                at("kill rule", i, f"{role} {name!r} not declared")
+        for role, s in (("top", top), ("victim", victim)):
+            if s not in kill_syms:
+                at("kill rule", i, f"{role} {s!r} is not a kill symbol")
     if problems:
         raise DcpsValidationError("; ".join(problems))
 
@@ -258,24 +258,50 @@ def _remove(pool: tuple[Thread, ...], thread: Thread) -> tuple[Thread, ...]:
     return pool[:pos] + pool[pos + 1 :]
 
 
+def _in_pool(pool: tuple[Thread, ...], thread: Thread) -> bool:
+    pos = bisect_left(pool, thread)
+    return pos < len(pool) and pool[pos] == thread
+
+
+def _enabled(system: Dcps, config: DcpsConfig, event: Event, budget: int) -> bool:
+    """Whether one event applies at config: the one place that says so;
+    _apply says what it does.
+
+    A rule or kill needs its state and top to be the global state and the
+    active top; a kill also needs a singleton active stack and a (victim,)
+    pool thread of its count, a switch its pool thread, each count within
+    budget.  Anything else, an index out of range too, is not enabled.
+    """
+    stack = config.active[0]
+    match event:
+        case ("rule", idx) if stack and 0 <= idx < len(system.rules):
+            r = system.rules[idx]
+            return r.state == config.state and r.top == stack[0]
+        case ("kill", idx, j) if len(stack) == 1 and 0 <= idx < len(system.kills) and j <= budget:
+            k = system.kills[idx]
+            return (k.state == config.state and k.top == stack[0]
+                    and _in_pool(config.pool, ((k.victim,), j)))
+        case ("switch", (_, j) as entry):
+            return j <= budget and _in_pool(config.pool, entry)
+    return False
+
+
 def _events(
     system: Dcps,
     config: DcpsConfig,
     budget: int,
-    skip_corpse_switch: bool = False,
     *,
     skip_dead_switch: bool = False,
 ) -> Iterator[Event]:
-    """The events enabled at config, in successor order.
+    """Exactly the events _enabled accepts, in successor order.
 
-    This is the one place that says when an event applies; _apply says
-    what it does.  The pool is sorted, so a kill's candidate victims are
-    one run of (victim,) threads in ascending count, found by bisection,
-    and equal switch entries are adjacent.
+    The pool is sorted, so a kill's candidate victims are one run of
+    (victim,) threads in ascending count, found by bisection, and equal
+    switch entries are adjacent.
 
-    The skip flags leave out switches that a search may drop (see
-    _search): skip_corpse_switch those to an empty stack, skip_dead_switch
-    those to any thread that could do nothing but switch out again.
+    skip_dead_switch leaves out the switches a search may drop (see
+    _search): those to any thread that could do nothing but switch out
+    again.
     """
     rule_buckets, kill_buckets = system.buckets
     state = config.state
@@ -301,8 +327,6 @@ def _events(
         if entry[1] > budget or entry == last:
             continue
         w = entry[0]
-        if skip_corpse_switch and not w:
-            continue
         if skip_dead_switch and (
             not w
             or ((state, w[0]) not in rule_buckets
@@ -353,13 +377,13 @@ def successors(
 
 def _replay(system: Dcps, witness, budget: int, semantics: str) -> Iterator[DcpsConfig]:
     """The configurations of a witness run, from the initial one on, each
-    event checked against _events before it is applied."""
+    event checked by _enabled before it is applied."""
     if semantics not in SEMANTICS:
         raise ValueError(f"unknown semantics {semantics!r}")
     config = initial_config(system)
     yield config
     for step, event in enumerate(witness):
-        if event not in _events(system, config, budget):
+        if not _enabled(system, config, event, budget):
             raise ValueError(f"witness event {event!r} does not apply at step {step}")
         config = _apply(system, config, event, semantics)
         yield config
@@ -728,11 +752,11 @@ def serialize_dcps(system: Dcps) -> str:
     lines = [f"state g0 {system.initial_state};", f"stackinit {system.initial_symbol};"]
     if system.kill_syms:
         lines.append("killsyms { " + " ".join(sorted(system.kill_syms)) + " };")
-    for r in system.rules:
-        word = ".".join(r.push) if r.push else "eps"
-        spawn = f" spawn {r.spawn}" if r.spawn is not None else ""
-        lines.append(f"rule {r.state}|{r.top} -> {r.new_state}|{word}{spawn};")
-    for k in system.kills:
-        kind = "keep" if k.keep else "pop"
-        lines.append(f"kill {k.state}|{k.top} -> {k.new_state}|{kind} kill {k.victim};")
+    for state, top, new_state, push, spawn in system.rules:
+        word = ".".join(push) if push else "eps"
+        spawned = f" spawn {spawn}" if spawn is not None else ""
+        lines.append(f"rule {state}|{top} -> {new_state}|{word}{spawned};")
+    for state, top, new_state, keep, victim in system.kills:
+        kind = "keep" if keep else "pop"
+        lines.append(f"kill {state}|{top} -> {new_state}|{kind} kill {victim};")
     return "\n".join(lines) + "\n"

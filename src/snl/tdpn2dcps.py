@@ -26,15 +26,17 @@ matches g_halt reachability at switch budget 1.
 Emission is stage order (init, check, read, guess, verify), schema order
 within a stage, and index/letter order within a schema, so compiled systems
 are byte-stable.  All verify schemas are kill rules; everything else is a
-plain rule.  States that no rule mentions are not emitted.  Each emitted
-rule or kill is recorded under a key of its schema arguments, and witness
-synthesis fires events by those keys, so the schemas are written once.
+plain rule.  States that no rule mentions are not emitted: a verify state
+is minted when a rule first mentions it, from a table with one row per mode,
+position and tag, indexed by transducer transition.  Each emitted rule or
+kill is recorded under a key of its schema arguments, and witness synthesis
+fires events by those keys, so the schemas are written once.
 """
 
 from __future__ import annotations
 
 import functools
-from collections import Counter
+import heapq
 
 from snl.dcps import Dcps, DcpsRule, Event, KillRule, fresh_name, make_dcps, validate_dcps
 from snl.tdpn import Descriptor, Tdpn, validate_tdpn
@@ -51,6 +53,9 @@ HANDOFF_PAIRS = (("move", "pop1"), ("join", "pop2"), ("fork", "pop1"))
 GUESS_PAIRS = (("move", "push1"), ("join", "push1"), ("fork", "push1"), ("fork", "push2"))
 # pairs whose completed guess enters verification
 VERIFY_ENTRY_PAIRS = (("move", "push1"), ("join", "push1"), ("fork", "push2"))
+# per mode, the tag of each letter position a verify round walks, in walk order
+VERIFY_ROLES = {"move": ("pop1", "push1"), "join": ("pop1", "pop2", "push1"),
+                "fork": ("pop1", "push1", "push2")}
 
 
 class _Builder:
@@ -61,20 +66,26 @@ class _Builder:
         self.by_mode = {"move": net.t_move, "join": net.t_join, "fork": net.t_fork}
         # witness event of each emitted schema instance, keyed by its schema arguments
         self.event: dict[tuple, Event] = {}
-        self._verify: dict[tuple[str, object, str, int], str] = {}
 
     def mint(self, base: str, pretty: str) -> str:
         name = fresh_name(self.taken, base)
         self.names[name] = pretty
         return name
 
-    def verify_state(self, mode: str, index, tag: str, tr_idx: int) -> str:
-        key = (mode, index, tag, tr_idx)
-        if key not in self._verify:
-            src, letters, dst = self.by_mode[mode].transitions[tr_idx]
-            pretty = f"({src},{index},{tag},{src}-{''.join(letters)}->{dst})"
-            self._verify[key] = self.mint(f"{mode}_v_{src}_{index}_{tag}_t{tr_idx}", pretty)
-        return self._verify[key]
+
+class _VerifyRow(dict):
+    """The verify states of one mode, position and tag, by transition index.
+    Each is minted on its first lookup, so names keep first-mention order;
+    heads holds each transition's source and label."""
+
+    def __init__(self, b: _Builder, mode: str, i: int, tag: str, heads: list[tuple[str, str]]):
+        super().__init__()
+        self.mint, self.key, self.heads = b.mint, (mode, i, tag), heads
+
+    def __missing__(self, j: int) -> str:
+        (mode, i, tag), (src, label) = self.key, self.heads[j]
+        name = self[j] = self.mint(f"{mode}_v_{src}_{i}_{tag}_t{j}", f"({src},{i},{tag},{label})")
+        return name
 
 
 @functools.lru_cache(maxsize=16)
@@ -182,13 +193,21 @@ def _construction(net: Tdpn) -> _Builder:
                         ("guess", m, 1, tag, c, a),
                         DcpsRule(guess[(m, 1, tag)], a, guess[(m, "toplock", tag)], (c, a), bit[(c, 1, tag)]),
                     )
+    # a row of verify states per (mode, position, tag), see _VerifyRow
+    verify: dict[tuple[str, int, str], _VerifyRow] = {}
+    for m, roles in VERIFY_ROLES.items():
+        heads = [(src, f"{src}-{''.join(w)}->{dst}") for src, w, dst in b.by_mode[m].transitions]
+        for i in range(1, l + 1):
+            for tag in roles:
+                verify[m, i, tag] = _VerifyRow(b, m, i, tag, heads)
     for m, tag in VERIFY_ENTRY_PAIRS:
         t = b.by_mode[m]
+        entry = verify[m, 1, "pop1"]
         for a in sigma:
             for j, _, _ in t.by_source[t.initial]:
                 rule(
                     ("enter", m, a, j),
-                    DcpsRule(guess[(m, "toplock", tag)], a, b.verify_state(m, 1, "pop1", j), (lock, a), verify_sym),
+                    DcpsRule(guess[(m, "toplock", tag)], a, entry[j], (lock, a), verify_sym),
                 )
     for a in sigma:
         rule(
@@ -197,38 +216,39 @@ def _construction(net: Tdpn) -> _Builder:
         )
 
     # --- verify: kill matching bit-threads along a pre-committed path
-    def walk(mode: str, roles: tuple[str, ...]):
+    def walk(mode: str, roles: tuple[str, ...]) -> None:
         """Kill schemas for one mode; roles maps letter position to tag."""
         t = b.by_mode[mode]
         last = len(roles) - 1
 
-        def verify_kill(i: int, step: int, j: int, to: tuple | None, *next_j: int) -> None:
-            # kill the bit of role `step` at position i on transition j, then go
-            # to verify state `to` (g_main when None, popping the marker)
-            source = b.verify_state(mode, i, roles[step], j)
-            target = g_main if to is None else b.verify_state(mode, *to)
+        def verify_kill(i: int, step: int, j: int, source: str, target: str, *next_j: int) -> None:
+            # kill the bit of role `step` at position i on transition j, going
+            # from source to target (to g_main popping the marker)
             victim = bit[(t.transitions[j][1][step], i, roles[step])]
             b.event[("verify", mode, i, step, j, *next_j)] = ("kill", len(kills), 0)
-            kills.append(KillRule(source, verify_sym, target, to is not None, victim))
+            kills.append(KillRule(source, verify_sym, target, target != g_main, victim))
 
+        # a source is looked up before its target, so names keep first-mention order
         for step in range(last):
             for i in range(1, l):
+                here, there = verify[mode, i, roles[step]], verify[mode, i, roles[step + 1]]
                 for j in range(len(t.transitions)):
-                    verify_kill(i, step, j, (i, roles[step + 1], j))
+                    verify_kill(i, step, j, here[j], there[j])
         for i in range(1, l):
+            here, there = verify[mode, i, roles[last]], verify[mode, i + 1, roles[0]]
             for j, (_, _, dst) in enumerate(t.transitions):
                 for j2, _, _ in t.by_source[dst]:
-                    verify_kill(i, last, j, (i + 1, roles[0], j2), j2)
+                    verify_kill(i, last, j, here[j], there[j2], j2)
         final = [j for j, (_, _, dst) in enumerate(t.transitions) if dst in t.finals]
         for step in range(last):
+            here, there = verify[mode, l, roles[step]], verify[mode, l, roles[step + 1]]
             for j in final:
-                verify_kill(l, step, j, (l, roles[step + 1], j))
+                verify_kill(l, step, j, here[j], there[j])
         for j in final:
-            verify_kill(l, last, j, None)
+            verify_kill(l, last, j, verify[mode, l, roles[last]][j], g_main)
 
-    walk("move", ("pop1", "push1"))
-    walk("join", ("pop1", "pop2", "push1"))
-    walk("fork", ("pop1", "push1", "push2"))
+    for mode, roles in VERIFY_ROLES.items():
+        walk(mode, roles)
 
     if len(b.event) != len(rules) + len(kills):
         raise RuntimeError("two schema instances share a witness key; witness events would be ambiguous")
@@ -323,7 +343,7 @@ def synthesize_cover_witness(net: Tdpn, steps: tuple[Descriptor, ...]) -> tuple[
     l = b.l
     lock = b.lock
     events: list[Event] = []
-    pool: Counter = Counter()  # live parked tokens as (word, switch count)
+    parked: dict[str, list[int]] = {}  # switch counts of the live parked tokens, a heap per word
     active_word: str | None = net.w_init
     active_count = 0
 
@@ -333,7 +353,7 @@ def synthesize_cover_witness(net: Tdpn, steps: tuple[Descriptor, ...]) -> tuple[
     def park_and_switch(stack: tuple[str, ...], count: int) -> None:
         nonlocal active_word
         if active_word is not None:
-            pool[(active_word, active_count + 1)] += 1
+            heapq.heappush(parked.setdefault(active_word, []), active_count + 1)
         active_word = None
         events.append(("switch", (stack, count)))
 
@@ -341,12 +361,12 @@ def synthesize_cover_witness(net: Tdpn, steps: tuple[Descriptor, ...]) -> tuple[
         nonlocal active_word, active_count
         if active_word == word:
             return
-        counts = sorted(c for (w, c), n in pool.items() if w == word and n > 0)
+        counts = parked.get(word)
         if not counts:
             raise ValueError(f"witness needs a token on {word!r} that was never produced")
-        pool[(word, counts[0])] -= 1
-        park_and_switch((lock,) + tuple(word), counts[0])
-        active_word, active_count = word, counts[0]
+        count = heapq.heappop(counts)
+        park_and_switch((lock,) + tuple(word), count)
+        active_word, active_count = word, count
 
     def read_token(mode: str, word: str, tag: str) -> None:
         nonlocal active_word

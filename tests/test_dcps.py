@@ -31,7 +31,7 @@ from snl.dcps import (
     successors,
     validate_dcps,
 )
-from snl.dcps import _apply, _cap_rule, _events, _search
+from snl.dcps import _apply, _cap_rule, _enabled, _events, _search
 from snl.search import Capped, Exhausted, Found, bfs
 from genutil import random_kill_dcps, random_plain_dcps
 
@@ -225,7 +225,12 @@ def scan_events(system, config, budget, skip_corpse_switch):
         yield ("switch", entry)
 
 
-def test_events_keep_the_full_scan_order():
+def is_corpse_switch(event):
+    return event[0] == "switch" and not event[1][0]
+
+
+def hand_built_configs():
+    """A kill system and configurations of it built by hand."""
     rules = (
         DcpsRule("g0", "v", "g0", ("v",), "u"),
         DcpsRule("g1", "v", "g0", ()),
@@ -251,20 +256,75 @@ def test_events_keep_the_full_scan_order():
         (((), 2), (("w",), 0), (("w",), 0), (("w",), 1)),
     ]
     actives = [(("v",), 0), (("v",), 2), (("v", "a"), 0), ((), 1)]
-    counted_kills = 0
     for pool in pools:
         assert list(pool) == sorted(pool)
-        for state in ("g0", "g1"):
-            for active in actives:
-                config = DcpsConfig(state, active, pool)
-                for budget in (0, 1, 2):
-                    for skip in (False, True):
-                        got = list(_events(system, config, budget, skip))
-                        assert got == list(scan_events(system, config, budget, skip)), (
-                            pool, state, active, budget, skip)
-                        counted_kills += sum(1 for e in got if e[:2] == ("kill", 0)) > 1
+    configs = [
+        DcpsConfig(state, active, pool)
+        for pool in pools for state in ("g0", "g1") for active in actives
+    ]
+    return system, configs
+
+
+def test_events_keep_the_full_scan_order():
+    system, configs = hand_built_configs()
+    counted_kills = 0
+    for config in configs:
+        for budget in (0, 1, 2):
+            for skip in (False, True):
+                got = [e for e in _events(system, config, budget)
+                       if not (skip and is_corpse_switch(e))]
+                assert got == list(scan_events(system, config, budget, skip)), (
+                    config, budget, skip)
+                counted_kills += sum(1 for e in got if e[:2] == ("kill", 0)) > 1
     # the order of several victim counts for one kill was really compared
     assert counted_kills
+
+
+def candidate_events(system, config, budget):
+    """Events to ask _enabled about: every index one past either end, every
+    count one past the budget either way, a stack no thread has, and a
+    few malformed events."""
+    counts = range(-1, budget + 2)
+    yield from (("rule", idx) for idx in range(-1, len(system.rules) + 1))
+    for idx in range(-1, len(system.kills) + 1):
+        yield from (("kill", idx, j) for j in counts)
+    stacks = {w for w, _ in config.pool} | {config.active[0], ("nosuch",)}
+    for w in sorted(stacks):
+        yield from (("switch", (w, j)) for j in counts)
+    yield from (("kill", 0), ("rule",), ("switch",), ("spawn", 0))
+
+
+def check_enabled_matches_events(system, config, budget):
+    enabled = set(_events(system, config, budget))
+    for event in candidate_events(system, config, budget):
+        assert _enabled(system, config, event, budget) == (event in enabled), (
+            config, event, budget)
+    return {event[0] for event in enabled}
+
+
+def test_enabled_accepts_exactly_the_events_on_hand_built_configs():
+    system, configs = hand_built_configs()
+    for config in configs:
+        for budget in (0, 1, 2):
+            check_enabled_matches_events(system, config, budget)
+
+
+def test_enabled_accepts_exactly_the_events_on_random_walks():
+    rng = random.Random(20261018)
+    kinds = set()
+    for trial in range(60):
+        system = random_kill_dcps(rng) if trial % 2 else random_plain_dcps(rng)
+        for budget in (0, 1, 2):
+            config = initial_config(system)
+            for _ in range(30):
+                kinds |= check_enabled_matches_events(system, config, budget)
+                steps = successors(system, config, budget)
+                if not steps:
+                    break
+                # kills are rarely enabled, so take one whenever it is
+                event, config = rng.choice([s for s in steps if s[0][0] == "kill"] or steps)
+    # every kind of event was enabled somewhere
+    assert kinds == {"rule", "kill", "switch"}
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +404,22 @@ def test_replay_rejects_inapplicable_event():
     system = make_dcps("g0", "a", (DcpsRule("g0", "a", "g1", ()),))
     with pytest.raises(ValueError, match="does not apply"):
         replay_witness(system, (("rule", 5),), 0)
+
+
+@pytest.mark.parametrize("bad", [
+    ("rule", -1), ("rule", 1), ("kill", -1, 0), ("kill", 0),
+    ("switch", (("u",), 1)), ("switch", (("w",), 0)), ("spawn", 0),
+])
+def test_replay_rejects_malformed_and_out_of_range_events(bad):
+    # the one rule and the one kill are both enabled after the spawn, so a
+    # negative index that wrapped around would be taken
+    rules = (DcpsRule("g0", "v", "g0", ("v",), "u"),)
+    kills = (KillRule("g0", "v", "g1", True, "u"),)
+    system = make_dcps("g0", "v", rules, kills, frozenset({"u", "v"}))
+    assert replay_final(system, (("rule", 0), ("kill", 0, 0)), 1).state == "g1"
+    for replay in (replay_witness, replay_final):
+        with pytest.raises(ValueError, match=r"does not apply at step 1\Z"):
+            replay(system, (("rule", 0), bad), 1)
 
 
 def test_replay_final_matches_replay_witness_on_random_walks():
@@ -428,7 +504,7 @@ def reference_search(system, budget, goal, semantics, max_threads, max_stack, ma
     empty stack, and caps by the two helpers above."""
 
     def step(config):
-        events = _events(system, config, budget, skip_corpse_switch=True)
+        events = [e for e in _events(system, config, budget) if not is_corpse_switch(e)]
         return [(event, _apply(system, config, event, semantics)) for event in events]
 
     def cap(config):

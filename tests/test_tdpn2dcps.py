@@ -18,7 +18,7 @@ from snl.dcps import (
     replay_witness,
     serialize_dcps,
 )
-from snl.tdpn import Tdpn, TdpnCoverable, TdpnNotCoverable, coverable
+from snl.tdpn import Tdpn, TdpnCoverable, TdpnNotCoverable, coverable, parse_tdpn
 from snl.tdpn2dcps import (
     compile_tdpn_to_dcps,
     compile_tdpn_to_killdcps,
@@ -140,6 +140,55 @@ def test_names_cover_generated_identifiers():
         assert state in names
     for sym in system.symbols:
         assert sym in ALPHA or sym in names
+
+
+# Transducer states named like the tail of a verify-state name, so that the
+# verify names look alike; the rounds of all three modes interleave.
+LOOKALIKE_TDPN = """
+width 2;
+alphabet 0 1;
+init 00;
+final 11;
+transducer move arity 2 {
+  states r q_1_pop1_t0 f;
+  initial r;
+  finals f;
+  trans r -> q_1_pop1_t0 on (0,1);
+  trans q_1_pop1_t0 -> f on (0,1);
+  trans f -> r on (1,0);
+  trans r -> f on (1,1);
+}
+transducer fork arity 3 {
+  states p q_2_push2_t1;
+  initial p;
+  finals q_2_push2_t1;
+  trans p -> q_2_push2_t1 on (0,0,1);
+  trans q_2_push2_t1 -> q_2_push2_t1 on (1,1,0);
+}
+transducer join arity 3 {
+  states j_1_pop2_t0;
+  initial j_1_pop2_t0;
+  finals j_1_pop2_t0;
+  trans j_1_pop2_t0 -> j_1_pop2_t0 on (1,0,1);
+}
+"""
+
+
+def test_verify_names_are_minted_in_first_mention_order():
+    # SHA-256 of the .dcps text, the sorted names and the names in the order
+    # they were minted (a state is minted where a rule first mentions it)
+    net = parse_tdpn(LOOKALIKE_TDPN)
+    names = killdcps_names(net)
+    texts = (
+        serialize_dcps(compile_tdpn_to_killdcps(net)),
+        "".join(f"{key}\t{pretty}\n" for key, pretty in sorted(names.items())),
+        "".join(f"{key}\t{pretty}\n" for key, pretty in names.items()),
+    )
+    assert tuple(hashlib.sha256(text.encode()).hexdigest() for text in texts) == (
+        "d36e81b939461b246e4f4507a8158e9369bf7b719cd2986a49b9eb18b3646d7d",
+        "5a20a1e67a2abd0752e29c28f56b2b511eed82b97d9d1bb3eedc729c5d2009fb",
+        "13eabd01a7e8a040bee04dbbb00792423b8bc26e8d0b871c9fab668c21d35600",
+    )
 
 
 # ---------------------------------------------------------------------------
