@@ -12,7 +12,8 @@ validate, or an output path could not be written, 3 a search gave up within
 its caps (Unknown), 4 cross-checked verdicts disagree, 5 any failure after
 that, such as a witness that does not replay.  Only `_boundary`, around
 `_load`, `_write` and `run-counter`'s bound, turns an error into exit 2; the
-two refusals found later are named where they occur.  An Unknown never
+two refusals found later are named where they occur, and argparse refuses a
+malformed flag, or a cap below 0, before any of them.  An Unknown never
 counts as a disagreement.
 
 Reports and generated files are deterministic for fixed inputs and caps;
@@ -476,6 +477,15 @@ def _cmd_pipeline(args) -> int:
 # Argument parsing
 
 
+def cap(text: str) -> int:
+    """A cap or limit flag's value: an integer of at least 0.  argparse
+    turns a refusal into exit 2, naming the flag."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="snl",
@@ -490,7 +500,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--bound", type=int, help="explicit value bound")
     group.add_argument("--n", type=int, help="bound parameter: bound = 2^(2^n) (or triple)")
     p.add_argument("--depth-mode", choices=("double", "triple"), default="double")
-    p.add_argument("--fuel", type=int, default=counter.DEFAULT_FUEL)
+    p.add_argument("--fuel", type=cap, default=counter.DEFAULT_FUEL)
     p.set_defaults(handler=_cmd_run_counter)
 
     p = sub.add_parser("compile-rnp", help="compile a counter program to a recursive net program")
@@ -502,8 +512,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run-rnp", help="search a recursive net program for a halting run")
     p.add_argument("file")
-    p.add_argument("--max-configs", type=int, default=1_000_000)
-    p.add_argument("--max-value", type=int, default=None)
+    p.add_argument("--max-configs", type=cap, default=1_000_000)
+    p.add_argument("--max-value", type=cap, default=None)
     p.set_defaults(handler=_cmd_run_rnp)
 
     p = sub.add_parser("compile-tdpn", help="compile a recursive net program to a symbolic net")
@@ -513,16 +523,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expand-tdpn", help="expand a symbolic net into an explicit Petri net")
     p.add_argument("file")
-    p.add_argument("--place-limit", type=int, default=4096)
+    p.add_argument("--place-limit", type=cap, default=4096)
     p.add_argument("-o", "--output")
     p.set_defaults(handler=_cmd_expand_tdpn)
 
     p = sub.add_parser("cover", help="decide coverability of the final word")
     p.add_argument("file")
     p.add_argument("--mode", choices=("backward", "symbolic", "both"), default="backward")
-    p.add_argument("--place-limit", type=int, default=4096)
-    p.add_argument("--max-tokens", type=int, default=64)
-    p.add_argument("--max-markings", type=int, default=1_000_000)
+    p.add_argument("--place-limit", type=cap, default=4096)
+    p.add_argument("--max-tokens", type=cap, default=64)
+    p.add_argument("--max-markings", type=cap, default=1_000_000)
     p.set_defaults(handler=_cmd_cover)
 
     p = sub.add_parser("compile-dcps", help="compile a symbolic net to a thread pool with kills")
@@ -546,9 +556,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True)
     p.add_argument("--K", type=int, required=True, help="per-thread switch budget")
     p.add_argument("--semantics", choices=dcps.SEMANTICS, default="noinherit")
-    p.add_argument("--max-threads", type=int, default=dcps.DEFAULT_MAX_THREADS)
-    p.add_argument("--max-stack", type=int, default=dcps.DEFAULT_MAX_STACK)
-    p.add_argument("--max-configs", type=int, default=None,
+    p.add_argument("--max-threads", type=cap, default=dcps.DEFAULT_MAX_THREADS)
+    p.add_argument("--max-stack", type=cap, default=dcps.DEFAULT_MAX_STACK)
+    p.add_argument("--max-configs", type=cap, default=None,
                    help="default: SNL_MAX_CONFIGS or 1000000")
     p.set_defaults(handler=_cmd_explore_dcps)
 
@@ -557,11 +567,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--depth-mode", choices=("double", "triple"), default="double")
     p.add_argument("--bound", type=int, default=None, help="override the simulated bound")
-    p.add_argument("--fuel", type=int, default=counter.DEFAULT_FUEL)
-    p.add_argument("--max-configs", type=int, default=1_000_000, help="recursive-net search cap")
-    p.add_argument("--max-tokens", type=int, default=64)
-    p.add_argument("--max-markings", type=int, default=2_000_000)
-    p.add_argument("--dcps-max-configs", type=int, default=200_000)
+    p.add_argument("--fuel", type=cap, default=counter.DEFAULT_FUEL)
+    p.add_argument("--max-configs", type=cap, default=1_000_000, help="recursive-net search cap")
+    p.add_argument("--max-tokens", type=cap, default=64)
+    p.add_argument("--max-markings", type=cap, default=2_000_000)
+    p.add_argument("--dcps-max-configs", type=cap, default=200_000)
     p.add_argument("--out-dir")
     p.add_argument("--report")
     p.set_defaults(handler=_cmd_pipeline)

@@ -34,7 +34,9 @@ thread that could only switch out again (a dead thread, see `_search`).
 That pruning is exact, not a cap: an exhausted search still certifies "no",
 and every witness it finds replays under the unpruned semantics.  A replay
 checks each event by its own guard (`_enabled`) and never scans for the
-other enabled events.
+other enabled events.  Searches and replays key configurations by plain
+tuples in DcpsConfig's layout, (state, (stack, count), pool), which compare
+and hash equal to a DcpsConfig; one is built only where the API returns it.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from math import inf
 from typing import Iterator, NamedTuple
 
 from snl.search import Capped, Exhausted, Found, bfs
@@ -53,6 +56,8 @@ from snl.text import strip_comments
 Stack = tuple[str, ...]
 Thread = tuple[Stack, int]
 Event = tuple
+# a configuration in DcpsConfig's layout: (state, (stack, count), pool)
+Config = tuple
 
 SEMANTICS = ("noinherit", "inherit")
 
@@ -263,7 +268,7 @@ def _in_pool(pool: tuple[Thread, ...], thread: Thread) -> bool:
     return pos < len(pool) and pool[pos] == thread
 
 
-def _enabled(system: Dcps, config: DcpsConfig, event: Event, budget: int) -> bool:
+def _enabled(system: Dcps, config: Config, event: Event, budget: int) -> bool:
     """Whether one event applies at config: the one place that says so;
     _apply says what it does.
 
@@ -272,23 +277,22 @@ def _enabled(system: Dcps, config: DcpsConfig, event: Event, budget: int) -> boo
     pool thread of its count, a switch its pool thread, each count within
     budget.  Anything else, an index out of range too, is not enabled.
     """
-    stack = config.active[0]
+    state, (stack, _), pool = config
     match event:
         case ("rule", idx) if stack and 0 <= idx < len(system.rules):
             r = system.rules[idx]
-            return r.state == config.state and r.top == stack[0]
+            return r.state == state and r.top == stack[0]
         case ("kill", idx, j) if len(stack) == 1 and 0 <= idx < len(system.kills) and j <= budget:
             k = system.kills[idx]
-            return (k.state == config.state and k.top == stack[0]
-                    and _in_pool(config.pool, ((k.victim,), j)))
+            return k.state == state and k.top == stack[0] and _in_pool(pool, ((k.victim,), j))
         case ("switch", (_, j) as entry):
-            return j <= budget and _in_pool(config.pool, entry)
+            return j <= budget and _in_pool(pool, entry)
     return False
 
 
 def _events(
     system: Dcps,
-    config: DcpsConfig,
+    config: Config,
     budget: int,
     *,
     skip_dead_switch: bool = False,
@@ -304,9 +308,7 @@ def _events(
     again.
     """
     rule_buckets, kill_buckets = system.buckets
-    state = config.state
-    pool = config.pool
-    stack = config.active[0]
+    state, (stack, _), pool = config
     if stack:
         top = stack[0]
         for idx in rule_buckets.get((state, top), ()):
@@ -337,26 +339,24 @@ def _events(
         yield ("switch", entry)
 
 
-def _apply(system: Dcps, config: DcpsConfig, event: Event, semantics: str) -> DcpsConfig:
-    """The configuration an enabled event leads to.
+def _apply(system: Dcps, config: Config, event: Event, semantics: str) -> Config:
+    """The configuration an enabled event leads to, as a plain tuple.
 
     Pools stay canonical without re-sorting: removing a thread keeps a
     sorted pool sorted, and added threads go in by bisection.
     """
-    stack, count = config.active
-    if event[0] == "rule":
-        r = system.rules[event[1]]
-        pool = config.pool
-        if r.spawn is not None:
-            pool = _insert(pool, ((r.spawn,), count + 1 if semantics == "inherit" else 0))
-        return DcpsConfig(r.new_state, (r.push + stack[1:], count), pool)
-    if event[0] == "kill":
-        k = system.kills[event[1]]
-        pool = _remove(config.pool, ((k.victim,), event[2]))
-        return DcpsConfig(k.new_state, ((k.top,) if k.keep else (), 0), pool)
+    state, (stack, count), pool = config
+    kind = event[0]
+    if kind == "rule":
+        _, _, new_state, push, spawn = system.rules[event[1]]
+        if spawn is not None:
+            pool = _insert(pool, ((spawn,), count + 1 if semantics == "inherit" else 0))
+        return new_state, (push + stack[1:], count), pool
+    if kind == "kill":
+        _, top, new_state, keep, victim = system.kills[event[1]]
+        return new_state, ((top,) if keep else (), 0), _remove(pool, ((victim,), event[2]))
     entry = event[1]
-    pool = _insert(_remove(config.pool, entry), (stack, count + 1))
-    return DcpsConfig(config.state, entry, pool)
+    return state, entry, _insert(_remove(pool, entry), (stack, count + 1))
 
 
 def successors(
@@ -372,10 +372,11 @@ def successors(
     if semantics not in SEMANTICS:
         raise ValueError(f"unknown semantics {semantics!r}")
     events = _events(system, config, budget)
-    return [(event, _apply(system, config, event, semantics)) for event in events]
+    return [(event, DcpsConfig._make(_apply(system, config, event, semantics)))
+            for event in events]
 
 
-def _replay(system: Dcps, witness, budget: int, semantics: str) -> Iterator[DcpsConfig]:
+def _replay(system: Dcps, witness, budget: int, semantics: str) -> Iterator[Config]:
     """The configurations of a witness run, from the initial one on, each
     event checked by _enabled before it is applied."""
     if semantics not in SEMANTICS:
@@ -393,7 +394,7 @@ def replay_witness(
     system: Dcps, witness, budget: int, semantics: str = "noinherit"
 ) -> list[DcpsConfig]:
     """Apply a witness event sequence from the initial configuration."""
-    return list(_replay(system, witness, budget, semantics))
+    return [DcpsConfig._make(c) for c in _replay(system, witness, budget, semantics)]
 
 
 def replay_final(
@@ -401,7 +402,7 @@ def replay_final(
 ) -> DcpsConfig:
     """The configuration a witness ends in, every event checked as in
     replay_witness, holding one configuration at a time."""
-    return deque(_replay(system, witness, budget, semantics), maxlen=1)[0]
+    return DcpsConfig._make(deque(_replay(system, witness, budget, semantics), maxlen=1)[0])
 
 
 @dataclass(frozen=True)
@@ -428,9 +429,11 @@ def resolve_max_configs(max_configs: int | None) -> int:
     if raw is None:
         return DEFAULT_MAX_CONFIGS
     try:
-        return int(raw)
+        if (value := int(raw)) < 0:
+            raise ValueError
     except ValueError:
-        raise ValueError(f"SNL_MAX_CONFIGS must be an integer, got {raw!r}") from None
+        raise ValueError(f"SNL_MAX_CONFIGS must be an integer of at least 0, got {raw!r}") from None
+    return value
 
 
 def check_budget(budget: int) -> None:
@@ -444,14 +447,13 @@ def _cap_rule(max_threads: int, max_stack: int):
     threads have a non-empty stack, else "max_stack" when a stack is deeper
     than max_stack, else None."""
 
-    def cap(config: DcpsConfig) -> str | None:
-        stack = config.active[0]
-        pool = config.pool
-        # a pool this small cannot hold more live threads than the cap
-        if len(pool) + 1 > max_threads:
-            live = sum(1 for w, _ in pool if w) + (1 if stack else 0)
-            if live > max_threads:
-                return "max_threads"
+    def cap(config: Config) -> str | None:
+        _, (stack, _), pool = config
+        # empty stacks sort first in a canonical pool: the live threads are its
+        # tail, and a pool this small cannot hold more than the cap
+        n = len(pool)
+        if n >= max_threads and n - bisect_left(pool, ((), inf)) + bool(stack) > max_threads:
+            return "max_threads"
         if len(stack) > max_stack:
             return "max_stack"
         for w, _ in pool:
@@ -484,7 +486,7 @@ def _search(system: Dcps, budget: int, goal, max_threads: int, max_stack: int,
         raise ValueError(f"unknown semantics {semantics!r}")
     max_configs = resolve_max_configs(max_configs)
 
-    def step(config: DcpsConfig):
+    def step(config: Config):
         events = _events(system, config, budget, skip_dead_switch=True)
         return [(event, _apply(system, config, event, semantics)) for event in events]
 
@@ -510,7 +512,7 @@ def reach_state(
     that interfered (comma-separated when several did).
     """
     result = _search(
-        system, budget, lambda config: config.state == target,
+        system, budget, lambda key: key[0] == target,
         max_threads, max_stack, max_configs, semantics,
     )
     if isinstance(result, Found):
@@ -540,7 +542,7 @@ def reachable_states(
     result = _search(
         system, budget, lambda config: False, max_threads, max_stack, max_configs, semantics
     )
-    return frozenset(config.state for config in result.seen), isinstance(result, Exhausted)
+    return frozenset(key[0] for key in result.seen), isinstance(result, Exhausted)
 
 
 # ---------------------------------------------------------------------------

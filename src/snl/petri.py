@@ -9,7 +9,10 @@ token on the initial place, some reachable marking dominates the target
 Two deciders are provided: a complete backward procedure computing the
 antichain basis of markings from which the target is coverable, and a
 forward breadth-first search bounded by token and marking caps, useful as
-an independent oracle and as a witness finder.
+an independent oracle and as a witness finder.  The backward procedure
+numbers a net's places once and keeps each basis element's support as a
+bitmask beside it: a marking dominates another only if its support contains
+the other's, so a full domination test runs only where the masks allow it.
 """
 
 from __future__ import annotations
@@ -125,10 +128,6 @@ class NotCoverable:
 BackwardVerdict = Coverable | NotCoverable
 
 
-def _dominates(big: Marking, small: CanonMarking) -> bool:
-    return all(big.get(p, 0) >= c for p, c in small)
-
-
 def cover_backward(net: PetriNet, target: Marking | None = None) -> BackwardVerdict:
     """Complete backward coverability via a minimal-basis fixpoint.
 
@@ -147,44 +146,56 @@ def cover_backward(net: PetriNet, target: Marking | None = None) -> BackwardVerd
     validate_petri(net)
     if target is None:
         target = target_marking(net)
+    bit = {p: 1 << i for i, p in enumerate(dict.fromkeys((*net.places, *target)))}
     target_c = canonical(target)
-    # each basis element beside its dict form, for domination tests both ways
-    basis: dict[CanonMarking, Marking] = {target_c: from_canonical(target_c)}
-    parents: dict[CanonMarking, tuple[str, CanonMarking] | None] = {target_c: None}
+    # each basis element beside its support mask and its dict form
+    basis: dict[CanonMarking, tuple[int, Marking]] = {
+        target_c: (sum(bit[p] for p, _ in target_c), from_canonical(target_c))
+    }
+    parents: dict[CanonMarking, tuple[int, CanonMarking] | None] = {target_c: None}
     frontier: deque[CanonMarking] = deque([target_c])
     while frontier:
         m_c = frontier.popleft()
         if m_c not in basis:
             continue  # removed as dominated after being queued
-        m = basis[m_c]
-        for tid, pre, post in net.transitions:
-            req: Marking = {}
-            for p in set(m) | pre:
-                need = max(
-                    (1 if p in pre else 0),
-                    m.get(p, 0) - (1 if p in post else 0) + (1 if p in pre else 0),
-                )
-                if need > 0:
-                    req[p] = need
-            req_c = canonical(req)
-            if any(_dominates(req, b_c) for b_c in basis):
+        m = basis[m_c][1]
+        for t, (_, pre, post) in enumerate(net.transitions):
+            req = {p: n for p, c in m.items() if (n := c - (p in post) + (p in pre))}
+            for p in pre:
+                req.setdefault(p, 1)
+            req_c = tuple(sorted(req.items()))  # canonical: every count is positive
+            if req_c in basis:
                 continue
-            basis = {b_c: b for b_c, b in basis.items() if not _dominates(b, req_c)}
-            basis[req_c] = req
-            if req_c not in parents:
-                parents[req_c] = (tid, m_c)
-            frontier.append(req_c)
+            mask = sum(bit[p] for p in req)
+            # the basis is an antichain, so no element is both below req
+            # and above it: one pass finds either kind
+            dominated = []
+            for b_c, (b_mask, b) in basis.items():
+                joint = b_mask | mask
+                if joint == mask and all(req[p] >= c for p, c in b_c):
+                    break
+                if joint == b_mask and all(b[p] >= c for p, c in req_c):
+                    dominated.append(b_c)
+            else:
+                for b_c in dominated:
+                    del basis[b_c]
+                # a marking leaves the basis only for a smaller one, so none
+                # enters twice and each keeps its first parent
+                basis[req_c] = (mask, req)
+                parents[req_c] = (t, m_c)
+                frontier.append(req_c)
 
     start = initial_marking(net)
-    hits = sorted(b_c for b_c in basis if _dominates(start, b_c))
+    hits = sorted(b_c for b_c in basis if covers(start, dict(b_c)))
     if not hits:
         return NotCoverable(basis_size=len(basis))
     witness: list[str] = []
     cursor = hits[0]
     marking = start
     while parents[cursor] is not None:
-        tid, nxt = parents[cursor]
-        fired = fire(net, marking, tid)
+        t, nxt = parents[cursor]
+        tid, pre, post = net.transitions[t]
+        fired = _fire(marking, pre, post)
         if fired is None:
             raise RuntimeError(f"backward witness replay hit disabled transition {tid!r}")
         witness.append(tid)

@@ -189,3 +189,53 @@ def random_plain_dcps(rng: random.Random):
         spawn = rng.choice([None, None, None] + symbols)
         rules.append(DcpsRule(src, top, dst, push, spawn))
     return make_dcps(states[0], rng.choice(symbols), tuple(rules))
+
+
+def tiny_rnps():
+    """Three depth-2 net programs: one halts, one gets stuck, one recurses."""
+    from snl.rnp import Call, Dec, Halt, Inc, Proc, Return, Rnp
+
+    halting = Rnp(
+        max_depth=2,
+        main=(Inc("l1", "x"), Dec("l2", "x"), Halt("l3")),
+        procs=(),
+    )
+    stuck = Rnp(
+        max_depth=2,
+        main=(Call("l1", "p"), Dec("l2", "x"), Halt("l3")),
+        procs=(Proc("p", (Return("u1"),), (Return("v1"),)),),
+    )
+    recursive = Rnp(
+        max_depth=2,
+        main=(Inc("l1", "x"), Call("l2", "p"), Halt("l3")),
+        procs=(Proc("p", (Dec("u1", "x"), Return("u2")), (Return("v1"),)),),
+    )
+    return [("halting", halting), ("stuck", stuck), ("recursive", recursive)]
+
+
+def random_rnp(rng: random.Random):
+    """Random depth-2 net program over one or two counters and one procedure
+    whose first body may call it again."""
+    from snl.rnp import Call, Dec, GotoOr, Halt, Inc, Proc, Return, Rnp
+
+    variables = ["x", "y"][: rng.randint(1, 2)]
+
+    def body(prefix, length, last, may_call):
+        labels = [f"{prefix}{i}" for i in range(length)]
+        out = []
+        for label in labels[:-1]:
+            kind = rng.choice(("inc", "dec", "or", "call") if may_call else ("inc", "dec", "or"))
+            if kind == "inc":
+                out.append(Inc(label, rng.choice(variables)))
+            elif kind == "dec":
+                out.append(Dec(label, rng.choice(variables)))
+            elif kind == "call":
+                out.append(Call(label, "p"))
+            else:
+                out.append(GotoOr(label, rng.choice(labels), rng.choice(labels)))
+        out.append(last(labels[-1]))
+        return tuple(out)
+
+    proc = Proc("p", body("u", rng.randint(2, 4), Return, True),
+                body("v", rng.randint(1, 3), Return, False))
+    return Rnp(2, body("m", rng.randint(3, 7), Halt, True), (proc,))

@@ -22,6 +22,7 @@ from genutil import (
     random_pnet,
     random_tdpn,
     random_transducer,
+    tiny_rnps,
     transducer_from_tuples,
 )
 from helpers import (
@@ -49,7 +50,7 @@ from snl.dcps import (
 from snl.lipton import compile_lipton
 from snl.petri import Coverable, ForwardCoverable, ForwardUnknown, cover_backward, cover_forward_bfs
 from snl.petri import canonical, fire
-from snl.rnp import Call, Dec, Halt, Inc, Proc, Return, Rnp, RnpHalts, RnpNo, explore_halting
+from snl.rnp import RnpHalts, RnpNo, explore_halting
 from snl.rnp2tdpn import compile_rnp_to_tdpn, expected_language_sizes
 from snl.tdpn import (
     Tdpn,
@@ -122,25 +123,6 @@ def test_criterion_4_counter_agrees_with_compiled_rnp_on_corpus():
 # ---------------------------------------------------------------------------
 # 5: tiny recursive net programs agree with both coverability engines on
 # their compiled nets
-
-
-def tiny_rnps():
-    halting = Rnp(
-        max_depth=2,
-        main=(Inc("l1", "x"), Dec("l2", "x"), Halt("l3")),
-        procs=(),
-    )
-    stuck = Rnp(
-        max_depth=2,
-        main=(Call("l1", "p"), Dec("l2", "x"), Halt("l3")),
-        procs=(Proc("p", (Return("u1"),), (Return("v1"),)),),
-    )
-    recursive = Rnp(
-        max_depth=2,
-        main=(Inc("l1", "x"), Call("l2", "p"), Halt("l3")),
-        procs=(Proc("p", (Dec("u1", "x"), Return("u2")), (Return("v1"),)),),
-    )
-    return [("halting", halting), ("stuck", stuck), ("recursive", recursive)]
 
 
 def test_criterion_5_rnp_agrees_with_both_cover_engines():

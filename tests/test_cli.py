@@ -500,3 +500,49 @@ def test_run_counter_n_below_one_is_input_error(capsys, n):
     assert code == EXIT_INPUT
     assert out == ""
     assert "n must be at least 1" in err
+
+
+HALT = CORPUS / "halt.cp"
+
+
+# a negative cap or limit would turn into a hollow Unknown (`--fuel -1` made
+# even halt.cp report FuelExhausted steps=-1), so every such flag refuses it
+@pytest.mark.parametrize("argv, flag", [
+    (("run-counter", HALT, "--n", 1), "--fuel"),
+    (("pipeline", HALT, "--n", 1), "--fuel"),
+    (("run-rnp", HALT), "--max-configs"),
+    (("run-rnp", HALT), "--max-value"),
+    (("pipeline", HALT, "--n", 1), "--max-configs"),
+    (("pipeline", HALT, "--n", 1), "--dcps-max-configs"),
+    (("cover", TINY, "--mode", "symbolic"), "--max-tokens"),
+    (("cover", TINY, "--mode", "symbolic"), "--max-markings"),
+    (("pipeline", HALT, "--n", 1), "--max-tokens"),
+    (("pipeline", HALT, "--n", 1), "--max-markings"),
+    (("expand-tdpn", TINY), "--place-limit"),
+    (("cover", TINY), "--place-limit"),
+    (("explore-dcps", TINY, "--target", "g_halt", "--K", 1), "--max-configs"),
+    (("explore-dcps", TINY, "--target", "g_halt", "--K", 1), "--max-threads"),
+    (("explore-dcps", TINY, "--target", "g_halt", "--K", 1), "--max-stack"),
+])
+def test_negative_cap_is_input_error(capsys, argv, flag):
+    # argparse refuses the flag before any work, so main() does not return
+    with pytest.raises(SystemExit) as refused:
+        cli.main([str(a) for a in (*argv, flag, -1)])
+    captured = capsys.readouterr()
+    assert refused.value.code == EXIT_INPUT
+    assert captured.out == ""
+    assert f"argument {flag}: must be at least 0, got -1" in captured.err
+
+
+def test_zero_cap_is_accepted(capsys):
+    code, out, _ = run_cli(capsys, "cover", TINY, "--mode", "symbolic", "--max-markings", 0)
+    assert code == EXIT_UNKNOWN
+    assert "reason=max_markings" in out
+
+
+def test_negative_env_cap_is_input_error(capsys, tiny_dcps, monkeypatch):
+    monkeypatch.setenv("SNL_MAX_CONFIGS", "-5")
+    code, out, err = run_cli(capsys, "explore-dcps", tiny_dcps, "--target", "g_halt", "--K", 1)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "SNL_MAX_CONFIGS must be an integer of at least 0, got '-5'" in err

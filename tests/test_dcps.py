@@ -1,5 +1,6 @@
 """Semantics, exploration, kill desugaring, and the spawn-count reduction."""
 
+import hashlib
 import random
 
 import pytest
@@ -505,7 +506,7 @@ def reference_search(system, budget, goal, semantics, max_threads, max_stack, ma
 
     def step(config):
         events = [e for e in _events(system, config, budget) if not is_corpse_switch(e)]
-        return [(event, _apply(system, config, event, semantics)) for event in events]
+        return [(event, DcpsConfig._make(_apply(system, config, event, semantics))) for event in events]
 
     def cap(config):
         return reference_cap(config, max_threads, max_stack)
@@ -609,6 +610,62 @@ def test_cap_rule_matches_the_two_helpers():
                 assert got == want, (config, max_threads, max_stack)
                 tripped.add(got)
     assert tripped == {"max_threads", "max_stack", None}
+
+
+# ---------------------------------------------------------------------------
+# Golden pin: the searches' verdicts, witnesses, explored counts and state
+# sets on seeded systems and their two compiled images
+
+
+GOLDEN_CAPS = dict(max_threads=7, max_stack=3, max_configs=400)
+GOLDEN_DIGEST = "6f30c47006d0c44792e4f60b18ba281682656a617cac31c799e13e5fd0ae481c"
+
+
+def golden_systems():
+    # kills rarely fire in the random systems, so hand-built ones lead; in
+    # the last, g4 needs the kill's count reset to come back to v at K=1
+    yield "kill_demo", kill_demo()
+    yield "hand_built", hand_built_configs()[0]
+    rules = (
+        DcpsRule("g0", "v", "g0", ("v",), "u"),
+        DcpsRule("g1", "v", "g2", ("v",), "w"),
+        DcpsRule("g2", "w", "g3", ()),
+        DcpsRule("g3", "v", "g4", ("v",)),
+    )
+    kills = (KillRule("g0", "v", "g1", True, "u"),)
+    yield "kill_reset", make_dcps("g0", "v", rules, kills, frozenset({"u", "v"}))
+    rng = random.Random(20261019)
+    for trial in range(16):
+        kill = random_kill_dcps(rng)
+        yield f"kill{trial}", kill
+        yield f"desugared{trial}", desugar_kill(kill)
+        plain = random_plain_dcps(rng)
+        yield f"plain{trial}", plain
+        yield f"inherit{trial}", compile_to_inheritance(plain, plain.states[-1])[0]
+
+
+def golden_text():
+    lines = []
+    for name, system in golden_systems():
+        for semantics in SEMANTICS:
+            for budget in (0, 1, 2):
+                where = f"{name} {semantics} K={budget}"
+                states, complete = reachable_states(
+                    system, budget, semantics=semantics, **GOLDEN_CAPS)
+                lines.append(f"{where} reachable {sorted(states)} {complete}")
+                if budget == 2:
+                    continue
+                for target in system.states:
+                    verdict = reach_state(
+                        system, target, budget, semantics=semantics, **GOLDEN_CAPS)
+                    lines.append(f"{where} {target} {verdict!r}")
+    return "\n".join(lines) + "\n"
+
+
+def test_searches_match_the_golden_digest():
+    # any change to a verdict, witness, explored count, tripped cap or
+    # reached state set of these searches changes the digest
+    assert hashlib.sha256(golden_text().encode()).hexdigest() == GOLDEN_DIGEST
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Petri net coverability: backward basis vs forward search."""
 
 import random
+from collections import deque
 
 import pytest
 
-from genutil import random_pnet
+from genutil import random_pnet, random_rnp, tiny_rnps
 from snl import petri
 from snl.petri import (
     Coverable,
@@ -20,11 +21,15 @@ from snl.petri import (
     cover_forward_bfs,
     covers,
     fire,
+    from_canonical,
     initial_marking,
     parse_pnet,
     serialize_pnet,
+    target_marking,
     validate_petri,
 )
+from snl.rnp2tdpn import compile_rnp_to_tdpn
+from snl.tdpn import expand
 
 
 def chain() -> PetriNet:
@@ -89,7 +94,7 @@ def test_backward_join_needs_two_tokens():
 
 def test_backward_witness_is_checked_by_replay(monkeypatch):
     # the replay check must raise, not assert: python -O strips asserts
-    monkeypatch.setattr(petri, "fire", lambda net, marking, tid: None)
+    monkeypatch.setattr(petri, "_fire", lambda marking, pre, post: None)
     with pytest.raises(RuntimeError, match="disabled transition"):
         cover_backward(chain())
 
@@ -186,3 +191,86 @@ def test_backward_and_forward_agree_on_random_nets():
             assert isinstance(backward, NotCoverable)
         checked += 1
     assert checked >= 25  # the caps are generous enough for almost all draws
+
+
+def reference_cover_backward(net, target=None):
+    """A plain reference for the backward loop, with no support masks:
+    every domination test in full, the basis rebuilt on each insertion, and
+    the witness replayed by transition id."""
+
+    def dominates(big, small):
+        return all(big.get(p, 0) >= c for p, c in small)
+
+    validate_petri(net)
+    if target is None:
+        target = target_marking(net)
+    target_c = canonical(target)
+    basis = {target_c: from_canonical(target_c)}
+    parents = {target_c: None}
+    frontier = deque([target_c])
+    while frontier:
+        m_c = frontier.popleft()
+        if m_c not in basis:
+            continue
+        m = basis[m_c]
+        for tid, pre, post in net.transitions:
+            req = {}
+            for p in set(m) | pre:
+                need = max(
+                    (1 if p in pre else 0),
+                    m.get(p, 0) - (1 if p in post else 0) + (1 if p in pre else 0),
+                )
+                if need > 0:
+                    req[p] = need
+            req_c = canonical(req)
+            if any(dominates(req, b_c) for b_c in basis):
+                continue
+            basis = {b_c: b for b_c, b in basis.items() if not dominates(b, req_c)}
+            basis[req_c] = req
+            if req_c not in parents:
+                parents[req_c] = (tid, m_c)
+            frontier.append(req_c)
+    start = initial_marking(net)
+    hits = sorted(b_c for b_c in basis if dominates(start, b_c))
+    if not hits:
+        return NotCoverable(basis_size=len(basis))
+    witness = []
+    cursor = hits[0]
+    marking = start
+    while parents[cursor] is not None:
+        tid, cursor = parents[cursor]
+        marking = fire(net, marking, tid)
+        witness.append(tid)
+    assert covers(marking, target)
+    return Coverable(witness=tuple(witness), basis_size=len(basis))
+
+
+def test_backward_matches_the_reference_loop_on_random_nets():
+    rng = random.Random(20261019)
+    kinds = set()
+    for trial in range(240):
+        net = random_pnet(rng, max_places=6, max_trans=9)
+        # every fourth net has 8 to 12 places
+        while trial % 4 == 0 and len(net.places) < 8:
+            net = random_pnet(rng, max_places=12, max_trans=12)
+        got = cover_backward(net)
+        assert got == reference_cover_backward(net), serialize_pnet(net)
+        kinds.add((type(got), got.basis_size > 3))
+        # a two-token target that the initial marking never covers alone
+        target = {net.final: 2}
+        assert cover_backward(net, target) == reference_cover_backward(net, target)
+    assert {kind for kind, _ in kinds} == {Coverable, NotCoverable}
+    assert (Coverable, True) in kinds and (NotCoverable, True) in kinds
+
+
+def test_backward_matches_the_reference_loop_on_expanded_net_programs():
+    rng = random.Random(20261019)
+    programs = [program for _, program in tiny_rnps()]
+    programs += [random_rnp(rng) for _ in range(12)]
+    kinds = set()
+    for program in programs:
+        net = expand(compile_rnp_to_tdpn(program).tdpn)
+        got = cover_backward(net)
+        assert got == reference_cover_backward(net), program
+        kinds.add(type(got))
+    assert kinds == {Coverable, NotCoverable}
