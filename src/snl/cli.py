@@ -31,6 +31,7 @@ import traceback
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Iterable
 
 from snl import counter, dcps, lipton, petri, rnp, rnp2tdpn, tdpn, tdpn2dcps
 
@@ -67,15 +68,18 @@ def _load(path: str, parse, validate=None):
     return loaded
 
 
-def _write(path: Path, text: str) -> None:
+def _write(path: Path, chunks: Iterable[str]) -> None:
+    """Write text chunks to path as they come, so a large artifact is never
+    held whole.  A chunk is made inside the boundary: what makes the chunks
+    must not raise ValueError or OSError for a fault of its own."""
     with _boundary(path):
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        with path.open("w") as out:
+            out.writelines(chunks)
 
 
 def _write_names(path: Path, names: dict[str, str]) -> None:
-    lines = [f"{key}\t{names[key]}" for key in sorted(names)]
-    _write(path, "\n".join(lines) + "\n")
+    _write(path, (f"{key}\t{names[key]}\n" for key in sorted(names)))
 
 
 def _load_names(data_path: str) -> dict[str, str]:
@@ -200,7 +204,7 @@ def _cmd_compile_rnp(args) -> int:
     program = _load(args.file, counter.parse_counter, lambda p: lipton.validate_source(p, args.n))
     compiled = lipton.compile_lipton(program, args.n, args.depth_mode)
     out = Path(args.output) if args.output else Path(args.file).with_suffix(".rnp")
-    _write(out, rnp.serialize_rnp(compiled))
+    _write(out, (rnp.serialize_rnp(compiled),))
     print(f"wrote {out} (max_depth={compiled.max_depth}, size={compiled.size()})")
     return EXIT_OK
 
@@ -218,8 +222,8 @@ def _cmd_compile_tdpn(args) -> int:
     program = _load(args.file, rnp.parse_rnp, rnp.validate_rnp)
     compiled = rnp2tdpn.compile_rnp_to_tdpn(program)
     out = Path(args.output) if args.output else Path(args.file).with_suffix(".tdpn")
-    _write(out, tdpn.serialize_tdpn(compiled.tdpn))
-    _write(out.with_suffix(".addr"), rnp2tdpn.serialize_addr(compiled.book))
+    _write(out, (tdpn.serialize_tdpn(compiled.tdpn),))
+    _write(out.with_suffix(".addr"), (rnp2tdpn.serialize_addr(compiled.book),))
     net = compiled.tdpn
     print(f"wrote {out} (width={net.width}, size={net.size()})")
     return EXIT_OK
@@ -233,7 +237,7 @@ def _cmd_expand_tdpn(args) -> int:
         print(f"snl: {args.file}: {err}", file=sys.stderr)
         return EXIT_UNKNOWN
     out = Path(args.output) if args.output else Path(args.file).with_suffix(".pnet")
-    _write(out, petri.serialize_pnet(expanded))
+    _write(out, (petri.serialize_pnet(expanded),))
     print(f"wrote {out} (places={len(expanded.places)}, transitions={len(expanded.transitions)})")
     return EXIT_OK
 
@@ -266,7 +270,7 @@ def _cmd_compile_dcps(args) -> int:
     net = _load(args.file, tdpn.parse_tdpn)
     system = tdpn2dcps.compile_tdpn_to_killdcps(net)
     out = Path(args.output) if args.output else Path(args.file).with_suffix(".dcps")
-    _write(out, dcps.serialize_dcps(system))
+    _write(out, dcps.dcps_lines(system))
     _write_names(out.with_suffix(".names"), tdpn2dcps.killdcps_names(net))
     halt = tdpn2dcps.halt_state(net)
     print(f"wrote {out} (rules={len(system.rules)}, kills={len(system.kills)}, target={halt})")
@@ -277,7 +281,7 @@ def _cmd_desugar_kill(args) -> int:
     system = _load(args.file, dcps.parse_dcps)
     plain = dcps.desugar_kill(system)
     out = Path(args.output) if args.output else Path(args.file).with_suffix(".plain.dcps")
-    _write(out, dcps.serialize_dcps(plain))
+    _write(out, dcps.dcps_lines(plain))
     print(f"wrote {out} (rules={len(plain.rules)}, kills=0)")
     return EXIT_OK
 
@@ -289,7 +293,7 @@ def _cmd_to_inheritance(args) -> int:
     except dcps.DcpsValidationError as err:  # kill rules, or an undeclared --target
         raise _BadPath(f"{args.file}: {err}") from None
     out = Path(args.output) if args.output else Path(args.file).with_suffix(".inherit.dcps")
-    _write(out, dcps.serialize_dcps(compiled))
+    _write(out, dcps.dcps_lines(compiled))
     _write_names(out.with_suffix(".names"), dcps.inheritance_names(system))
     print(f"wrote {out} (rules={len(compiled.rules)})")
     print(f"target {args.target} becomes {shifted}; explore with --semantics inherit --K K+2")
@@ -409,14 +413,14 @@ def _cmd_pipeline(args) -> int:
 
     compiled_rnp = timed("compile-rnp", lambda: lipton.compile_lipton(program, args.n, args.depth_mode))
     rnp_path = out_dir / f"{stem}.rnp"
-    _write(rnp_path, rnp.serialize_rnp(compiled_rnp))
+    _write(rnp_path, (rnp.serialize_rnp(compiled_rnp),))
     timed("rnp", lambda: _pipeline_rnp(compiled_rnp, args.max_configs), rnp_path.name)
 
     compilation = timed("compile-tdpn", lambda: rnp2tdpn.compile_rnp_to_tdpn(compiled_rnp))
     net = compilation.tdpn
     tdpn_path = out_dir / f"{stem}.tdpn"
-    _write(tdpn_path, tdpn.serialize_tdpn(net))
-    _write(tdpn_path.with_suffix(".addr"), rnp2tdpn.serialize_addr(compilation.book))
+    _write(tdpn_path, (tdpn.serialize_tdpn(net),))
+    _write(tdpn_path.with_suffix(".addr"), (rnp2tdpn.serialize_addr(compilation.book),))
     cover = timed(
         "tdpn",
         lambda: tdpn.coverable(
@@ -427,7 +431,7 @@ def _cmd_pipeline(args) -> int:
 
     system = timed("compile-dcps", lambda: tdpn2dcps.compile_tdpn_to_killdcps(net))
     dcps_path = out_dir / f"{stem}.dcps"
-    _write(dcps_path, dcps.serialize_dcps(system))
+    _write(dcps_path, dcps.dcps_lines(system))
     _write_names(dcps_path.with_suffix(".names"), tdpn2dcps.killdcps_names(net))
     dcps_caps = dict(
         max_threads=3 * net.width + 4,
@@ -453,7 +457,7 @@ def _cmd_pipeline(args) -> int:
         cross_checks=cross_check(stages),
     )
     report_path = Path(args.report) if args.report else out_dir / "report.json"
-    _write(report_path, report.serialize())
+    _write(report_path, (report.serialize(),))
 
     for stage in stages:
         print(f"{stage.stage}: {stage.verdict}")
@@ -497,7 +501,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run-counter", help="run a counter program under a value bound")
     p.add_argument("file")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--bound", type=int, help="explicit value bound")
+    group.add_argument("--bound", type=cap, help="explicit value bound")
     group.add_argument("--n", type=int, help="bound parameter: bound = 2^(2^n) (or triple)")
     p.add_argument("--depth-mode", choices=("double", "triple"), default="double")
     p.add_argument("--fuel", type=cap, default=counter.DEFAULT_FUEL)
@@ -566,7 +570,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--depth-mode", choices=("double", "triple"), default="double")
-    p.add_argument("--bound", type=int, default=None, help="override the simulated bound")
+    p.add_argument("--bound", type=cap, default=None, help="override the simulated bound")
     p.add_argument("--fuel", type=cap, default=counter.DEFAULT_FUEL)
     p.add_argument("--max-configs", type=cap, default=1_000_000, help="recursive-net search cap")
     p.add_argument("--max-tokens", type=cap, default=64)

@@ -47,7 +47,9 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from math import inf
+from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 from snl.search import Capped, Exhausted, Found, bfs
@@ -176,9 +178,10 @@ def validate_dcps(system: Dcps) -> None:
         problems.append("duplicate states")
     if len(sym_set) != len(system.symbols):
         problems.append("duplicate symbols")
-    for name in system.states + system.symbols:
-        if not _NAME_RE.match(name):
-            problems.append(f"name {name!r} is not a word identifier")
+    if not all(map(_NAME_RE.match, chain(system.states, system.symbols))):
+        for name in chain(system.states, system.symbols):
+            if not _NAME_RE.match(name):
+                problems.append(f"name {name!r} is not a word identifier")
     if system.initial_state not in state_set:
         problems.append(f"initial state {system.initial_state!r} not declared")
     if system.initial_symbol not in sym_set:
@@ -206,13 +209,20 @@ def validate_dcps(system: Dcps) -> None:
                 at("rule", i, "kill-symbol top may push at most one kill symbol")
         elif any(s in kill_syms for s in push):
             at("rule", i, "regular top must not push kill symbols")
-    for i, (state, top, new_state, _, victim) in enumerate(system.kills):
-        for role, name in (("state", state), ("target state", new_state)):
-            if name not in state_set:
-                at("kill rule", i, f"{role} {name!r} not declared")
-        for role, s in (("top", top), ("victim", victim)):
-            if s not in kill_syms:
-                at("kill rule", i, f"{role} {s!r} is not a kill symbol")
+    # field by field first (state, top, target, keep, victim); the per-kill
+    # loop only words the problems
+    def column(field: int):
+        return map(itemgetter(field), system.kills)
+
+    if not (state_set.issuperset(column(0)) and state_set.issuperset(column(2))
+            and kill_syms.issuperset(column(1)) and kill_syms.issuperset(column(4))):
+        for i, (state, top, new_state, _, victim) in enumerate(system.kills):
+            for role, name in (("state", state), ("target state", new_state)):
+                if name not in state_set:
+                    at("kill rule", i, f"{role} {name!r} not declared")
+            for role, s in (("top", top), ("victim", victim)):
+                if s not in kill_syms:
+                    at("kill rule", i, f"{role} {s!r} is not a kill symbol")
     if problems:
         raise DcpsValidationError("; ".join(problems))
 
@@ -259,7 +269,10 @@ def _insert(pool: tuple[Thread, ...], thread: Thread) -> tuple[Thread, ...]:
 
 
 def _remove(pool: tuple[Thread, ...], thread: Thread) -> tuple[Thread, ...]:
-    pos = pool.index(thread)
+    """Take the (leftmost) copy of a thread out of a canonical pool."""
+    pos = bisect_left(pool, thread)
+    if pos == len(pool) or pool[pos] != thread:
+        raise ValueError(f"{thread!r} is not in the pool")
     return pool[:pos] + pool[pos + 1 :]
 
 
@@ -750,15 +763,21 @@ def parse_dcps(text: str) -> Dcps:
     return system
 
 
-def serialize_dcps(system: Dcps) -> str:
-    lines = [f"state g0 {system.initial_state};", f"stackinit {system.initial_symbol};"]
+def dcps_lines(system: Dcps) -> Iterator[str]:
+    """The text format, one newline-terminated line at a time, so a large
+    system can be written without holding its text."""
+    yield f"state g0 {system.initial_state};\n"
+    yield f"stackinit {system.initial_symbol};\n"
     if system.kill_syms:
-        lines.append("killsyms { " + " ".join(sorted(system.kill_syms)) + " };")
+        yield "killsyms { " + " ".join(sorted(system.kill_syms)) + " };\n"
     for state, top, new_state, push, spawn in system.rules:
         word = ".".join(push) if push else "eps"
         spawned = f" spawn {spawn}" if spawn is not None else ""
-        lines.append(f"rule {state}|{top} -> {new_state}|{word}{spawned};")
+        yield f"rule {state}|{top} -> {new_state}|{word}{spawned};\n"
     for state, top, new_state, keep, victim in system.kills:
         kind = "keep" if keep else "pop"
-        lines.append(f"kill {state}|{top} -> {new_state}|{kind} kill {victim};")
-    return "\n".join(lines) + "\n"
+        yield f"kill {state}|{top} -> {new_state}|{kind} kill {victim};\n"
+
+
+def serialize_dcps(system: Dcps) -> str:
+    return "".join(dcps_lines(system))

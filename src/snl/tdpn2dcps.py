@@ -28,15 +28,28 @@ within a stage, and index/letter order within a schema, so compiled systems
 are byte-stable.  All verify schemas are kill rules; everything else is a
 plain rule.  States that no rule mentions are not emitted: a verify state
 is minted when a rule first mentions it, from a table with one row per mode,
-position and tag, indexed by transducer transition.  Each emitted rule or
-kill is recorded under a key of its schema arguments, and witness synthesis
-fires events by those keys, so the schemas are written once.
+position and tag, indexed by transducer transition.  Its name shape is
+unique by construction, so it is written without a fresh-name probe.
+
+Witness synthesis fires each event by the schema arguments it was emitted
+under, so the schemas are written once.  A plain rule is recorded under a
+key of its arguments, such as ("read", mode, i, tag, letter).  Kills are
+recorded by block: the kills of one mode, position i and step (the role
+whose bit is killed) are keyed ("verify", mode, i, step) to the index of
+their first kill.  Inside a block the kill for transducer transition j sits
+at a fixed offset: j in a full block (i < l, not the last step); in the
+chained block (i < l, last step), which also commits to the next transition
+j2, chain_start[j] + rank[j2], where chain_start sums the out-degrees of the
+earlier transitions' targets and rank[j2] is j2's position among its
+source's edges; at i = l, j's position among the transitions into a final
+state.  The compiler checks that the blocks tile the kills.
 """
 
 from __future__ import annotations
 
 import functools
 import heapq
+from typing import NamedTuple
 
 from snl.dcps import Dcps, DcpsRule, Event, KillRule, fresh_name, make_dcps, validate_dcps
 from snl.tdpn import Descriptor, Tdpn, validate_tdpn
@@ -61,30 +74,56 @@ VERIFY_ROLES = {"move": ("pop1", "push1"), "join": ("pop1", "pop2", "push1"),
 class _Builder:
     def __init__(self, net: Tdpn):
         self.l = net.width
-        self.taken = set(net.alphabet)
         self.names: dict[str, str] = {}
         self.by_mode = {"move": net.t_move, "join": net.t_join, "fork": net.t_fork}
-        # witness event of each emitted schema instance, keyed by its schema arguments
+        # witness event of each emitted plain rule, keyed by its schema arguments
         self.event: dict[tuple, Event] = {}
+        # first kill index of each verify block, keyed ("verify", mode, i, step)
+        self.block: dict[tuple, int] = {}
+        # per mode, the tables that place a kill inside its block, see _Offsets
+        self.offsets: dict[str, _Offsets] = {}
 
-    def mint(self, base: str, pretty: str) -> str:
-        name = fresh_name(self.taken, base)
-        self.names[name] = pretty
-        return name
+
+class _Offsets(NamedTuple):
+    """Where the kill of transition j sits inside a verify block of one mode:
+    at j in a full block, at chain_start[j] + rank[j2] in the chained block
+    (j2 the next transition), and at final[j] in the blocks of position l."""
+
+    chain_start: tuple[int, ...]  # running sum of the targets' out-degrees; last is the block size
+    rank: tuple[int, ...]  # each transition's position among its source's edges
+    final: dict[int, int]  # transitions into a final state, by their position among them
+
+    @classmethod
+    def of(cls, t: Transducer) -> _Offsets:
+        rank = [0] * len(t.transitions)
+        for edges in t.by_source.values():
+            for r, (j, _, _) in enumerate(edges):
+                rank[j] = r
+        chain_start = [0]
+        for _, _, dst in t.transitions:
+            chain_start.append(chain_start[-1] + len(t.by_source[dst]))
+        final = [j for j, (_, _, dst) in enumerate(t.transitions) if dst in t.finals]
+        return cls(tuple(chain_start), tuple(rank), {j: r for r, j in enumerate(final)})
 
 
 class _VerifyRow(dict):
     """The verify states of one mode, position and tag, by transition index.
     Each is minted on its first lookup, so names keep first-mention order;
-    heads holds each transition's source and label."""
+    heads holds each transition's source and label.  The name shape is
+    unique by construction, so it is written without a fresh-name probe."""
 
-    def __init__(self, b: _Builder, mode: str, i: int, tag: str, heads: list[tuple[str, str]]):
+    def __init__(self, names: dict[str, str], mode: str, i: int, tag: str,
+                 heads: list[tuple[str, str]]):
         super().__init__()
-        self.mint, self.key, self.heads = b.mint, (mode, i, tag), heads
+        self.names, self.key, self.heads = names, (mode, i, tag), heads
 
     def __missing__(self, j: int) -> str:
         (mode, i, tag), (src, label) = self.key, self.heads[j]
-        name = self[j] = self.mint(f"{mode}_v_{src}_{i}_{tag}_t{j}", f"({src},{i},{tag},{label})")
+        name = f"{mode}_v_{src}_{i}_{tag}_t{j}"
+        if name in self.names:
+            raise RuntimeError(f"verify state {name!r} is minted twice")
+        self.names[name] = f"({src},{i},{tag},{label})"
+        self[j] = name
         return name
 
 
@@ -93,34 +132,40 @@ def _construction(net: Tdpn) -> _Builder:
     validate_tdpn(net)
     b = _Builder(net)
     l, sigma = b.l, net.alphabet
+    taken = set(sigma)
 
-    lock = b.lock = b.mint("ytop", "(lock)")
-    guess_sym = b.guess_sym = b.mint("yguess", "(guess marker)")
-    verify_sym = b.verify_sym = b.mint("yverify", "(verify marker)")
+    def mint(base: str, pretty: str) -> str:
+        name = fresh_name(taken, base)
+        b.names[name] = pretty
+        return name
+
+    lock = b.lock = mint("ytop", "(lock)")
+    guess_sym = b.guess_sym = mint("yguess", "(guess marker)")
+    verify_sym = b.verify_sym = mint("yverify", "(verify marker)")
     bit = {
-        (a, i, tag): b.mint(f"b{a}_{i}_{tag}", f"({a},{i},{tag})")
+        (a, i, tag): mint(f"b{a}_{i}_{tag}", f"({a},{i},{tag})")
         for a in sigma
         for i in range(1, l + 1)
         for tag in TAGS
     }
 
-    g_main = b.mint("g_main", "(main)")
-    g_halt = b.g_halt = b.mint("g_halt", "(halt)")
-    g_init = {i: b.mint(f"init_{i}", f"(init,{i})") for i in range(1, l + 1)}
-    g_check = {i: b.mint(f"check_{i}", f"(check,{i})") for i in range(1, l + 1)}
-    dispatch = {m: b.mint(f"gguess_{m}", f"(guess,{m})") for m in MODES}
+    g_main = mint("g_main", "(main)")
+    g_halt = b.g_halt = mint("g_halt", "(halt)")
+    g_init = {i: mint(f"init_{i}", f"(init,{i})") for i in range(1, l + 1)}
+    g_check = {i: mint(f"check_{i}", f"(check,{i})") for i in range(1, l + 1)}
+    dispatch = {m: mint(f"gguess_{m}", f"(guess,{m})") for m in MODES}
     unlock = {
-        (m, tag): b.mint(f"{m}_unlock_1_{tag}", f"({m},unlock,1,{tag})")
+        (m, tag): mint(f"{m}_unlock_1_{tag}", f"({m},unlock,1,{tag})")
         for m, tag in READ_PAIRS
     }
     read = {
-        (m, i, tag): b.mint(f"{m}_read_{i}_{tag}", f"({m},read,{i},{tag})")
+        (m, i, tag): mint(f"{m}_read_{i}_{tag}", f"({m},read,{i},{tag})")
         for m, tag in READ_PAIRS
         for i in range(1, l + 1)
     }
     guess_indices = list(range(1, l + 1)) + ["toplock"]
     guess = {
-        (m, i, tag): b.mint(f"{m}_guess_{i}_{tag}", f"({m},{i},{tag})")
+        (m, i, tag): mint(f"{m}_guess_{i}_{tag}", f"({m},{i},{tag})")
         for m, tag in GUESS_PAIRS
         for i in guess_indices
     }
@@ -199,7 +244,7 @@ def _construction(net: Tdpn) -> _Builder:
         heads = [(src, f"{src}-{''.join(w)}->{dst}") for src, w, dst in b.by_mode[m].transitions]
         for i in range(1, l + 1):
             for tag in roles:
-                verify[m, i, tag] = _VerifyRow(b, m, i, tag, heads)
+                verify[m, i, tag] = _VerifyRow(b.names, m, i, tag, heads)
     for m, tag in VERIFY_ENTRY_PAIRS:
         t = b.by_mode[m]
         entry = verify[m, 1, "pop1"]
@@ -216,42 +261,58 @@ def _construction(net: Tdpn) -> _Builder:
         )
 
     # --- verify: kill matching bit-threads along a pre-committed path
+    sizes: list[int] = []  # each verify block's size, in emission order
+
     def walk(mode: str, roles: tuple[str, ...]) -> None:
-        """Kill schemas for one mode; roles maps letter position to tag."""
+        """Kill schemas for one mode, block by block; roles maps letter
+        position to tag.  Within a block kills go in offset order."""
         t = b.by_mode[mode]
         last = len(roles) - 1
+        chain_start, _, final = b.offsets[mode] = _Offsets.of(t)
 
-        def verify_kill(i: int, step: int, j: int, source: str, target: str, *next_j: int) -> None:
+        def block(i: int, step: int, size: int) -> None:
+            b.block["verify", mode, i, step] = len(kills)
+            sizes.append(size)
+
+        def verify_kill(i: int, step: int, j: int, source: str, target: str) -> None:
             # kill the bit of role `step` at position i on transition j, going
             # from source to target (to g_main popping the marker)
             victim = bit[(t.transitions[j][1][step], i, roles[step])]
-            b.event[("verify", mode, i, step, j, *next_j)] = ("kill", len(kills), 0)
             kills.append(KillRule(source, verify_sym, target, target != g_main, victim))
 
         # a source is looked up before its target, so names keep first-mention order
         for step in range(last):
             for i in range(1, l):
+                block(i, step, len(t.transitions))
                 here, there = verify[mode, i, roles[step]], verify[mode, i, roles[step + 1]]
                 for j in range(len(t.transitions)):
                     verify_kill(i, step, j, here[j], there[j])
         for i in range(1, l):
+            block(i, last, chain_start[-1])
             here, there = verify[mode, i, roles[last]], verify[mode, i + 1, roles[0]]
             for j, (_, _, dst) in enumerate(t.transitions):
                 for j2, _, _ in t.by_source[dst]:
-                    verify_kill(i, last, j, here[j], there[j2], j2)
-        final = [j for j, (_, _, dst) in enumerate(t.transitions) if dst in t.finals]
+                    verify_kill(i, last, j, here[j], there[j2])
         for step in range(last):
+            block(l, step, len(final))
             here, there = verify[mode, l, roles[step]], verify[mode, l, roles[step + 1]]
             for j in final:
                 verify_kill(l, step, j, here[j], there[j])
+        block(l, last, len(final))
         for j in final:
             verify_kill(l, last, j, verify[mode, l, roles[last]][j], g_main)
 
     for mode, roles in VERIFY_ROLES.items():
         walk(mode, roles)
 
-    if len(b.event) != len(rules) + len(kills):
+    if len(b.event) != len(rules):
         raise RuntimeError("two schema instances share a witness key; witness events would be ambiguous")
+    # the verify blocks tile the kills in emission order, each as long as its offset range
+    starts = list(b.block.values())
+    if len(starts) != len(sizes) or starts[0] != 0 or any(
+        end - start != size for start, end, size in zip(starts, starts[1:] + [len(kills)], sizes)
+    ):
+        raise RuntimeError("verify blocks do not tile the kill rules; witness events would be ambiguous")
     kill_syms = frozenset({verify_sym}) | frozenset(bit.values())
     b.system = make_dcps(g_init[l], w0[l - 1], tuple(rules), tuple(kills), kill_syms)
     validate_dcps(b.system)
@@ -386,6 +447,9 @@ def synthesize_cover_witness(net: Tdpn, steps: tuple[Descriptor, ...]) -> tuple[
             fire("guess", mode, i, tag, word[i - 1], word[i])
         active_word, active_count = word, 0
 
+    def kill(key: tuple, offset: int) -> None:
+        events.append(("kill", b.block[key] + offset, 0))
+
     def verify(mode: str, words: tuple[str, ...], path: tuple[int, ...]) -> None:
         nonlocal active_word, active_count
         fire("enter", mode, words[-1][0], path[0])
@@ -393,14 +457,16 @@ def synthesize_cover_witness(net: Tdpn, steps: tuple[Descriptor, ...]) -> tuple[
         active_word, active_count = words[-1], 0
         park_and_switch((b.verify_sym,), 0)
         last = len(words) - 1
+        chain_start, rank, final = b.offsets[mode]
         for i in range(1, l + 1):
             j = path[i - 1]
+            offset = j if i < l else final[j]
             for step in range(last):
-                fire("verify", mode, i, step, j)
+                kill(("verify", mode, i, step), offset)
             if i < l:
-                fire("verify", mode, i, last, j, path[i])
+                kill(("verify", mode, i, last), chain_start[j] + rank[path[i]])
             else:
-                fire("verify", mode, l, last, j)
+                kill(("verify", mode, l, last), offset)
 
     # boot: fill the initial token from the bottom letter upward
     for i in range(l, 0, -1):

@@ -171,6 +171,41 @@ def random_kill_dcps(rng: random.Random):
     return make_dcps(states[0], init_sym, tuple(rules), tuple(kills), frozenset(kill))
 
 
+def random_firing_kill_dcps(rng: random.Random):
+    """Random well-formed micro system whose kill rules fire.
+
+    The initial thread walks a spine of regular rules g0 -> g1 -> ...,
+    each spawning a kill-symbol thread.  A kill rule sits on a spine state
+    past two spawns and takes two of the threads spawned so far as its top
+    and victim, so switching one in lets it kill the other.  Kills mostly
+    lead to h-states, which no spine rule reaches.
+    """
+    from snl.dcps import DcpsRule, KillRule, make_dcps
+
+    spine = [f"g{i}" for i in range(rng.randint(3, 4))]
+    after = [f"h{i}" for i in range(rng.randint(2, 3))]
+    regular = [f"a{i}" for i in range(rng.randint(1, 2))]
+    kill = [f"v{i}" for i in range(rng.randint(1, 2))]
+    spawned = [rng.choice(kill) for _ in spine[1:]]
+    rules = [
+        DcpsRule(src, regular[0], dst, (regular[0],), v)
+        for src, dst, v in zip(spine, spine[1:], spawned)
+    ]
+    for _ in range(rng.randint(1, 3)):
+        # a kill-symbol top may push at most one kill symbol, a regular top none
+        top = rng.choice(regular + kill)
+        push = rng.choice([(), (rng.choice(kill),)]) if top in kill else (rng.choice(regular),)
+        spawn = rng.choice([None, None] + kill)
+        rules.append(DcpsRule(rng.choice(after), top, rng.choice(spine + after), push, spawn))
+    kills = []
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randint(2, len(spine) - 1)
+        top, victim = rng.sample(spawned[:at], 2)
+        target = rng.choice(after + after + spine)
+        kills.append(KillRule(spine[at], top, target, rng.choice([True, False]), victim))
+    return make_dcps(spine[0], regular[0], tuple(rules), tuple(kills), frozenset(kill))
+
+
 def random_plain_dcps(rng: random.Random):
     """Random micro system without kill rules, for the spawn-count reduction.
 

@@ -207,6 +207,22 @@ def test_pipeline_halt_all_agree(capsys, tmp_path):
     assert dcps_stage["detail"]["method"] == "replay"
 
 
+def test_streamed_dcps_and_names_match_the_serializers(capsys, tmp_path):
+    # the pipeline and compile-dcps write both artifacts line by line
+    out_dir = tmp_path / "halt_pipe"
+    code, _, _ = run_cli(capsys, "pipeline", "--n", 1, CORPUS / "halt.cp", "--out-dir", out_dir)
+    assert code == EXIT_OK
+    net = tdpn.parse_tdpn((out_dir / "halt.tdpn").read_text())
+    names = tdpn2dcps.killdcps_names(net)
+    dcps_text = dcps.serialize_dcps(tdpn2dcps.compile_tdpn_to_killdcps(net)).encode()
+    names_text = "".join(f"{key}\t{names[key]}\n" for key in sorted(names)).encode()
+    code, _, _ = run_cli(capsys, "compile-dcps", out_dir / "halt.tdpn", "-o", tmp_path / "c.dcps")
+    assert code == EXIT_OK
+    for written in (out_dir / "halt", tmp_path / "c"):
+        assert written.with_suffix(".dcps").read_bytes() == dcps_text
+        assert written.with_suffix(".names").read_bytes() == names_text
+
+
 def test_pipeline_report_byte_identical(capsys, tmp_path):
     reports = []
     for name in ("a", "b"):
@@ -523,6 +539,9 @@ HALT = CORPUS / "halt.cp"
     (("explore-dcps", TINY, "--target", "g_halt", "--K", 1), "--max-configs"),
     (("explore-dcps", TINY, "--target", "g_halt", "--K", 1), "--max-threads"),
     (("explore-dcps", TINY, "--target", "g_halt", "--K", 1), "--max-stack"),
+    # `--bound -1` ran every stage and then reported a disagreement
+    (("run-counter", HALT), "--bound"),
+    (("pipeline", HALT, "--n", 1), "--bound"),
 ])
 def test_negative_cap_is_input_error(capsys, argv, flag):
     # argparse refuses the flag before any work, so main() does not return

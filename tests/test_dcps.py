@@ -32,9 +32,9 @@ from snl.dcps import (
     successors,
     validate_dcps,
 )
-from snl.dcps import _apply, _cap_rule, _enabled, _events, _search
+from snl.dcps import _apply, _cap_rule, _enabled, _events, _remove, _search
 from snl.search import Capped, Exhausted, Found, bfs
-from genutil import random_kill_dcps, random_plain_dcps
+from genutil import random_firing_kill_dcps, random_kill_dcps, random_plain_dcps
 
 
 def kill_demo() -> Dcps:
@@ -189,6 +189,15 @@ def test_corpse_canonicalization_keeps_one_per_count():
     assert cfg.pool == (((), 1), ((), 2))
 
 
+def test_remove_takes_the_leftmost_copy_and_refuses_a_missing_thread():
+    pool = ((("a",), 0), (("a",), 0), (("a",), 1), (("b",), 0))
+    assert _remove(pool, (("a",), 0)) == pool[1:]
+    assert _remove(pool, (("b",), 0)) == pool[:3]
+    for missing in ((("a",), 2), ((), 0), (("c",), 0)):
+        with pytest.raises(ValueError, match="not in the pool"):
+            _remove(pool, missing)
+
+
 def test_bucket_index_is_built_once_and_leaves_equality_alone():
     system, fresh = kill_demo(), kill_demo()
     text = serialize_dcps(system)
@@ -310,11 +319,20 @@ def test_enabled_accepts_exactly_the_events_on_hand_built_configs():
             check_enabled_matches_events(system, config, budget)
 
 
-def test_enabled_accepts_exactly_the_events_on_random_walks():
-    rng = random.Random(20261018)
+def kill_or_plain(rng, trial):
+    return random_kill_dcps(rng) if trial % 2 else random_plain_dcps(rng)
+
+
+def kill_firing(rng, trial):
+    return random_firing_kill_dcps(rng)
+
+
+def enabled_kinds_on_walks(rng, make_system, trials):
+    """Check _enabled against _events along random walks of the systems
+    make_system draws; return the kinds of event enabled somewhere."""
     kinds = set()
-    for trial in range(60):
-        system = random_kill_dcps(rng) if trial % 2 else random_plain_dcps(rng)
+    for trial in range(trials):
+        system = make_system(rng, trial)
         for budget in (0, 1, 2):
             config = initial_config(system)
             for _ in range(30):
@@ -324,7 +342,17 @@ def test_enabled_accepts_exactly_the_events_on_random_walks():
                     break
                 # kills are rarely enabled, so take one whenever it is
                 event, config = rng.choice([s for s in steps if s[0][0] == "kill"] or steps)
+    return kinds
+
+
+def test_enabled_accepts_exactly_the_events_on_random_walks():
+    kinds = enabled_kinds_on_walks(random.Random(20261018), kill_or_plain, 60)
     # every kind of event was enabled somewhere
+    assert kinds == {"rule", "kill", "switch"}
+
+
+def test_enabled_accepts_exactly_the_events_on_kill_firing_walks():
+    kinds = enabled_kinds_on_walks(random.Random(20261020), kill_firing, 30)
     assert kinds == {"rule", "kill", "switch"}
 
 
@@ -423,11 +451,12 @@ def test_replay_rejects_malformed_and_out_of_range_events(bad):
             replay(system, (("rule", 0), bad), 1)
 
 
-def test_replay_final_matches_replay_witness_on_random_walks():
-    rng = random.Random(20261018)
+def replay_kill_walks(rng, make_system, trials):
+    """Check that replay_final and replay_witness agree, on random walks and
+    on each walk with one event spoiled; return how many walks held a kill."""
     kill_walks = 0
-    for trial in range(60):
-        system = random_kill_dcps(rng) if trial % 2 else random_plain_dcps(rng)
+    for trial in range(trials):
+        system = make_system(rng, trial)
         # events that apply nowhere: no such rule, a count over any budget,
         # a thread of a symbol the system lacks
         never = [("rule", len(system.rules)), ("kill", 0, 3), ("switch", (("nosuch",), 0))]
@@ -455,7 +484,46 @@ def test_replay_final_matches_replay_witness_on_random_walks():
                     replay_final(system, bad, budget, semantics)
                 assert str(full.value) == str(last.value)
                 assert str(full.value).endswith(f"does not apply at step {step}")
-    assert kill_walks
+    return kill_walks
+
+
+def test_replay_final_matches_replay_witness_on_random_walks():
+    assert replay_kill_walks(random.Random(20261018), kill_or_plain, 60)
+
+
+def test_replay_final_matches_replay_witness_on_kill_firing_walks():
+    walks = 30 * 3 * len(SEMANTICS)
+    # a walk takes a kill whenever one is enabled; on these systems a third
+    # of the walks hold one (the walks above: 6 of 360)
+    assert replay_kill_walks(random.Random(20261020), kill_firing, 30) >= walks // 3
+
+
+def test_kill_firing_systems_fire_kills_in_their_witnesses():
+    # no witness of the golden pin's random_kill_dcps systems holds a kill;
+    # at least a sixth of these shortest witnesses must
+    rng = random.Random(20261020)
+    witnesses = with_kill = 0
+    for _ in range(16):
+        system = random_firing_kill_dcps(rng)
+        for semantics in SEMANTICS:
+            for budget in (0, 1, 2):
+                for target in system.states:
+                    got = reach_state(system, target, budget, semantics=semantics, **GOLDEN_CAPS)
+                    if isinstance(got, DcpsReachable):
+                        witnesses += 1
+                        with_kill += any(event[0] == "kill" for event in got.witness)
+    assert witnesses and with_kill >= witnesses / 6, (with_kill, witnesses)
+
+
+def test_dead_switch_pruning_is_exact_on_kill_firing_systems():
+    rng = random.Random(20261020)
+    exhaustive_pairs = 0
+    for _ in range(12):
+        system = random_firing_kill_dcps(rng)
+        for semantics in SEMANTICS:
+            for budget in (0, 1, 2):
+                exhaustive_pairs += check_pruning_is_exact(system, budget, semantics)[2]
+    assert exhaustive_pairs
 
 
 def test_negative_budget_is_refused():

@@ -191,6 +191,30 @@ def test_verify_names_are_minted_in_first_mention_order():
     )
 
 
+def test_a_verify_state_minted_twice_is_refused():
+    from snl.tdpn2dcps import _VerifyRow
+
+    names = {"move_v_r_1_pop1_t0": "(taken)"}
+    row = _VerifyRow(names, "move", 1, "pop1", [("r", "r-01->f")])
+    with pytest.raises(RuntimeError, match="minted twice"):
+        row[0]
+
+
+def test_verify_blocks_must_tile_the_kills(monkeypatch):
+    from snl import tdpn2dcps
+
+    of = tdpn2dcps._Offsets.of
+
+    def one_too_long(t):
+        offsets = of(t)
+        return offsets._replace(chain_start=offsets.chain_start[:-1] + (offsets.chain_start[-1] + 1,))
+
+    monkeypatch.setattr(tdpn2dcps._Offsets, "of", one_too_long)
+    # the chained blocks exist from width 2 on; bypass the construction cache
+    with pytest.raises(RuntimeError, match="do not tile"):
+        tdpn2dcps._construction.__wrapped__(width2_net())
+
+
 # ---------------------------------------------------------------------------
 # Round behaviour
 
@@ -477,3 +501,20 @@ def test_final_replay_holds_one_configuration():
 
     # a replay that collects the run again grows with the witness
     assert peak(replay_final) < peak(replay_witness) / 4
+
+
+def test_compiled_construction_retains_under_400_bytes_per_kill():
+    # what the cached construction keeps: the system, its names, one event
+    # per plain rule and one first-kill index per verify block (574 bytes
+    # per kill when every kill had its own event key)
+    from snl.tdpn2dcps import _construction
+
+    net = rnp2tdpn.compile_rnp_to_tdpn(lipton.compile_lipton(corpus_program("count4.cp"), 1)).tdpn
+    _construction.cache_clear()
+    tracemalloc.start()
+    try:
+        system = compile_tdpn_to_killdcps(net)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 400 * len(system.kills), (retained, len(system.kills))
