@@ -59,7 +59,7 @@ def _boundary(path):
         raise _BadPath(f"{path}: {err}") from None
 
 
-def _load(path: str, parse, validate=None):
+def _load(path: str | Path, parse, validate=None):
     """Read, parse and validate one input file."""
     with _boundary(path):
         loaded = parse(Path(path).read_text())
@@ -84,15 +84,12 @@ def _write_names(path: Path, names: dict[str, str]) -> None:
 
 def _load_names(data_path: str) -> dict[str, str]:
     """Pretty-name sidecar next to a .dcps file, if present."""
-    candidate = Path(data_path).with_suffix(".names")
-    if not candidate.is_file():
+    sidecar = Path(data_path).with_suffix(".names")
+    if not sidecar.is_file():
         return {}
-    names = {}
-    for line in candidate.read_text().splitlines():
-        if "\t" in line:
-            key, value = line.split("\t", 1)
-            names[key] = value
-    return names
+    return _load(sidecar, lambda text: dict(
+        line.split("\t", 1) for line in text.splitlines() if "\t" in line
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +307,7 @@ def _cmd_explore_dcps(args) -> int:
         dcps.resolve_max_configs(args.max_configs)
 
     system = _load(args.file, dcps.parse_dcps, check)
+    names = _load_names(args.file)
     verdict = dcps.reach_state(
         system,
         args.target,
@@ -322,7 +320,7 @@ def _cmd_explore_dcps(args) -> int:
     if not isinstance(verdict, dcps.DcpsReachable):
         return _exit_code(_say(verdict))
     _say(verdict, events=len(verdict.witness))
-    _print_dcps_witness(system, verdict.witness, _load_names(args.file))
+    _print_dcps_witness(system, verdict.witness, names)
     return EXIT_OK
 
 

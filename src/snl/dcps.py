@@ -46,7 +46,7 @@ import re
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain
 from math import inf
 from operator import itemgetter
@@ -572,6 +572,13 @@ def fresh_name(taken: set[str], base: str) -> str:
     return name
 
 
+def mint_name(taken: set[str], names: dict[str, str], base: str, pretty: str) -> str:
+    """A fresh name for `base`, with its readable form recorded in `names`."""
+    name = fresh_name(taken, base)
+    names[name] = pretty
+    return name
+
+
 def desugar_kill(system: Dcps) -> Dcps:
     """Compile kill rules into plain rules.
 
@@ -604,14 +611,8 @@ def desugar_kill(system: Dcps) -> Dcps:
 
 def _inheritance_namer(system: Dcps):
     """Deterministic fresh names for every construction ingredient."""
-    taken = set(system.states) | set(system.symbols)
     names: dict[str, str] = {}
-
-    def mint(base: str, pretty: str) -> str:
-        name = fresh_name(taken, base)
-        names[name] = pretty
-        return name
-
+    mint = partial(mint_name, set(system.states) | set(system.symbols), names)
     boot = mint("gboot", "(boot)")
     run = {g: mint(f"run_{g}", f"({g},0)") for g in system.states}
     mid = {g: mint(f"mid_{g}", f"({g},1)") for g in system.states}

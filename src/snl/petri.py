@@ -20,6 +20,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
+from typing import Iterable
 
 from snl.search import Capped, Found, bfs
 from snl.text import strip_comments
@@ -86,21 +87,21 @@ def covers(marking: Marking, target: Marking) -> bool:
     return all(marking.get(p, 0) >= c for p, c in target.items())
 
 
-def enabled(marking: Marking, pre: frozenset[str]) -> bool:
-    return all(marking.get(p, 0) >= 1 for p in pre)
+def moved(marking: Marking, moves: Iterable[tuple[str, int]]) -> Marking | None:
+    """The marking after adding each (place, delta) of `moves` in turn, or
+    None when a place would drop below zero; emptied places are dropped."""
+    out = dict(marking)
+    for p, d in moves:
+        c = out.pop(p, 0) + d
+        if c < 0:
+            return None
+        if c:
+            out[p] = c
+    return out
 
 
 def _fire(marking: Marking, pre: frozenset[str], post: frozenset[str]) -> Marking | None:
-    if not enabled(marking, pre):
-        return None
-    out = dict(marking)
-    for p in pre:
-        out[p] -= 1
-        if out[p] == 0:
-            del out[p]
-    for p in post:
-        out[p] = out.get(p, 0) + 1
-    return out
+    return moved(marking, [(p, -1) for p in pre] + [(p, 1) for p in post])
 
 
 def fire(net: PetriNet, marking: Marking, tid: str) -> Marking | None:
@@ -276,14 +277,13 @@ def cover_forward_bfs(
 
 _PLACE_RE = re.compile(r"place\s+(\w+)\Z")
 _TRANS_RE = re.compile(r"trans\s+(\w+)\s+pre\s*\{([^}]*)\}\s*post\s*\{([^}]*)\}\Z")
-_INITIAL_RE = re.compile(r"initial\s+(\w+)\Z")
-_FINAL_RE = re.compile(r"final\s+(\w+)\Z")
+_ROLE_RE = re.compile(r"(initial|final)\s+(\w+)\Z")
 
 
 def parse_pnet(text: str) -> PetriNet:
     places: list[str] = []
     transitions: list[tuple[str, frozenset[str], frozenset[str]]] = []
-    initial = final = None
+    roles: dict[str, str] = {}
     for stmt in strip_comments(text).split(";"):
         stmt = " ".join(stmt.split())
         if not stmt:
@@ -293,15 +293,16 @@ def parse_pnet(text: str) -> PetriNet:
         elif m := _TRANS_RE.match(stmt):
             tid, pre, post = m.groups()
             transitions.append((tid, frozenset(pre.split()), frozenset(post.split())))
-        elif m := _INITIAL_RE.match(stmt):
-            initial = m.group(1)
-        elif m := _FINAL_RE.match(stmt):
-            final = m.group(1)
+        elif m := _ROLE_RE.match(stmt):
+            role, place = m.groups()
+            if role in roles:
+                raise PetriParseError(f"second {role} place {stmt!r}")
+            roles[role] = place
         else:
             raise PetriParseError(f"unrecognized statement {stmt!r}")
-    if initial is None or final is None:
+    if len(roles) < 2:
         raise PetriParseError("missing initial or final place")
-    net = PetriNet(tuple(places), tuple(transitions), initial, final)
+    net = PetriNet(tuple(places), tuple(transitions), roles["initial"], roles["final"])
     validate_petri(net)
     return net
 

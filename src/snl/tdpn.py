@@ -9,22 +9,24 @@ both fork and join denotes two distinct transitions.
 Coverability of the final word from one token on the initial word can be
 decided two ways: explicitly expanding the net (feasible only for small
 widths) and running the backward procedure, or searching forward over
-markings while enumerating only the transitions whose pre places currently
-hold tokens.  Forks and joins are multiset-true in the symbolic semantics:
-a join whose two pre words coincide needs two tokens on that word, and a
-fork whose post words coincide adds two.
+markings, firing only the rows of the net's one table (`Tdpn.table`) filed
+under the marked words.  Forks and joins are multiset-true in the symbolic
+semantics: a join whose two pre words coincide needs two tokens on that
+word, and a fork whose post words coincide adds two.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 from snl.petri import (
     PetriNet,
     canonical,
     cover_backward,
+    moved,
     Coverable as PetriCoverable,
 )
 from snl.search import Capped, Found, bfs
@@ -62,6 +64,22 @@ class Tdpn:
         """(kind, transducer, number of pre words) in move, fork, join order,
         the order in which expansions and successors list transitions."""
         return (("move", self.t_move, 1), ("fork", self.t_fork, 1), ("join", self.t_join, 2))
+
+    @cached_property
+    def table(self) -> tuple[tuple, dict[str, list[int]]]:
+        """One row per transition, in move, fork, join order and walk order
+        within each kind: its descriptor and its token moves, a -1 per pre
+        word and then a +1 per post word.  Beside the rows, the row numbers
+        filed under each coordinate-0 word, ascending."""
+        rows = tuple(
+            ((kind, words), tuple((w, -1) for w in words[:pre]) + tuple((w, 1) for w in words[pre:]))
+            for kind, t, pre in self.transducers()
+            for words in enumerate_accepted(t, self.width)
+        )
+        filed: dict[str, list[int]] = {}
+        for r, ((_, words), _) in enumerate(rows):
+            filed.setdefault(words[0], []).append(r)
+        return rows, filed
 
 
 def validate_tdpn(net: Tdpn) -> None:
@@ -125,31 +143,17 @@ def descriptor_of_transition_id(tid: str) -> Descriptor:
 
 def fire_symbolic(net: Tdpn, marking: Marking) -> list[tuple[Descriptor, Marking]]:
     """All single-transition successors of a marking, found without
-    expanding the net: move, fork, then join, each in `enumerate_accepted`
-    order with the pre words (coordinate 0, and coordinate 1 of a join)
-    constrained to the marked words.  A join whose two pre words coincide
-    needs two tokens there; a fork whose post words coincide adds two."""
-    support = {w for w, c in marking.items() if c > 0}
+    expanding the net: the `Tdpn.table` rows filed under the marked words,
+    in row order, each fired unless a word would drop below zero.  A join
+    whose two pre words coincide needs two tokens there; a fork whose post
+    words coincide adds two."""
+    rows, filed = net.table
     out: list[tuple[Descriptor, Marking]] = []
-
-    def moved(delta: list[tuple[str, int]]) -> Marking | None:
-        m = dict(marking)
-        for w, d in delta:
-            c = m.get(w, 0) + d
-            if c < 0:
-                return None
-            if c == 0:
-                m.pop(w, None)
-            else:
-                m[w] = c
-        return m
-
-    for kind, t, pre in net.transducers():
-        constraints = {c: support for c in range(pre)}
-        for words in enumerate_accepted(t, net.width, constraints=constraints):
-            m = moved([(w, -1) for w in words[:pre]] + [(w, +1) for w in words[pre:]])
-            if m is not None:
-                out.append(((kind, words), m))
+    for r in sorted(r for w in marking for r in filed.get(w, ())):
+        descriptor, moves = rows[r]
+        m = moved(marking, moves)
+        if m is not None:
+            out.append((descriptor, m))
     return out
 
 
@@ -231,6 +235,8 @@ _TRANSDUCER_RE = re.compile(
     r"transducer\s+(move|fork|join)\s+arity\s+(\d+)\s*\{([^}]*)\}"
 )
 _TRANS_LINE_RE = re.compile(r"trans\s+(\w+)\s*->\s*(\w+)\s+on\s*\(([^)]*)\)\Z")
+# each header statement and the value it takes, in serialization order
+_HEADER = {"width": r"\d+", "alphabet": r".+", "init": r"\w+", "final": r"\w+"}
 
 
 def _parse_transducer_block(kind: str, arity: int, body: str, alphabet: tuple[str, ...]) -> Transducer:
@@ -266,22 +272,27 @@ def _parse_transducer_block(kind: str, arity: int, body: str, alphabet: tuple[st
 
 def parse_tdpn(text: str) -> Tdpn:
     text = strip_comments(text)
-    header = {}
-    for key, pattern in (
-        ("width", r"width\s+(\d+)\s*;"),
-        ("alphabet", r"alphabet\s+([^;]+);"),
-        ("init", r"init\s+(\w+)\s*;"),
-        ("final", r"final\s+(\w+)\s*;"),
-    ):
-        m = re.search(pattern, text)
-        if not m:
+    header: dict[str, str] = {}
+    for stmt in _TRANSDUCER_RE.sub(";", text).split(";"):
+        stmt = " ".join(stmt.split())
+        if not stmt:
+            continue
+        key, _, value = stmt.partition(" ")
+        if key not in _HEADER or not re.fullmatch(_HEADER[key], value):
+            raise TdpnParseError(f"unrecognized statement {stmt!r}")
+        if key in header:
+            raise TdpnParseError(f"second {key} declaration {stmt!r}")
+        header[key] = value
+    for key in _HEADER:
+        if key not in header:
             raise TdpnParseError(f"missing {key} declaration")
-        header[key] = m.group(1)
     width = int(header["width"])
     alphabet = tuple(header["alphabet"].split())
     blocks = {}
     for m in _TRANSDUCER_RE.finditer(text):
         kind, arity, body = m.group(1), int(m.group(2)), m.group(3)
+        if kind in blocks:
+            raise TdpnParseError(f"second transducer block {kind!r}")
         blocks[kind] = _parse_transducer_block(kind, arity, body, alphabet)
     for kind in ("move", "fork", "join"):
         if kind not in blocks:

@@ -51,7 +51,7 @@ import functools
 import heapq
 from typing import NamedTuple
 
-from snl.dcps import Dcps, DcpsRule, Event, KillRule, fresh_name, make_dcps, validate_dcps
+from snl.dcps import Dcps, DcpsRule, Event, KillRule, make_dcps, mint_name, validate_dcps
 from snl.tdpn import Descriptor, Tdpn, validate_tdpn
 from snl.transducer import Transducer, language
 
@@ -132,13 +132,7 @@ def _construction(net: Tdpn) -> _Builder:
     validate_tdpn(net)
     b = _Builder(net)
     l, sigma = b.l, net.alphabet
-    taken = set(sigma)
-
-    def mint(base: str, pretty: str) -> str:
-        name = fresh_name(taken, base)
-        b.names[name] = pretty
-        return name
-
+    mint = functools.partial(mint_name, set(sigma), b.names)
     lock = b.lock = mint("ytop", "(lock)")
     guess_sym = b.guess_sym = mint("yguess", "(guess marker)")
     verify_sym = b.verify_sym = mint("yverify", "(verify marker)")
@@ -477,8 +471,7 @@ def synthesize_cover_witness(net: Tdpn, steps: tuple[Descriptor, ...]) -> tuple[
             raise ValueError(f"unknown step kind {kind!r}")
         activate(words[0])
         # every word's letters index schema keys, so check the tuple before using them
-        rows, ranks = language(b.by_mode[kind], len(words[0]))
-        path = next((rows[r][0] for r in ranks.get(words[0], ()) if rows[r][1] == words), None)
+        path = language(b.by_mode[kind], len(words[0])).get(words)
         if path is None:
             raise ValueError(f"transducer does not accept {words!r}")
         read_token(kind, words[0], "pop1")

@@ -5,20 +5,20 @@ transition consumes one letter per coordinate.  The accepted language is a
 set of n-tuples of words.  There are no epsilon moves, so every accepted
 tuple has exactly the length of the run that accepted it.
 
-Every consumer reads one table per (transducer, length): `language` walks
-the transitions depth-first in declaration order once and keeps the result
-in `Transducer.languages`.  The walk yields a row `(path, words)` for each
-accepted tuple at its first accepting path (the declaration indices of its
-transitions), so walk order is path order and a row's index is its rank;
-beside the rows the table keeps the ranks of each coordinate-0 word.  The
-fixed order makes every artifact built from a transducer reproducible.
+Every consumer reads one language per (transducer, length): `language`
+walks the transitions depth-first in declaration order once and keeps the
+result in `Transducer.languages`.  It is a plain dict from each accepted
+tuple to its first accepting path (the declaration indices of its
+transitions), in walk order, so its keys are the rows and walk order is
+path order.  The fixed order makes every artifact built from a transducer
+reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 
 class TransducerError(ValueError):
@@ -27,12 +27,7 @@ class TransducerError(ValueError):
 
 Transition = tuple[str, tuple[str, ...], str]  # (source, letters, target)
 Edge = tuple[int, tuple[str, ...], str]  # (declaration index, letters, target)
-Row = tuple[tuple[int, ...], tuple[str, ...]]  # (first accepting path, words)
-
-
-class Language(NamedTuple):
-    rows: tuple[Row, ...]  # in walk order: a row's index is its rank
-    ranks: dict[str, list[int]]  # coordinate-0 word -> ranks of its rows, ascending
+Language = dict[tuple[str, ...], tuple[int, ...]]  # words -> first accepting path, in walk order
 
 
 @dataclass(frozen=True)
@@ -160,16 +155,15 @@ def accepts(t: Transducer, words: tuple[str, ...]) -> bool:
     return bool(current & t.finals)
 
 
-def _walk(t: Transducer, length: int) -> Iterator[Row]:
-    """The rows of accepted tuples of the given length, in walk order."""
+def _walk(t: Transducer, length: int) -> Iterator[tuple[tuple[str, ...], tuple[int, ...]]]:
+    """(words, path) for every accepting path of the given length, in walk
+    order; a tuple with several accepting paths comes once per path."""
     table = t.by_source
-    seen: set[tuple[str, ...]] = set()
 
-    def walk(state: str, path: tuple[int, ...], words: tuple[str, ...]) -> Iterator[Row]:
+    def walk(state: str, path: tuple[int, ...], words: tuple[str, ...]):
         if len(path) == length:
-            if state in t.finals and words not in seen:
-                seen.add(words)
-                yield path, words
+            if state in t.finals:
+                yield words, path
             return
         for j, letters, dst in table[state]:
             yield from walk(dst, path + (j,), tuple(w + a for w, a in zip(words, letters)))
@@ -178,32 +172,17 @@ def _walk(t: Transducer, length: int) -> Iterator[Row]:
 
 
 def language(t: Transducer, length: int) -> Language:
-    """The accepted tuples of the given length, walked once per `t`."""
+    """The accepted tuples of the given length, each mapped to its first
+    accepting path, in walk order; walked once per `t`."""
     lang = t.languages.get(length)
     if lang is None:
-        rows = tuple(_walk(t, length))
-        ranks: dict[str, list[int]] = {}
-        for rank, (_, words) in enumerate(rows):
-            ranks.setdefault(words[0], []).append(rank)
-        lang = t.languages[length] = Language(rows, ranks)
+        lang = {}
+        for words, path in _walk(t, length):
+            lang.setdefault(words, path)
+        t.languages[length] = lang
     return lang
 
 
-def enumerate_accepted(
-    t: Transducer,
-    length: int,
-    constraints: dict[int, set[str]] | None = None,
-) -> Iterator[tuple[str, ...]]:
-    """All accepted tuples of the given length, each once, in walk order.
-
-    `constraints` restricts coordinates to finite word sets.  With a set for
-    coordinate 0, the ranks of its words' rows are sorted together; either
-    way the rows are then filtered on the constrained coordinates.
-    """
-    constraints = constraints or {}
-    rows, ranks = language(t, length)
-    if 0 in constraints:
-        rows = [rows[r] for r in sorted(r for w in constraints[0] for r in ranks.get(w, ()))]
-    for _, words in rows:
-        if all(words[c] in allowed for c, allowed in constraints.items()):
-            yield words
+def enumerate_accepted(t: Transducer, length: int) -> Iterator[tuple[str, ...]]:
+    """All accepted tuples of the given length, each once, in walk order."""
+    return iter(language(t, length))

@@ -61,6 +61,28 @@ def brute_force_language(t: Transducer, length: int) -> set[tuple[str, ...]]:
     }
 
 
+def brute_force_successors(net, marking: dict[str, int]) -> list:
+    """Reference for fire_symbolic: the full language of each kind, in move,
+    fork, join walk order, keeping the tuples whose pre words are marked
+    (a pre word given twice needs two tokens); each is fired by counting
+    and given with its successor as a canonical marking."""
+    from collections import Counter
+
+    from snl.petri import canonical
+    from snl.transducer import enumerate_accepted
+
+    out = []
+    for kind, t, pre in net.transducers():
+        for words in enumerate_accepted(t, net.width):
+            need = Counter(words[:pre])
+            if all(marking.get(w, 0) >= c for w, c in need.items()):
+                after = Counter(marking)
+                after.subtract(need)
+                after.update(words[pre:])
+                out.append(((kind, words), canonical(after)))
+    return out
+
+
 def transducer_from_tuples(
     arity: int,
     alphabet: tuple[str, ...],
@@ -92,12 +114,16 @@ def transducer_from_tuples(
     return Transducer(arity, alphabet, tuple(states), "r", frozenset(finals), tuple(transitions))
 
 
-def random_tdpn(rng: random.Random, width: int, alphabet: tuple[str, ...] = ("0", "1")):
+def random_tdpn(
+    rng: random.Random, width: int, alphabet: tuple[str, ...] = ("0", "1"), degenerate: bool = False
+):
     """A small net given by explicit tuple sets turned into tries.
 
-    Forks never duplicate their post words and joins never duplicate their
-    pre words, so the symbolic semantics and the expanded net agree
-    transition for transition.
+    Unless `degenerate`, forks never duplicate their post words and joins
+    never duplicate their pre words, so the symbolic semantics and the
+    expanded net agree transition for transition.  With `degenerate`, the
+    net also has a fork with equal post words and a join with equal pre
+    words.
     """
     from itertools import product
 
@@ -122,6 +148,10 @@ def random_tdpn(rng: random.Random, width: int, alphabet: tuple[str, ...] = ("0"
     moves = pick_pairs(rng.randint(1, 4))
     forks = [t for t in pick_triples(rng.randint(0, 2), "post") if t[1] != t[2]]
     joins = [t for t in pick_triples(rng.randint(0, 2), "pre") if t[0] != t[1]]
+    if degenerate:
+        a, b, c = rng.choices(words, k=3)
+        forks.append((a, b, b))
+        joins.append((b, b, c))
     return Tdpn(
         width,
         alphabet,

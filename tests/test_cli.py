@@ -470,6 +470,19 @@ def test_explore_dcps_failed_replay_is_internal_error(capsys, tiny_dcps, monkeyp
     assert "snl: internal error:" in err
 
 
+def test_undecodable_names_sidecar_is_input_error(capsys, tiny_dcps, tmp_path):
+    # the sidecar is read with the system, before the search: it printed the
+    # verdict and then exited 5 with a UnicodeDecodeError
+    system = tmp_path / "tiny.dcps"
+    system.write_bytes(tiny_dcps.read_bytes())
+    sidecar = system.with_suffix(".names")
+    sidecar.write_bytes(b"\xff\xfe")
+    code, out, err = run_cli(capsys, "explore-dcps", system, "--target", "g_halt", "--K", 1)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert str(sidecar) in err
+
+
 def test_run_counter_validates_jump_targets(capsys, tmp_path):
     bad = tmp_path / "nowhere.cp"
     bad.write_text("l0: goto nowhere;\n")

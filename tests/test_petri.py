@@ -170,6 +170,13 @@ def test_validation_and_parse_errors():
         parse_pnet("place p0;")  # missing initial/final
 
 
+@pytest.mark.parametrize("role", ["initial", "final"])
+def test_parse_rejects_a_second_role_place(role):
+    # the second line used to override the first
+    with pytest.raises(PetriParseError, match=f"second {role} place"):
+        parse_pnet(f"place p0; place p1; initial p0; final p0; {role} p1;")
+
+
 def test_pnet_round_trip():
     net = spawner_join()
     text = serialize_pnet(net)

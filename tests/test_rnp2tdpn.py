@@ -1,5 +1,8 @@
+import functools
+
 import pytest
 
+from helpers import CORPUS
 from snl.lipton import compile_lipton
 from snl.counter import parse_counter
 from snl.rnp import (
@@ -228,6 +231,80 @@ def test_language_sizes_match_on_lipton_output(tmp_path):
     assert len(list(enumerate_accepted(comp.tdpn.t_move, width))) == sizes["move"]
     assert len(list(enumerate_accepted(comp.tdpn.t_fork, width))) == sizes["fork"]
     assert len(list(enumerate_accepted(comp.tdpn.t_join, width))) == sizes["join"]
+
+
+# ---------------------------------------------------------------------------
+# succinctness across n: the compiled sizes grow by the laws pinned here
+
+
+@functools.cache
+def sizes_across_n(name, depth_mode):
+    """(rnp size, tdpn width, tdpn size, move, fork and join language sizes)
+    of a corpus program compiled at n = 1..6, each language size checked
+    against expected_language_sizes."""
+    program = parse_counter((CORPUS / f"{name}.cp").read_text())
+    rows = []
+    for n in range(1, 7):
+        rnp = compile_lipton(program, n, depth_mode)
+        net = compile_rnp_to_tdpn(rnp).tdpn
+        langs = {
+            kind: len(list(enumerate_accepted(t, net.width))) for kind, t, _ in net.transducers()
+        }
+        assert langs == expected_language_sizes(rnp)
+        rows.append((rnp.size(), net.width, net.size(), *langs.values()))
+    return rows
+
+
+def differences(values):
+    return [b - a for a, b in zip(values, values[1:])]
+
+
+# n = 1 and n = 6 in triple mode
+TRIPLE_ENDS = {
+    "count4": ((146, 10, 3727, 97, 123, 110), (151, 15, 4372, 2453, 3037, 2838)),
+    "two_vars": ((147, 10, 3658, 97, 124, 110), (152, 15, 4303, 2453, 3038, 2838)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRIPLE_ENDS))
+def test_triple_mode_sizes_across_n(name):
+    rows = sizes_across_n(name, "triple")
+    assert (rows[0], rows[-1]) == TRIPLE_ENDS[name]
+    rnp_size, width, tdpn_size, *langs = zip(*rows)
+    # the net program and the net grow linearly in n
+    assert differences(rnp_size) == [1] * 5
+    assert differences(width) == [1] * 5
+    assert differences(tdpn_size) == [129] * 5
+    # each language's growth doubles at every step (move: 97, 173, 325, ..., 2453)
+    for lang in langs:
+        steps = differences(lang)
+        assert steps == [steps[0] * 2**k for k in range(5)]
+
+
+# n = 1..6 in double mode; the tdpn size is not monotone in n
+DOUBLE = {
+    "count4": [
+        (145, 10, 3358, 59, 76, 66), (146, 10, 3727, 97, 123, 110),
+        (146, 11, 3467, 135, 170, 154), (147, 11, 3856, 173, 217, 198),
+        (147, 11, 3876, 211, 264, 242), (147, 11, 3870, 249, 311, 286),
+    ],
+    "two_vars": [
+        (146, 10, 3289, 59, 77, 66), (147, 10, 3658, 97, 124, 110),
+        (147, 11, 3398, 135, 171, 154), (148, 11, 3787, 173, 218, 198),
+        (148, 11, 3807, 211, 265, 242), (148, 11, 3801, 249, 312, 286),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(DOUBLE))
+def test_double_mode_sizes_across_n(name):
+    rows = sizes_across_n(name, "double")
+    assert rows == DOUBLE[name]
+    # the languages grow by a constant per n
+    for lang in list(zip(*rows))[3:]:
+        assert len(set(differences(lang))) == 1
+    # double mode at n = 2 compiles to the same sizes as triple mode at n = 1
+    assert rows[1] == sizes_across_n(name, "triple")[0]
 
 
 def test_round_trip_of_compiled_net(inc_call_dec):

@@ -230,22 +230,43 @@ def test_round_trip():
     assert serialize_tdpn(again) == text
 
 
+def tiny_text():
+    return serialize_tdpn(
+        make_tdpn(1, moves=[("0", "1")], forks=[], joins=[], init="0", final="1")
+    )
+
+
 def test_parse_errors():
     with pytest.raises(TdpnParseError):
         parse_tdpn("width 1; alphabet 0 1; init 0; final 1;")
-    good = serialize_tdpn(
-        make_tdpn(1, moves=[("0", "1")], forks=[], joins=[], init="0", final="1")
-    )
+    good = tiny_text()
     with pytest.raises(TdpnParseError):
         parse_tdpn(good.replace("initial r;", "initial;", 1))
     with pytest.raises(TdpnParseError):
         parse_tdpn(good.replace("on (0,1)", "on (0,1,1)", 1))
 
 
+def test_parse_rejects_a_second_transducer_block():
+    # the second block used to replace the first
+    second = "transducer move arity 2 {\n  states r;\n  initial r;\n  finals;\n}\n"
+    with pytest.raises(TdpnParseError, match="second transducer block 'move'"):
+        parse_tdpn(tiny_text() + second)
+
+
+def test_parse_rejects_a_second_width():
+    # the first of two width lines used to win
+    with pytest.raises(TdpnParseError, match="second width declaration"):
+        parse_tdpn(tiny_text().replace("width 1;", "width 1;\nwidth 2;"))
+
+
+def test_parse_rejects_unrecognized_text():
+    # text outside the blocks used to be ignored
+    with pytest.raises(TdpnParseError, match="unrecognized statement 'this is junk'"):
+        parse_tdpn(tiny_text().replace("init 0;", "init 0;\nthis is junk;"))
+
+
 def test_parse_ignores_comments():
-    good = serialize_tdpn(
-        make_tdpn(1, moves=[("0", "1")], forks=[], joins=[], init="0", final="1")
-    )
+    good = tiny_text()
     commented = "# tiny example\n" + good.replace("init 0;", "init 0;  # token starts here")
     assert parse_tdpn(commented) == parse_tdpn(good)
 

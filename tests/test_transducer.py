@@ -1,11 +1,15 @@
-"""Transducer acceptance, enumeration order, validation, and pruning."""
+"""Transducer acceptance, enumeration order, validation, and pruning, and
+symbolic firing against the language it reads."""
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genutil import brute_force_language, random_transducer
+from genutil import brute_force_language, brute_force_successors, random_tdpn, random_transducer
+from snl.petri import canonical
+from snl.tdpn import fire_symbolic
 from snl.transducer import (
     Transducer,
     TransducerError,
@@ -59,14 +63,6 @@ def test_enumeration_deduplicates():
         transitions=(("q0", ("a",), "q1"), ("q0", ("a",), "q2")),
     )
     assert list(enumerate_accepted(t, 1)) == [("a",)]
-
-
-def test_enumeration_with_constraints_prunes_correctly():
-    t = copy_transducer()
-    got = list(enumerate_accepted(t, 3, constraints={0: {"010", "111"}}))
-    assert got == [("010", "010"), ("111", "111")]
-    got = list(enumerate_accepted(t, 3, constraints={0: {"010"}, 1: {"111"}}))
-    assert got == []
 
 
 def test_validate_reports_unreachable_and_dead_states():
@@ -134,37 +130,20 @@ def test_enumeration_matches_brute_force(seed, arity):
         assert set(enumerate_accepted(t, length)) == brute_force_language(t, length)
 
 
-@given(st.integers(min_value=0, max_value=2**32 - 1))
-@settings(max_examples=40, deadline=None)
-def test_constrained_enumeration_is_a_filter(seed):
-    rng = random.Random(seed)
-    t = random_transducer(rng, arity=2)
-    length = 2
-    allowed = {"00", "11"}
-    full = set(enumerate_accepted(t, length))
-    constrained = set(enumerate_accepted(t, length, constraints={0: allowed}))
-    assert constrained == {tup for tup in full if tup[0] in allowed}
-
-
-@given(
-    st.integers(min_value=0, max_value=2**32 - 1),
-    st.integers(min_value=1, max_value=3),
-    st.integers(min_value=0, max_value=3),
-    st.sampled_from([(0,), (0, 1), (1,)]),
-)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=2))
 @settings(max_examples=80, deadline=None)
-def test_constrained_enumeration_keeps_the_unconstrained_order(seed, arity, length, coords):
+def test_fire_symbolic_fires_the_marked_rows_in_language_order(seed, width):
+    # the rows fire_symbolic reads filter the full language on the marked
+    # pre words and keep its move, fork, join walk order
     rng = random.Random(seed)
-    t = random_transducer(rng, arity=max(arity, max(coords) + 1))
-    full = list(enumerate_accepted(t, length))
-    constraints = {}
-    for c in coords:
-        accepted = sorted({tup[c] for tup in full})
-        allowed = set(rng.sample(accepted, rng.randint(0, len(accepted))))
-        allowed.add("".join(rng.choice("01") for _ in range(length)))
-        allowed.add("1" * (length + 1))  # wrong length: never matches
-        constraints[c] = allowed
-    expected = [tup for tup in full if all(tup[c] in ws for c, ws in constraints.items())]
-    assert list(enumerate_accepted(t, length, constraints)) == expected
-    # the second call reads the rows kept by the first
-    assert list(enumerate_accepted(t, length, constraints)) == expected
+    net = random_tdpn(rng, width, degenerate=True)
+    marking = {}
+    for w in ("".join(p) for p in product(net.alphabet, repeat=width)):
+        count = rng.randint(0, 2)
+        if count or rng.random() < 0.5:  # an unmarked word may be absent or held at 0
+            marking[w] = count
+    expected = brute_force_successors(net, marking)
+    got = [(d, canonical(m)) for d, m in fire_symbolic(net, marking)]
+    assert got == expected
+    # the second call reads the table kept by the first
+    assert [(d, canonical(m)) for d, m in fire_symbolic(net, marking)] == expected
