@@ -34,9 +34,10 @@ thread that could only switch out again (a dead thread, see `_search`).
 That pruning is exact, not a cap: an exhausted search still certifies "no",
 and every witness it finds replays under the unpruned semantics.  A replay
 checks each event by its own guard (`_enabled`) and never scans for the
-other enabled events.  Searches and replays key configurations by plain
-tuples in DcpsConfig's layout, (state, (stack, count), pool), which compare
-and hash equal to a DcpsConfig; one is built only where the API returns it.
+other enabled events.  Both hold plain tuples in DcpsConfig's layout,
+(state, (stack, count), pool): a search's pool is a canonical sorted tuple,
+equal to a DcpsConfig's and a seen key, a replay's a multiset (thread ->
+copies) updated in place.  A DcpsConfig is built only where the API returns it.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import chain
+from itertools import chain, repeat
 from math import inf
 from operator import itemgetter
 from typing import Iterator, NamedTuple
@@ -276,9 +277,18 @@ def _remove(pool: tuple[Thread, ...], thread: Thread) -> tuple[Thread, ...]:
     return pool[:pos] + pool[pos + 1 :]
 
 
-def _in_pool(pool: tuple[Thread, ...], thread: Thread) -> bool:
-    pos = bisect_left(pool, thread)
-    return pos < len(pool) and pool[pos] == thread
+def _add(pool: dict[Thread, int], thread: Thread) -> dict[Thread, int]:
+    """_insert on a multiset pool (thread -> copies), in place."""
+    if thread[0] or thread not in pool:
+        pool[thread] = pool.get(thread, 0) + 1
+    return pool
+
+
+def _take(pool: dict[Thread, int], thread: Thread) -> dict[Thread, int]:
+    """_remove on a multiset pool, in place: the last copy takes the key."""
+    if (copies := pool.pop(thread)) > 1:
+        pool[thread] = copies - 1
+    return pool
 
 
 def _enabled(system: Dcps, config: Config, event: Event, budget: int) -> bool:
@@ -297,9 +307,9 @@ def _enabled(system: Dcps, config: Config, event: Event, budget: int) -> bool:
             return r.state == state and r.top == stack[0]
         case ("kill", idx, j) if len(stack) == 1 and 0 <= idx < len(system.kills) and j <= budget:
             k = system.kills[idx]
-            return k.state == state and k.top == stack[0] and _in_pool(pool, ((k.victim,), j))
+            return k.state == state and k.top == stack[0] and ((k.victim,), j) in pool
         case ("switch", (_, j) as entry):
-            return j <= budget and _in_pool(pool, entry)
+            return j <= budget and entry in pool
     return False
 
 
@@ -314,7 +324,7 @@ def _events(
 
     The pool is sorted, so a kill's candidate victims are one run of
     (victim,) threads in ascending count, found by bisection, and equal
-    switch entries are adjacent.
+    switch entries, like threads with equal tops, are adjacent.
 
     skip_dead_switch leaves out the switches a search may drop (see
     _search): those to any thread that could do nothing but switch out
@@ -337,39 +347,40 @@ def _events(
                     if j != last:
                         last = j
                         yield ("kill", idx, j)
-    last = None
+    last = top = None
     for entry in pool:
         if entry[1] > budget or entry == last:
             continue
         w = entry[0]
-        if skip_dead_switch and (
-            not w
-            or ((state, w[0]) not in rule_buckets
-                and (len(w) != 1 or (state, w[0]) not in kill_buckets))
-        ):
-            continue
+        if skip_dead_switch:
+            if w and w[0] != top:  # equal tops are adjacent: probe once per run
+                top = w[0]
+                ruled, killed = (state, top) in rule_buckets, (state, top) in kill_buckets
+            if not w or not ruled and (len(w) != 1 or not killed):
+                continue
         last = entry
         yield ("switch", entry)
 
 
-def _apply(system: Dcps, config: Config, event: Event, semantics: str) -> Config:
+def _apply(system: Dcps, config: Config, event: Event, semantics: str,
+           insert=_insert, remove=_remove) -> Config:
     """The configuration an enabled event leads to, as a plain tuple.
 
-    Pools stay canonical without re-sorting: removing a thread keeps a
-    sorted pool sorted, and added threads go in by bisection.
+    insert and remove are the pool's operations: a canonical tuple's by
+    default, which a search keys by, or a replay's multiset's (_add, _take).
     """
     state, (stack, count), pool = config
     kind = event[0]
     if kind == "rule":
         _, _, new_state, push, spawn = system.rules[event[1]]
         if spawn is not None:
-            pool = _insert(pool, ((spawn,), count + 1 if semantics == "inherit" else 0))
+            pool = insert(pool, ((spawn,), count + 1 if semantics == "inherit" else 0))
         return new_state, (push + stack[1:], count), pool
     if kind == "kill":
         _, top, new_state, keep, victim = system.kills[event[1]]
-        return new_state, ((top,) if keep else (), 0), _remove(pool, ((victim,), event[2]))
+        return new_state, ((top,) if keep else (), 0), remove(pool, ((victim,), event[2]))
     entry = event[1]
-    return state, entry, _insert(_remove(pool, entry), (stack, count + 1))
+    return state, entry, insert(remove(pool, entry), (stack, count + 1))
 
 
 def successors(
@@ -391,23 +402,29 @@ def successors(
 
 def _replay(system: Dcps, witness, budget: int, semantics: str) -> Iterator[Config]:
     """The configurations of a witness run, from the initial one on, each
-    event checked by _enabled before it is applied."""
+    event checked by _enabled before it is applied.  They share one
+    multiset pool, updated in place: read each before taking the next."""
     if semantics not in SEMANTICS:
         raise ValueError(f"unknown semantics {semantics!r}")
-    config = initial_config(system)
+    config = system.initial_state, ((system.initial_symbol,), 0), {}
     yield config
     for step, event in enumerate(witness):
         if not _enabled(system, config, event, budget):
             raise ValueError(f"witness event {event!r} does not apply at step {step}")
-        config = _apply(system, config, event, semantics)
+        config = _apply(system, config, event, semantics, _add, _take)
         yield config
+
+
+def _canonical(state: str, active: Thread, pool: dict[Thread, int]) -> DcpsConfig:
+    """A replayed configuration as a DcpsConfig, its pool a sorted tuple."""
+    return DcpsConfig(state, active, tuple(chain.from_iterable([repeat(t, pool[t]) for t in sorted(pool)])))
 
 
 def replay_witness(
     system: Dcps, witness, budget: int, semantics: str = "noinherit"
 ) -> list[DcpsConfig]:
     """Apply a witness event sequence from the initial configuration."""
-    return [DcpsConfig._make(c) for c in _replay(system, witness, budget, semantics)]
+    return [_canonical(*c) for c in _replay(system, witness, budget, semantics)]
 
 
 def replay_final(
@@ -415,7 +432,7 @@ def replay_final(
 ) -> DcpsConfig:
     """The configuration a witness ends in, every event checked as in
     replay_witness, holding one configuration at a time."""
-    return DcpsConfig._make(deque(_replay(system, witness, budget, semantics), maxlen=1)[0])
+    return _canonical(*deque(_replay(system, witness, budget, semantics), maxlen=1)[0])
 
 
 @dataclass(frozen=True)

@@ -234,40 +234,38 @@ def coverable(
 _TRANSDUCER_RE = re.compile(
     r"transducer\s+(move|fork|join)\s+arity\s+(\d+)\s*\{([^}]*)\}"
 )
-_TRANS_LINE_RE = re.compile(r"trans\s+(\w+)\s*->\s*(\w+)\s+on\s*\(([^)]*)\)\Z")
 # each header statement and the value it takes, in serialization order
 _HEADER = {"width": r"\d+", "alphabet": r".+", "init": r"\w+", "final": r"\w+"}
+# each transducer-block statement and the value it takes; only trans repeats
+_BLOCK = {"states": r".*", "initial": r"\S+", "finals": r".*",
+          "trans": r"(\w+)\s*->\s*(\w+)\s+on\s*\(([^)]*)\)"}
 
 
 def _parse_transducer_block(kind: str, arity: int, body: str, alphabet: tuple[str, ...]) -> Transducer:
-    states: tuple[str, ...] = ()
-    initial = None
-    finals: frozenset[str] = frozenset()
+    declared: dict[str, list[str]] = {}
     transitions: list[tuple[str, tuple[str, ...], str]] = []
     for stmt in body.split(";"):
         stmt = " ".join(stmt.split())
         if not stmt:
             continue
-        if stmt.startswith("states"):
-            states = tuple(stmt.split()[1:])
-        elif stmt.startswith("initial"):
-            parts = stmt.split()
-            if len(parts) != 2:
-                raise TdpnParseError(f"bad initial line in {kind}: {stmt!r}")
-            initial = parts[1]
-        elif stmt.startswith("finals"):
-            finals = frozenset(stmt.split()[1:])
-        elif m := _TRANS_LINE_RE.match(stmt):
+        key, _, value = stmt.partition(" ")
+        if not (m := key in _BLOCK and re.fullmatch(_BLOCK[key], value)):
+            raise TdpnParseError(f"unrecognized line in {kind} block: {stmt!r}")
+        if key == "trans":
             src, dst, letters = m.groups()
             letter_tuple = tuple(a.strip() for a in letters.split(","))
             if len(letter_tuple) != arity:
                 raise TdpnParseError(f"{kind}: {stmt!r} has {len(letter_tuple)} letters, arity {arity}")
             transitions.append((src, letter_tuple, dst))
+        elif key in declared:
+            raise TdpnParseError(f"second {key} line in {kind} block: {stmt!r}")
         else:
-            raise TdpnParseError(f"unrecognized line in {kind} block: {stmt!r}")
-    if initial is None:
+            declared[key] = value.split()
+    if "initial" not in declared:
         raise TdpnParseError(f"{kind} block has no initial state")
-    return Transducer(arity, alphabet, states, initial, finals, tuple(transitions))
+    states, finals = declared.get("states", ()), declared.get("finals", ())
+    return Transducer(arity, alphabet, tuple(states), declared["initial"][0], frozenset(finals),
+                      tuple(transitions))
 
 
 def parse_tdpn(text: str) -> Tdpn:

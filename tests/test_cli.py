@@ -70,6 +70,14 @@ def test_unparsable_file_is_input_error(capsys):
     assert "line" in err
 
 
+def test_repeated_transducer_keyword_is_input_error(capsys, tmp_path):
+    net = tmp_path / "twice.tdpn"
+    net.write_text((CORPUS / "tiny.tdpn").read_text().replace("initial r;", "initial r;\n  initial q1;", 1))
+    code, _, err = run_cli(capsys, "expand-tdpn", net)
+    assert code == EXIT_INPUT
+    assert "second initial line in move block" in err
+
+
 # ---------------------------------------------------------------------------
 # compile chain and round-trips
 

@@ -451,6 +451,55 @@ def test_replay_rejects_malformed_and_out_of_range_events(bad):
             replay(system, (("rule", 0), bad), 1)
 
 
+def walk_successors(system, witness, budget):
+    """Where a witness leads when each event is looked up among successors."""
+    config = initial_config(system)
+    for event in witness:
+        config = dict(successors(system, config, budget))[event]
+    return config
+
+
+def test_replay_parks_two_empty_threads_at_one_count():
+    # both b threads pop to empty stacks and are parked at count 1: the pool
+    # keeps one empty-stack thread per count, so the second is not added
+    rules = (
+        DcpsRule("g0", "a", "g0", ("c",), "b"),
+        DcpsRule("g0", "c", "g0", (), "b"),
+        DcpsRule("g0", "b", "g0", ()),
+    )
+    system = make_dcps("g0", "a", rules)
+    b0 = (("b",), 0)
+    witness = (("rule", 0), ("rule", 1), ("switch", b0), ("rule", 2), ("switch", b0))
+    configs = replay_witness(system, witness, 1)
+    assert configs[3].pool == (((), 1), b0)
+    assert configs[-1] == DcpsConfig("g0", b0, (((), 1),))
+    assert replay_final(system, witness, 1) == configs[-1] == walk_successors(system, witness, 1)
+
+
+def test_replay_kills_a_victim_held_twice():
+    system = kill_demo()
+    u0 = (("u",), 0)
+    witness = (("rule", 0), ("rule", 0), ("kill", 0, 0))
+    configs = replay_witness(system, witness, 0)
+    assert configs[2].pool == (u0, u0)
+    assert configs[-1] == DcpsConfig("g1", (("v",), 0), (u0,))
+    assert replay_final(system, witness, 0) == configs[-1] == walk_successors(system, witness, 0)
+
+
+def test_replay_refuses_a_switch_to_a_thread_whose_last_copy_is_taken():
+    system = kill_demo()
+    u0 = (("u",), 0)
+    # two copies of u0, each switched in once
+    twice = (("rule", 0), ("rule", 0), ("switch", u0), ("switch", u0))
+    assert replay_final(system, twice, 1) == walk_successors(system, twice, 1)
+    for replay in (replay_witness, replay_final):
+        with pytest.raises(ValueError, match=r"does not apply at step 4\Z"):
+            replay(system, (*twice, ("switch", u0)), 1)
+        # the kill takes the only copy
+        with pytest.raises(ValueError, match=r"does not apply at step 2\Z"):
+            replay(system, (("rule", 0), ("kill", 0, 0), ("switch", u0)), 1)
+
+
 def replay_kill_walks(rng, make_system, trials):
     """Check that replay_final and replay_witness agree, on random walks and
     on each walk with one event spoiled; return how many walks held a kill."""

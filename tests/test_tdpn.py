@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -257,6 +258,24 @@ def test_parse_rejects_a_second_width():
     # the first of two width lines used to win
     with pytest.raises(TdpnParseError, match="second width declaration"):
         parse_tdpn(tiny_text().replace("width 1;", "width 1;\nwidth 2;"))
+
+
+@pytest.mark.parametrize("line", ["states r q1 q9;", "initial q1;", "finals r;"])
+def test_parse_rejects_a_second_block_keyword(line):
+    # a second states, initial or finals line used to replace the first
+    key = line.split()[0]
+    text = tiny_text().replace(f"  {key} ", f"  {line}\n  {key} ", 1)
+    with pytest.raises(TdpnParseError, match=f"second {key} line in move block"):
+        parse_tdpn(text)
+
+
+@pytest.mark.parametrize("line", ["statesX r q1;", "initialX r;", "finalsX q1;"])
+def test_parse_rejects_a_block_keyword_with_a_suffix(line):
+    # a statement used to be told by its prefix, so statesX read as states
+    key = line.split()[0][:-1]
+    text = re.sub(rf"  {key} [^;]*;", f"  {line}", tiny_text(), count=1)
+    with pytest.raises(TdpnParseError, match=f"unrecognized line in move block: '{line[:-1]}'"):
+        parse_tdpn(text)
 
 
 def test_parse_rejects_unrecognized_text():

@@ -518,3 +518,30 @@ def test_compiled_construction_retains_under_400_bytes_per_kill():
     finally:
         tracemalloc.stop()
     assert retained < 400 * len(system.kills), (retained, len(system.kills))
+
+
+# count4 compiled in triple mode at n = 1 and n = 6: kill-dcps (states, rules, kills)
+KILLDCPS_ENDS = ((34934, 292, 37661), (62772, 422, 71856))
+
+
+def test_killdcps_sizes_across_n():
+    # the tdpn grows linearly in n (tests/test_rnp2tdpn.py); the kill-dcps
+    # grows quadratically, with constant second differences from n = 2 on
+    program = corpus_program("count4.cp")
+    rows = []
+    for n in range(1, 7):
+        net = rnp2tdpn.compile_rnp_to_tdpn(lipton.compile_lipton(program, n, "triple")).tdpn
+        system = compile_tdpn_to_killdcps(net)
+        c = expected_rule_counts(net)
+        assert len(system.rules) == c["init"] + c["check"] + c["read"] + c["guess"]
+        assert len(system.kills) == c["verify"]
+        rows.append((len(system.states), len(system.rules), len(system.kills)))
+    assert (rows[0], rows[-1]) == KILLDCPS_ENDS
+    states, rules, kills = zip(*rows)
+
+    def differences(values):
+        return [b - a for a, b in zip(values, values[1:])]
+
+    assert differences(rules) == [26] * 5
+    assert differences(differences(states))[1:] == [256] * 3
+    assert differences(differences([r + k for r, k in zip(rules, kills)]))[1:] == [312] * 3
