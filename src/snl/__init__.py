@@ -33,11 +33,7 @@ from snl.dcps import (
     desugar_kill,
     compile_to_inheritance,
 )
-from snl.tdpn2dcps import (
-    compile_tdpn_to_dcps,
-    compile_tdpn_to_killdcps,
-    synthesize_cover_witness,
-)
+from snl.tdpn2dcps import KillDcps, compile_tdpn_to_killdcps, synthesize_cover_witness
 
 __all__ = [
     "CounterProgram",
@@ -63,7 +59,7 @@ __all__ = [
     "serialize_dcps",
     "reach_state",
     "desugar_kill",
-    "compile_tdpn_to_dcps",
+    "KillDcps",
     "compile_tdpn_to_killdcps",
     "synthesize_cover_witness",
     "compile_to_inheritance",

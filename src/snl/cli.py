@@ -265,12 +265,12 @@ def _cmd_cover(args) -> int:
 
 def _cmd_compile_dcps(args) -> int:
     net = _load(args.file, tdpn.parse_tdpn)
-    system = tdpn2dcps.compile_tdpn_to_killdcps(net)
+    compiled = tdpn2dcps.compile_tdpn_to_killdcps(net)
+    system = compiled.system
     out = Path(args.output) if args.output else Path(args.file).with_suffix(".dcps")
     _write(out, dcps.dcps_lines(system))
-    _write_names(out.with_suffix(".names"), tdpn2dcps.killdcps_names(net))
-    halt = tdpn2dcps.halt_state(net)
-    print(f"wrote {out} (rules={len(system.rules)}, kills={len(system.kills)}, target={halt})")
+    _write_names(out.with_suffix(".names"), compiled.names)
+    print(f"wrote {out} (rules={len(system.rules)}, kills={len(system.kills)}, target={compiled.halt})")
     return EXIT_OK
 
 
@@ -372,18 +372,17 @@ def _pipeline_rnp(compiled, max_configs: int) -> StageResult:
     return _stage("rnp", rnp.explore_halting(compiled, max_configs=max_configs))
 
 
-def _pipeline_dcps(net, system, tdpn_witness, caps: dict) -> StageResult:
-    halt = tdpn2dcps.halt_state(net)
+def _pipeline_dcps(compiled, tdpn_witness, caps: dict) -> StageResult:
     if tdpn_witness:
-        events = tdpn2dcps.synthesize_cover_witness(net, tdpn_witness)
-        final = dcps.replay_final(system, events, 1)
-        if final.state != halt:
+        events = tdpn2dcps.synthesize_cover_witness(compiled, tdpn_witness)
+        final = dcps.replay_final(compiled.system, events, 1)
+        if final.state != compiled.halt:
             raise RuntimeError("synthesized witness did not reach the halt state")
         return StageResult(
             "dcps", "", "Reachable (replayed witness)", "yes",
             {"method": "replay", "events": len(events)},
         )
-    return _stage("dcps", dcps.reach_state(system, halt, 1, **caps), method="search")
+    return _stage("dcps", dcps.reach_state(compiled.system, compiled.halt, 1, **caps), method="search")
 
 
 def _cmd_pipeline(args) -> int:
@@ -427,17 +426,17 @@ def _cmd_pipeline(args) -> int:
         tdpn_path.name,
     )
 
-    system = timed("compile-dcps", lambda: tdpn2dcps.compile_tdpn_to_killdcps(net))
+    compiled = timed("compile-dcps", lambda: tdpn2dcps.compile_tdpn_to_killdcps(net))
     dcps_path = out_dir / f"{stem}.dcps"
-    _write(dcps_path, dcps.dcps_lines(system))
-    _write_names(dcps_path.with_suffix(".names"), tdpn2dcps.killdcps_names(net))
+    _write(dcps_path, dcps.dcps_lines(compiled.system))
+    _write_names(dcps_path.with_suffix(".names"), compiled.names)
     dcps_caps = dict(
-        max_threads=3 * net.width + 4,
-        max_stack=net.width + 1,
+        max_threads=3 * compiled.net.width + 4,
+        max_stack=compiled.net.width + 1,
         max_configs=args.dcps_max_configs,
     )
     witness = cover.witness if isinstance(cover, tdpn.TdpnCoverable) else ()
-    timed("dcps", lambda: _pipeline_dcps(net, system, witness, dcps_caps), dcps_path.name)
+    timed("dcps", lambda: _pipeline_dcps(compiled, witness, dcps_caps), dcps_path.name)
 
     report = PipelineReport(
         input=src.name,

@@ -31,8 +31,10 @@ is minted when a rule first mentions it, from a table with one row per mode,
 position and tag, indexed by transducer transition.  Its name shape is
 unique by construction, so it is written without a fresh-name probe.
 
-Witness synthesis fires each event by the schema arguments it was emitted
-under, so the schemas are written once.  A plain rule is recorded under a
+The compiler returns one KillDcps record: the system, its names and halt
+state, and the schema tables.  Witness synthesis takes that record and fires
+each event by the schema arguments it was emitted under, read from its
+tables, so the schemas are written once.  A plain rule is recorded under a
 key of its arguments, such as ("read", mode, i, tag, letter).  Kills are
 recorded by block: the kills of one mode, position i and step (the role
 whose bit is killed) are keyed ("verify", mode, i, step) to the index of
@@ -49,6 +51,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from snl.dcps import Dcps, DcpsRule, Event, KillRule, make_dcps, mint_name, validate_dcps
@@ -71,17 +74,33 @@ VERIFY_ROLES = {"move": ("pop1", "push1"), "join": ("pop1", "pop2", "push1"),
                 "fork": ("pop1", "push1", "push2")}
 
 
-class _Builder:
-    def __init__(self, net: Tdpn):
-        self.l = net.width
-        self.names: dict[str, str] = {}
-        self.by_mode = {"move": net.t_move, "join": net.t_join, "fork": net.t_fork}
-        # witness event of each emitted plain rule, keyed by its schema arguments
-        self.event: dict[tuple, Event] = {}
-        # first kill index of each verify block, keyed ("verify", mode, i, step)
-        self.block: dict[tuple, int] = {}
-        # per mode, the tables that place a kill inside its block, see _Offsets
-        self.offsets: dict[str, _Offsets] = {}
+@dataclass(frozen=True)
+class KillDcps:
+    """One compiled kill-dcps: the system, its names and halt state, and the
+    schema tables witness synthesis fires events from."""
+
+    net: Tdpn
+    system: Dcps
+    names: dict[str, str]  # identifier -> structured name, in minting order
+    halt: str  # g_halt, the accepting control state
+    # witness event of each emitted plain rule, keyed by its schema arguments
+    event: dict[tuple, Event]
+    # first kill index of each verify block, keyed ("verify", mode, i, step)
+    block: dict[tuple, int]
+    # per mode, the tables that place a kill inside its block, see _Offsets
+    offsets: dict[str, _Offsets]
+    lock: str
+    guess_sym: str
+    verify_sym: str
+
+    # the traced benchmark's tdpn2dcps.compile span counts these on the result
+    @property
+    def rules(self) -> tuple[DcpsRule, ...]:
+        return self.system.rules
+
+    @property
+    def kills(self) -> tuple[KillRule, ...]:
+        return self.system.kills
 
 
 class _Offsets(NamedTuple):
@@ -127,15 +146,23 @@ class _VerifyRow(dict):
         return name
 
 
-@functools.lru_cache(maxsize=16)
-def _construction(net: Tdpn) -> _Builder:
+def _by_mode(net: Tdpn) -> dict[str, Transducer]:
+    return {kind: t for kind, t, _ in net.transducers()}
+
+
+def compile_tdpn_to_killdcps(net: Tdpn) -> KillDcps:
+    """The full five-stage system with its verify-stage kill rules, returned
+    with its names, halt state and synthesis tables."""
     validate_tdpn(net)
-    b = _Builder(net)
-    l, sigma = b.l, net.alphabet
-    mint = functools.partial(mint_name, set(sigma), b.names)
-    lock = b.lock = mint("ytop", "(lock)")
-    guess_sym = b.guess_sym = mint("yguess", "(guess marker)")
-    verify_sym = b.verify_sym = mint("yverify", "(verify marker)")
+    l, sigma, by_mode = net.width, net.alphabet, _by_mode(net)
+    names: dict[str, str] = {}
+    event: dict[tuple, Event] = {}
+    block_start: dict[tuple, int] = {}
+    offsets: dict[str, _Offsets] = {}
+    mint = functools.partial(mint_name, set(sigma), names)
+    lock = mint("ytop", "(lock)")
+    guess_sym = mint("yguess", "(guess marker)")
+    verify_sym = mint("yverify", "(verify marker)")
     bit = {
         (a, i, tag): mint(f"b{a}_{i}_{tag}", f"({a},{i},{tag})")
         for a in sigma
@@ -144,7 +171,7 @@ def _construction(net: Tdpn) -> _Builder:
     }
 
     g_main = mint("g_main", "(main)")
-    g_halt = b.g_halt = mint("g_halt", "(halt)")
+    g_halt = mint("g_halt", "(halt)")
     g_init = {i: mint(f"init_{i}", f"(init,{i})") for i in range(1, l + 1)}
     g_check = {i: mint(f"check_{i}", f"(check,{i})") for i in range(1, l + 1)}
     dispatch = {m: mint(f"gguess_{m}", f"(guess,{m})") for m in MODES}
@@ -170,7 +197,7 @@ def _construction(net: Tdpn) -> _Builder:
     kills: list[KillRule] = []
 
     def rule(key: tuple, r: DcpsRule) -> None:
-        b.event[key] = ("rule", len(rules))
+        event[key] = ("rule", len(rules))
         rules.append(r)
 
     # --- init: fill one thread with w_init, bottom letter first
@@ -235,12 +262,12 @@ def _construction(net: Tdpn) -> _Builder:
     # a row of verify states per (mode, position, tag), see _VerifyRow
     verify: dict[tuple[str, int, str], _VerifyRow] = {}
     for m, roles in VERIFY_ROLES.items():
-        heads = [(src, f"{src}-{''.join(w)}->{dst}") for src, w, dst in b.by_mode[m].transitions]
+        heads = [(src, f"{src}-{''.join(w)}->{dst}") for src, w, dst in by_mode[m].transitions]
         for i in range(1, l + 1):
             for tag in roles:
-                verify[m, i, tag] = _VerifyRow(b.names, m, i, tag, heads)
+                verify[m, i, tag] = _VerifyRow(names, m, i, tag, heads)
     for m, tag in VERIFY_ENTRY_PAIRS:
-        t = b.by_mode[m]
+        t = by_mode[m]
         entry = verify[m, 1, "pop1"]
         for a in sigma:
             for j, _, _ in t.by_source[t.initial]:
@@ -260,12 +287,12 @@ def _construction(net: Tdpn) -> _Builder:
     def walk(mode: str, roles: tuple[str, ...]) -> None:
         """Kill schemas for one mode, block by block; roles maps letter
         position to tag.  Within a block kills go in offset order."""
-        t = b.by_mode[mode]
+        t = by_mode[mode]
         last = len(roles) - 1
-        chain_start, _, final = b.offsets[mode] = _Offsets.of(t)
+        chain_start, _, final = offsets[mode] = _Offsets.of(t)
 
         def block(i: int, step: int, size: int) -> None:
-            b.block["verify", mode, i, step] = len(kills)
+            block_start["verify", mode, i, step] = len(kills)
             sizes.append(size)
 
         def verify_kill(i: int, step: int, j: int, source: str, target: str) -> None:
@@ -299,41 +326,18 @@ def _construction(net: Tdpn) -> _Builder:
     for mode, roles in VERIFY_ROLES.items():
         walk(mode, roles)
 
-    if len(b.event) != len(rules):
+    if len(event) != len(rules):
         raise RuntimeError("two schema instances share a witness key; witness events would be ambiguous")
     # the verify blocks tile the kills in emission order, each as long as its offset range
-    starts = list(b.block.values())
+    starts = list(block_start.values())
     if len(starts) != len(sizes) or starts[0] != 0 or any(
         end - start != size for start, end, size in zip(starts, starts[1:] + [len(kills)], sizes)
     ):
         raise RuntimeError("verify blocks do not tile the kill rules; witness events would be ambiguous")
     kill_syms = frozenset({verify_sym}) | frozenset(bit.values())
-    b.system = make_dcps(g_init[l], w0[l - 1], tuple(rules), tuple(kills), kill_syms)
-    validate_dcps(b.system)
-    return b
-
-
-def compile_tdpn_to_killdcps(net: Tdpn) -> Dcps:
-    """The full five-stage system with its verify-stage kill rules."""
-    return _construction(net).system
-
-
-def killdcps_names(net: Tdpn) -> dict[str, str]:
-    """Identifier-to-structured-name mapping for the compiled system."""
-    return dict(_construction(net).names)
-
-
-def halt_state(net: Tdpn) -> str:
-    """Name of the accepting control state in the compiled system."""
-    return _construction(net).g_halt
-
-
-def compile_tdpn_to_dcps(net: Tdpn) -> tuple[Dcps, str]:
-    """Compile and desugar the kills away; returns the system and g_halt."""
-    from snl.dcps import desugar_kill
-
-    b = _construction(net)
-    return desugar_kill(b.system), b.g_halt
+    system = make_dcps(g_init[l], w0[l - 1], tuple(rules), tuple(kills), kill_syms)
+    validate_dcps(system)
+    return KillDcps(net, system, names, g_halt, event, block_start, offsets, lock, guess_sym, verify_sym)
 
 
 def expected_rule_counts(net: Tdpn) -> dict[str, int]:
@@ -356,7 +360,7 @@ def expected_rule_counts(net: Tdpn) -> dict[str, int]:
     """
     l = net.width
     s = len(net.alphabet)
-    by_mode = {"move": net.t_move, "join": net.t_join, "fork": net.t_fork}
+    by_mode = _by_mode(net)
 
     def out_degree(t: Transducer, state: str) -> int:
         return sum(1 for src, _, _ in t.transitions if src == state)
@@ -382,7 +386,7 @@ def expected_rule_counts(net: Tdpn) -> dict[str, int]:
 # Witness synthesis
 
 
-def synthesize_cover_witness(net: Tdpn, steps: tuple[Descriptor, ...]) -> tuple[Event, ...]:
+def synthesize_cover_witness(compiled: KillDcps, steps: tuple[Descriptor, ...]) -> tuple[Event, ...]:
     """Turn a coverability witness into a replayable event sequence.
 
     The exhaustive search cannot face compiled systems of realistic width
@@ -392,18 +396,17 @@ def synthesize_cover_witness(net: Tdpn, steps: tuple[Descriptor, ...]) -> tuple[
     list drives the compiled system from its initial configuration to
     g_halt at switch budget 1; replaying it is a machine check of the
     whole round trip.  Each rule or kill event is looked up by the schema
-    key under which the compiler emitted it.
+    key under which the compiler emitted it, in the tables of `compiled`.
     """
-    b = _construction(net)
-    l = b.l
-    lock = b.lock
+    net = compiled.net
+    l, lock, by_mode = net.width, compiled.lock, _by_mode(net)
     events: list[Event] = []
     parked: dict[str, list[int]] = {}  # switch counts of the live parked tokens, a heap per word
     active_word: str | None = net.w_init
     active_count = 0
 
     def fire(*key) -> None:
-        events.append(b.event[key])
+        events.append(compiled.event[key])
 
     def park_and_switch(stack: tuple[str, ...], count: int) -> None:
         nonlocal active_word
@@ -442,16 +445,16 @@ def synthesize_cover_witness(net: Tdpn, steps: tuple[Descriptor, ...]) -> tuple[
         active_word, active_count = word, 0
 
     def kill(key: tuple, offset: int) -> None:
-        events.append(("kill", b.block[key] + offset, 0))
+        events.append(("kill", compiled.block[key] + offset, 0))
 
     def verify(mode: str, words: tuple[str, ...], path: tuple[int, ...]) -> None:
         nonlocal active_word, active_count
         fire("enter", mode, words[-1][0], path[0])
         # the capped guess is now a complete token; hand control to the verifier
         active_word, active_count = words[-1], 0
-        park_and_switch((b.verify_sym,), 0)
+        park_and_switch((compiled.verify_sym,), 0)
         last = len(words) - 1
-        chain_start, rank, final = b.offsets[mode]
+        chain_start, rank, final = compiled.offsets[mode]
         for i in range(1, l + 1):
             j = path[i - 1]
             offset = j if i < l else final[j]
@@ -467,22 +470,22 @@ def synthesize_cover_witness(net: Tdpn, steps: tuple[Descriptor, ...]) -> tuple[
         fire("init", i)
 
     for kind, words in steps:
-        if kind not in b.by_mode:
+        if kind not in by_mode:
             raise ValueError(f"unknown step kind {kind!r}")
         activate(words[0])
         # every word's letters index schema keys, so check the tuple before using them
-        path = language(b.by_mode[kind], len(words[0])).get(words)
+        path = language(by_mode[kind], len(words[0])).get(words)
         if path is None:
             raise ValueError(f"transducer does not accept {words!r}")
         read_token(kind, words[0], "pop1")
         if kind == "join":
             activate(words[1])
             read_token("join", words[1], "pop2")
-        park_and_switch((b.guess_sym,), 0)
+        park_and_switch((compiled.guess_sym,), 0)
         if kind == "fork":
             guess_word("fork", words[1], "push1")
             fire("fork2", words[1][0])
-            park_and_switch((b.guess_sym,), 0)
+            park_and_switch((compiled.guess_sym,), 0)
             guess_word("fork", words[2], "push2")
         else:
             guess_word(kind, words[-1], "push1")

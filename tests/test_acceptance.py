@@ -36,7 +36,7 @@ from helpers import (
     inc_harness,
     zero_test_harness,
 )
-from snl.counter import Halts, run_bounded
+from snl.counter import BoundExceeded, Halts, run_bounded
 from snl.dcps import (
     DcpsNo,
     DcpsReachable,
@@ -47,7 +47,7 @@ from snl.dcps import (
     reachable_states,
     replay_witness,
 )
-from snl.lipton import compile_lipton
+from snl.lipton import compile_lipton, simulated_bound
 from snl.petri import Coverable, ForwardCoverable, ForwardUnknown, cover_backward, cover_forward_bfs
 from snl.petri import canonical, fire
 from snl.rnp import RnpHalts, RnpNo, explore_halting
@@ -120,6 +120,17 @@ def test_criterion_4_counter_agrees_with_compiled_rnp_on_corpus():
             assert isinstance(direct, Halts) == isinstance(verdict, RnpHalts), name
 
 
+def test_criterion_4_bound_flip_follows_n():
+    # five increments exceed 2^(2^1) = 4 but fit in 2^(2^2) = 16: the
+    # compiled program's verdict flips with n exactly where the counter's does
+    program = corpus_program("exceed_straight.cp")
+    for n, direct_kind, rnp_kind in ((1, BoundExceeded, RnpNo), (2, Halts, RnpHalts)):
+        with budget(30):
+            assert isinstance(run_bounded(program, simulated_bound(n)), direct_kind), n
+            assert isinstance(explore_halting(compile_lipton(program, n)), rnp_kind), n
+    assert (simulated_bound(1), simulated_bound(2)) == (4, 16)
+
+
 # ---------------------------------------------------------------------------
 # 5: tiny recursive net programs agree with both coverability engines on
 # their compiled nets
@@ -169,7 +180,7 @@ def test_criterion_6_cover_iff_halt_reachable_with_disciplined_witness():
     for name, net in micro_nets():
         with budget(300):
             covered = isinstance(coverable(net, mode="backward"), TdpnCoverable)
-            system = compile_tdpn_to_killdcps(net)
+            system = compile_tdpn_to_killdcps(net).system
             caps = dict(
                 max_threads=3 * net.width + 4,
                 max_stack=net.width + 1,
@@ -275,7 +286,7 @@ def test_criterion_9_sizes_match_documented_closed_forms():
             random_tdpn(rng, rng.choice([1, 2])) for _ in range(6)
         ]
         for net in nets:
-            system = compile_tdpn_to_killdcps(net)
+            system = compile_tdpn_to_killdcps(net).system
             counts = expected_rule_counts(net)
             assert len(system.rules) == (
                 counts["init"] + counts["check"] + counts["read"] + counts["guess"]

@@ -221,8 +221,9 @@ def test_streamed_dcps_and_names_match_the_serializers(capsys, tmp_path):
     code, _, _ = run_cli(capsys, "pipeline", "--n", 1, CORPUS / "halt.cp", "--out-dir", out_dir)
     assert code == EXIT_OK
     net = tdpn.parse_tdpn((out_dir / "halt.tdpn").read_text())
-    names = tdpn2dcps.killdcps_names(net)
-    dcps_text = dcps.serialize_dcps(tdpn2dcps.compile_tdpn_to_killdcps(net)).encode()
+    compiled = tdpn2dcps.compile_tdpn_to_killdcps(net)
+    names = compiled.names
+    dcps_text = dcps.serialize_dcps(compiled.system).encode()
     names_text = "".join(f"{key}\t{names[key]}\n" for key in sorted(names)).encode()
     code, _, _ = run_cli(capsys, "compile-dcps", out_dir / "halt.tdpn", "-o", tmp_path / "c.dcps")
     assert code == EXIT_OK
@@ -287,7 +288,7 @@ def test_pipeline_names_the_token_cap(capsys, tmp_path):
 
 def test_pipeline_failed_replay_is_internal_error(capsys, tmp_path, monkeypatch):
     # the pool starts empty, so no kill applies; the fault is the program's, not the input's
-    monkeypatch.setattr(tdpn2dcps, "synthesize_cover_witness", lambda net, steps: (("kill", 0, 0),))
+    monkeypatch.setattr(tdpn2dcps, "synthesize_cover_witness", lambda compiled, steps: (("kill", 0, 0),))
     code, _, err = run_cli(
         capsys, "pipeline", "--n", 1, CORPUS / "halt.cp", "--out-dir", tmp_path / "p"
     )
@@ -455,7 +456,8 @@ def test_every_verdict_class_has_its_report_row(monkeypatch, stage_name, verdict
         got = cli._pipeline_rnp(None, 0)
     elif stage_name == "dcps":
         monkeypatch.setattr(dcps, "reach_state", lambda *args, **kwargs: verdict)
-        got = cli._pipeline_dcps(tdpn.parse_tdpn(CORPUS.joinpath("tiny.tdpn").read_text()), None, (), {})
+        net = tdpn.parse_tdpn(CORPUS.joinpath("tiny.tdpn").read_text())
+        got = cli._pipeline_dcps(tdpn2dcps.compile_tdpn_to_killdcps(net), (), {})
     else:
         got = cli._stage(stage_name, verdict)
     assert (got.stage, got.verdict, got.normalized, got.detail) == (stage_name, *row)

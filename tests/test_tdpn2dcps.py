@@ -1,7 +1,9 @@
 import functools
+import gc
 import hashlib
 import random
 import tracemalloc
+import weakref
 
 import pytest
 
@@ -12,6 +14,7 @@ from snl.dcps import (
     DcpsNo,
     DcpsReachable,
     DcpsUnknown,
+    desugar_kill,
     parse_dcps,
     reach_state,
     replay_final,
@@ -19,12 +22,7 @@ from snl.dcps import (
     serialize_dcps,
 )
 from snl.tdpn import Tdpn, TdpnCoverable, TdpnNotCoverable, coverable, parse_tdpn
-from snl.tdpn2dcps import (
-    compile_tdpn_to_dcps,
-    compile_tdpn_to_killdcps,
-    expected_rule_counts,
-    killdcps_names,
-)
+from snl.tdpn2dcps import compile_tdpn_to_killdcps, expected_rule_counts
 
 ALPHA = ("0", "1")
 
@@ -66,7 +64,7 @@ def explore(system, width, **overrides):
 
 @functools.cache
 def compiled_and_explored(net):
-    system = compile_tdpn_to_killdcps(net)
+    system = compile_tdpn_to_killdcps(net).system
     return system, explore(system, net.width)
 
 
@@ -79,7 +77,7 @@ def verify_entries(witness):
 
 
 def test_width1_init_stage_is_single_rule():
-    system = compile_tdpn_to_killdcps(move_chain_net())
+    system = compile_tdpn_to_killdcps(move_chain_net()).system
     assert system.initial_state == "init_1"
     assert system.initial_symbol == "0"
     first = system.rules[0]
@@ -89,7 +87,7 @@ def test_width1_init_stage_is_single_rule():
 
 
 def test_width2_init_stage_builds_word_from_the_bottom():
-    system = compile_tdpn_to_killdcps(width2_net())
+    system = compile_tdpn_to_killdcps(width2_net()).system
     assert system.initial_state == "init_2"
     assert [r for r in system.rules if r.state == "init_2"][0].push == ("0", "0")
     assert [r for r in system.rules if r.state == "init_1"][0].push == ("ytop", "0")
@@ -99,7 +97,7 @@ def test_width2_init_stage_builds_word_from_the_bottom():
     "net", [move_chain_net(), fork_join_net(), width2_net()], ids=["move", "forkjoin", "w2"]
 )
 def test_rule_counts_match_closed_forms(net):
-    system = compile_tdpn_to_killdcps(net)
+    system = compile_tdpn_to_killdcps(net).system
     c = expected_rule_counts(net)
     assert len(system.rules) == c["init"] + c["check"] + c["read"] + c["guess"]
     assert len(system.kills) == c["verify"]
@@ -109,29 +107,29 @@ def test_rule_counts_match_on_random_nets():
     rng = random.Random(7)
     for _ in range(6):
         net = random_tdpn(rng, rng.choice([1, 2]))
-        system = compile_tdpn_to_killdcps(net)
+        system = compile_tdpn_to_killdcps(net).system
         c = expected_rule_counts(net)
         assert len(system.rules) == c["init"] + c["check"] + c["read"] + c["guess"]
         assert len(system.kills) == c["verify"]
 
 
 def test_compilation_is_deterministic():
-    a = compile_tdpn_to_killdcps(fork_join_net())
-    b = compile_tdpn_to_killdcps(fork_join_net())
+    a = compile_tdpn_to_killdcps(fork_join_net()).system
+    b = compile_tdpn_to_killdcps(fork_join_net()).system
     assert a == b
     assert serialize_dcps(a) == serialize_dcps(b)
 
 
 def test_round_trip_through_text_format():
     for net in (move_chain_net(), fork_join_net(), width2_net()):
-        system = compile_tdpn_to_killdcps(net)
+        system = compile_tdpn_to_killdcps(net).system
         assert parse_dcps(serialize_dcps(system)) == system
 
 
 def test_names_cover_generated_identifiers():
     net = move_chain_net()
-    system = compile_tdpn_to_killdcps(net)
-    names = killdcps_names(net)
+    compiled = compile_tdpn_to_killdcps(net)
+    system, names = compiled.system, compiled.names
     assert names["g_main"] == "(main)"
     assert names["g_halt"] == "(halt)"
     assert names["ytop"] == "(lock)"
@@ -178,9 +176,10 @@ def test_verify_names_are_minted_in_first_mention_order():
     # SHA-256 of the .dcps text, the sorted names and the names in the order
     # they were minted (a state is minted where a rule first mentions it)
     net = parse_tdpn(LOOKALIKE_TDPN)
-    names = killdcps_names(net)
+    compiled = compile_tdpn_to_killdcps(net)
+    names = compiled.names
     texts = (
-        serialize_dcps(compile_tdpn_to_killdcps(net)),
+        serialize_dcps(compiled.system),
         "".join(f"{key}\t{pretty}\n" for key, pretty in sorted(names.items())),
         "".join(f"{key}\t{pretty}\n" for key, pretty in names.items()),
     )
@@ -210,9 +209,9 @@ def test_verify_blocks_must_tile_the_kills(monkeypatch):
         return offsets._replace(chain_start=offsets.chain_start[:-1] + (offsets.chain_start[-1] + 1,))
 
     monkeypatch.setattr(tdpn2dcps._Offsets, "of", one_too_long)
-    # the chained blocks exist from width 2 on; bypass the construction cache
+    # the chained blocks exist from width 2 on
     with pytest.raises(RuntimeError, match="do not tile"):
-        tdpn2dcps._construction.__wrapped__(width2_net())
+        tdpn2dcps.compile_tdpn_to_killdcps(width2_net())
 
 
 # ---------------------------------------------------------------------------
@@ -308,19 +307,19 @@ def test_stage_discipline_between_hub_visits():
 
 def test_empty_language_net_exhausts_to_no():
     net = micro_tdpn(1, "0", "1")
-    verdict = explore(compile_tdpn_to_killdcps(net), 1)
+    verdict = explore(compile_tdpn_to_killdcps(net).system, 1)
     assert isinstance(verdict, DcpsNo)
 
 
 def test_self_loop_move_cannot_fake_the_final_word():
     net = micro_tdpn(1, "0", "1", moves=[("0", "0")])
-    verdict = explore(compile_tdpn_to_killdcps(net), 1)
+    verdict = explore(compile_tdpn_to_killdcps(net).system, 1)
     assert isinstance(verdict, DcpsNo)
 
 
 def test_equal_words_covered_without_any_round():
     net = micro_tdpn(1, "1", "1")
-    verdict = explore(compile_tdpn_to_killdcps(net), 1)
+    verdict = explore(compile_tdpn_to_killdcps(net).system, 1)
     assert isinstance(verdict, DcpsReachable)
     assert all(e[0] != "kill" for e in verdict.witness)
 
@@ -331,7 +330,7 @@ def test_agreement_with_symbolic_coverability_on_random_nets():
     for _ in range(10):
         net = random_tdpn(rng, 1)
         cov = coverable(net, mode="symbolic", max_tokens=8, max_markings=20_000)
-        verdict = explore(compile_tdpn_to_killdcps(net), 1, max_configs=250_000)
+        verdict = explore(compile_tdpn_to_killdcps(net).system, 1, max_configs=250_000)
         if isinstance(cov, TdpnCoverable):
             assert not isinstance(verdict, DcpsNo)
             decided += isinstance(verdict, DcpsReachable)
@@ -346,7 +345,8 @@ def test_agreement_with_symbolic_coverability_on_random_nets():
 
 
 def test_desugared_system_has_no_kills_and_still_reaches_halt():
-    plain, g_halt = compile_tdpn_to_dcps(move_chain_net())
+    compiled = compile_tdpn_to_killdcps(move_chain_net())
+    plain, g_halt = desugar_kill(compiled.system), compiled.halt
     assert g_halt == "g_halt"
     assert plain.kills == ()
     assert plain.kill_syms == frozenset()
@@ -356,7 +356,8 @@ def test_desugared_system_has_no_kills_and_still_reaches_halt():
 
 
 def test_desugared_negative_still_exhausts():
-    plain, g_halt = compile_tdpn_to_dcps(micro_tdpn(1, "0", "1"))
+    compiled = compile_tdpn_to_killdcps(micro_tdpn(1, "0", "1"))
+    plain, g_halt = desugar_kill(compiled.system), compiled.halt
     verdict = reach_state(plain, g_halt, 1, max_threads=8, max_stack=2, max_configs=500_000)
     assert isinstance(verdict, DcpsNo)
 
@@ -371,9 +372,9 @@ def test_synthesized_witness_replays_on_micro_nets():
     for net in (move_chain_net(), fork_join_net(), width2_net()):
         cov = coverable(net, mode="symbolic")
         assert isinstance(cov, TdpnCoverable)
-        system = compile_tdpn_to_killdcps(net)
-        events = synthesize_cover_witness(net, cov.witness)
-        configs = replay_witness(system, events, 1)
+        compiled = compile_tdpn_to_killdcps(net)
+        events = synthesize_cover_witness(compiled, cov.witness)
+        configs = replay_witness(compiled.system, events, 1)
         assert configs[-1].state == "g_halt"
 
 
@@ -404,7 +405,7 @@ def test_language_is_walked_once_per_transducer_and_length(monkeypatch):
     assert {kind for kind, _ in cov.witness} == {"move", "fork", "join"}
     expand(net)
     expand(net)
-    synthesize_cover_witness(net, cov.witness)
+    synthesize_cover_witness(compile_tdpn_to_killdcps(net), cov.witness)
     assert sorted(walks) == sorted((id(t), 2) for t in (net.t_move, net.t_fork, net.t_join))
 
 
@@ -418,9 +419,9 @@ def test_synthesized_witnesses_on_random_coverable_nets():
         cov = coverable(net, mode="symbolic", max_tokens=8, max_markings=20_000)
         if not isinstance(cov, TdpnCoverable):
             continue
-        system = compile_tdpn_to_killdcps(net)
-        events = synthesize_cover_witness(net, cov.witness)
-        configs = replay_witness(system, events, 1)
+        compiled = compile_tdpn_to_killdcps(net)
+        events = synthesize_cover_witness(compiled, cov.witness)
+        configs = replay_witness(compiled.system, events, 1)
         assert configs[-1].state == "g_halt"
         replayed += 1
     assert replayed >= 4
@@ -431,22 +432,23 @@ def test_synthesis_rejects_steps_without_tokens():
 
     net = move_chain_net()
     with pytest.raises(ValueError, match="never produced"):
-        synthesize_cover_witness(net, (("move", ("1", "0")),))
+        synthesize_cover_witness(compile_tdpn_to_killdcps(net), (("move", ("1", "0")),))
 
 
 def test_synthesis_rejects_tuples_the_transducer_does_not_accept():
     from snl.tdpn2dcps import synthesize_cover_witness
 
+    compiled = compile_tdpn_to_killdcps(move_chain_net())
     # the token on "0" exists, but the move transducer only accepts ("0", "1")
     with pytest.raises(ValueError, match="does not accept"):
-        synthesize_cover_witness(move_chain_net(), (("move", ("0", "0")),))
+        synthesize_cover_witness(compiled, (("move", ("0", "0")),))
     # a letter outside the alphabet is rejected before any schema is looked up
     with pytest.raises(ValueError, match="does not accept"):
-        synthesize_cover_witness(move_chain_net(), (("move", ("0", "2")),))
+        synthesize_cover_witness(compiled, (("move", ("0", "2")),))
     # both join tokens exist after the fork, but only ("0", "0", "1") joins
     steps = (("fork", ("0", "0", "0")), ("join", ("0", "0", "0")))
     with pytest.raises(ValueError, match="does not accept"):
-        synthesize_cover_witness(fork_join_net(), steps)
+        synthesize_cover_witness(compile_tdpn_to_killdcps(fork_join_net()), steps)
 
 
 # SHA-256 of the compiled .dcps text, the sorted names and the synthesized
@@ -472,11 +474,12 @@ def test_compiled_system_and_witness_are_byte_stable(name):
     net = rnp2tdpn.compile_rnp_to_tdpn(lipton.compile_lipton(corpus_program(name), 1)).tdpn
     cov = coverable(net, mode="symbolic", max_tokens=64, max_markings=2_000_000)
     assert isinstance(cov, TdpnCoverable)
-    names = "".join(f"{key}\t{pretty}\n" for key, pretty in sorted(killdcps_names(net).items()))
-    events = synthesize_cover_witness(net, cov.witness)
+    compiled = compile_tdpn_to_killdcps(net)
+    names = "".join(f"{key}\t{pretty}\n" for key, pretty in sorted(compiled.names.items()))
+    events = synthesize_cover_witness(compiled, cov.witness)
     digests = tuple(
         hashlib.sha256(text.encode()).hexdigest()
-        for text in (serialize_dcps(compile_tdpn_to_killdcps(net)), names, repr(events))
+        for text in (serialize_dcps(compiled.system), names, repr(events))
     )
     assert digests == STABLE_DIGESTS[name]
 
@@ -487,8 +490,9 @@ def test_final_replay_holds_one_configuration():
     net = rnp2tdpn.compile_rnp_to_tdpn(lipton.compile_lipton(corpus_program("count4.cp"), 1)).tdpn
     cov = coverable(net, mode="symbolic", max_tokens=64, max_markings=2_000_000)
     assert isinstance(cov, TdpnCoverable)
-    system = compile_tdpn_to_killdcps(net)
-    events = synthesize_cover_witness(net, cov.witness)
+    compiled = compile_tdpn_to_killdcps(net)
+    system = compiled.system
+    events = synthesize_cover_witness(compiled, cov.witness)
     system.buckets  # built once, outside both measurements
 
     def peak(replay):
@@ -504,20 +508,29 @@ def test_final_replay_holds_one_configuration():
 
 
 def test_compiled_construction_retains_under_400_bytes_per_kill():
-    # what the cached construction keeps: the system, its names, one event
-    # per plain rule and one first-kill index per verify block (574 bytes
-    # per kill when every kill had its own event key)
-    from snl.tdpn2dcps import _construction
-
+    # what the compiled record keeps: the system, its names, one event per
+    # plain rule and one first-kill index per verify block (574 bytes per
+    # kill when every kill had its own event key)
     net = rnp2tdpn.compile_rnp_to_tdpn(lipton.compile_lipton(corpus_program("count4.cp"), 1)).tdpn
-    _construction.cache_clear()
     tracemalloc.start()
     try:
-        system = compile_tdpn_to_killdcps(net)
+        compiled = compile_tdpn_to_killdcps(net)
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert retained < 400 * len(system.kills), (retained, len(system.kills))
+    kills = compiled.system.kills
+    assert retained < 400 * len(kills), (retained, len(kills))
+
+
+def test_no_construction_outlives_its_caller():
+    # nothing in the library keeps a compiled record alive once its caller
+    # lets go of it
+    net = rnp2tdpn.compile_rnp_to_tdpn(lipton.compile_lipton(corpus_program("count4.cp"), 1)).tdpn
+    compiled = compile_tdpn_to_killdcps(net)
+    system = weakref.ref(compiled.system)
+    del compiled
+    gc.collect()
+    assert system() is None
 
 
 # count4 compiled in triple mode at n = 1 and n = 6: kill-dcps (states, rules, kills)
@@ -531,7 +544,7 @@ def test_killdcps_sizes_across_n():
     rows = []
     for n in range(1, 7):
         net = rnp2tdpn.compile_rnp_to_tdpn(lipton.compile_lipton(program, n, "triple")).tdpn
-        system = compile_tdpn_to_killdcps(net)
+        system = compile_tdpn_to_killdcps(net).system
         c = expected_rule_counts(net)
         assert len(system.rules) == c["init"] + c["check"] + c["read"] + c["guess"]
         assert len(system.kills) == c["verify"]
