@@ -115,11 +115,8 @@ def _verdict(verdict) -> tuple[str, str, dict]:
             return f"Unknown reason={reason}", "unknown", {"configs_explored": explored}
         case tdpn.TdpnCoverable(witness=witness):
             return "Coverable", "yes", {"witness_steps": len(witness)}
-        case tdpn.TdpnNotCoverable(complete=True):
-            return "NotCoverable (exhaustive)", "no", {}
         case tdpn.TdpnNotCoverable():
-            # an incomplete NotCoverable was pruned by the token cap alone
-            return "Unknown", "unknown", {"reason": "max_tokens"}
+            return "NotCoverable (exhaustive)", "no", {}
         case tdpn.TdpnUnknown(reason=reason):
             return "Unknown", "unknown", {"reason": reason}
         case dcps.DcpsReachable(configs_explored=explored):
@@ -298,13 +295,12 @@ def _cmd_to_inheritance(args) -> int:
 
 
 def _cmd_explore_dcps(args) -> int:
-    # K, the target and the SNL_MAX_CONFIGS default are read with the input:
-    # a bad value is bad input; an undeclared target would get a hollow "no"
+    # K and the target are read with the input: a bad value is bad input; an
+    # undeclared target would get a hollow "no"
     def check(system):
         if args.target not in system.states:
             raise dcps.DcpsValidationError(f"target state {args.target!r} not declared")
         dcps.check_budget(args.K)
-        dcps.resolve_max_configs(args.max_configs)
 
     system = _load(args.file, dcps.parse_dcps, check)
     names = _load_names(args.file)
@@ -513,7 +509,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run-rnp", help="search a recursive net program for a halting run")
     p.add_argument("file")
-    p.add_argument("--max-configs", type=cap, default=1_000_000)
+    p.add_argument("--max-configs", type=cap, default=rnp.DEFAULT_MAX_CONFIGS)
     p.add_argument("--max-value", type=cap, default=None)
     p.set_defaults(handler=_cmd_run_rnp)
 
@@ -524,16 +520,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expand-tdpn", help="expand a symbolic net into an explicit Petri net")
     p.add_argument("file")
-    p.add_argument("--place-limit", type=cap, default=4096)
+    p.add_argument("--place-limit", type=cap, default=tdpn.DEFAULT_PLACE_LIMIT)
     p.add_argument("-o", "--output")
     p.set_defaults(handler=_cmd_expand_tdpn)
 
     p = sub.add_parser("cover", help="decide coverability of the final word")
     p.add_argument("file")
     p.add_argument("--mode", choices=("backward", "symbolic", "both"), default="backward")
-    p.add_argument("--place-limit", type=cap, default=4096)
-    p.add_argument("--max-tokens", type=cap, default=64)
-    p.add_argument("--max-markings", type=cap, default=1_000_000)
+    p.add_argument("--place-limit", type=cap, default=tdpn.DEFAULT_PLACE_LIMIT)
+    p.add_argument("--max-tokens", type=cap, default=tdpn.DEFAULT_MAX_TOKENS)
+    p.add_argument("--max-markings", type=cap, default=tdpn.DEFAULT_MAX_MARKINGS)
     p.set_defaults(handler=_cmd_cover)
 
     p = sub.add_parser("compile-dcps", help="compile a symbolic net to a thread pool with kills")
@@ -559,8 +555,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--semantics", choices=dcps.SEMANTICS, default="noinherit")
     p.add_argument("--max-threads", type=cap, default=dcps.DEFAULT_MAX_THREADS)
     p.add_argument("--max-stack", type=cap, default=dcps.DEFAULT_MAX_STACK)
-    p.add_argument("--max-configs", type=cap, default=None,
-                   help="default: SNL_MAX_CONFIGS or 1000000")
+    p.add_argument("--max-configs", type=cap, default=dcps.DEFAULT_MAX_CONFIGS,
+                   help="configurations to expand before giving up (Unknown)")
     p.set_defaults(handler=_cmd_explore_dcps)
 
     p = sub.add_parser("pipeline", help="run all four stages on a counter program and cross-check")
@@ -569,8 +565,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth-mode", choices=("double", "triple"), default="double")
     p.add_argument("--bound", type=cap, default=None, help="override the simulated bound")
     p.add_argument("--fuel", type=cap, default=counter.DEFAULT_FUEL)
-    p.add_argument("--max-configs", type=cap, default=1_000_000, help="recursive-net search cap")
-    p.add_argument("--max-tokens", type=cap, default=64)
+    p.add_argument("--max-configs", type=cap, default=rnp.DEFAULT_MAX_CONFIGS,
+                   help="recursive-net search cap")
+    p.add_argument("--max-tokens", type=cap, default=tdpn.DEFAULT_MAX_TOKENS)
     p.add_argument("--max-markings", type=cap, default=2_000_000)
     p.add_argument("--dcps-max-configs", type=cap, default=200_000)
     p.add_argument("--out-dir")

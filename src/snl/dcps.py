@@ -42,7 +42,6 @@ copies) updated in place.  A DcpsConfig is built only where the API returns it.
 
 from __future__ import annotations
 
-import os
 import re
 from bisect import bisect_left
 from collections import deque
@@ -452,20 +451,6 @@ class DcpsUnknown:
     configs_explored: int
 
 
-def resolve_max_configs(max_configs: int | None) -> int:
-    if max_configs is not None:
-        return max_configs
-    raw = os.environ.get("SNL_MAX_CONFIGS")
-    if raw is None:
-        return DEFAULT_MAX_CONFIGS
-    try:
-        if (value := int(raw)) < 0:
-            raise ValueError
-    except ValueError:
-        raise ValueError(f"SNL_MAX_CONFIGS must be an integer of at least 0, got {raw!r}") from None
-    return value
-
-
 def check_budget(budget: int) -> None:
     """Reject a negative switch budget, under which a "no" would say nothing."""
     if budget < 0:
@@ -495,7 +480,7 @@ def _cap_rule(max_threads: int, max_stack: int):
 
 
 def _search(system: Dcps, budget: int, goal, max_threads: int, max_stack: int,
-            max_configs: int | None, semantics: str):
+            max_configs: int, semantics: str):
     """Breadth-first search over canonical configurations.
 
     The search never switches in a dead thread: one whose top has no rule
@@ -514,7 +499,6 @@ def _search(system: Dcps, budget: int, goal, max_threads: int, max_stack: int,
     check_budget(budget)
     if semantics not in SEMANTICS:
         raise ValueError(f"unknown semantics {semantics!r}")
-    max_configs = resolve_max_configs(max_configs)
 
     def step(config: Config):
         events = _events(system, config, budget, skip_dead_switch=True)
@@ -531,7 +515,7 @@ def reach_state(
     *,
     max_threads: int = DEFAULT_MAX_THREADS,
     max_stack: int = DEFAULT_MAX_STACK,
-    max_configs: int | None = None,
+    max_configs: int = DEFAULT_MAX_CONFIGS,
     semantics: str = "noinherit",
 ):
     """Breadth-first search for a configuration whose global state is target.
@@ -561,7 +545,7 @@ def reachable_states(
     *,
     max_threads: int = DEFAULT_MAX_THREADS,
     max_stack: int = DEFAULT_MAX_STACK,
-    max_configs: int | None = None,
+    max_configs: int = DEFAULT_MAX_CONFIGS,
     semantics: str = "noinherit",
 ) -> tuple[frozenset[str], bool]:
     """All global states seen by the capped exploration, plus a complete flag.

@@ -9,10 +9,12 @@ token on the initial place, some reachable marking dominates the target
 Two deciders are provided: a complete backward procedure computing the
 antichain basis of markings from which the target is coverable, and a
 forward breadth-first search bounded by token and marking caps, useful as
-an independent oracle and as a witness finder.  The backward procedure
-numbers a net's places once and keeps each basis element's support as a
-bitmask beside it: a marking dominates another only if its support contains
-the other's, so a full domination test runs only where the masks allow it.
+an independent oracle and as a witness finder.  The forward search says
+"no" only when it exhausts the markings with no cap touched; a search a cap
+touched is Unknown, named by the caps.  The backward procedure numbers a
+net's places once and keeps each basis element's support as a bitmask
+beside it: a marking dominates another only if its support contains the
+other's, so a full domination test runs only where the masks allow it.
 """
 
 from __future__ import annotations
@@ -27,6 +29,9 @@ from snl.text import strip_comments
 
 Marking = dict[str, int]
 CanonMarking = tuple[tuple[str, int], ...]
+
+DEFAULT_MAX_TOKENS = 64
+DEFAULT_MAX_MARKINGS = 1_000_000
 
 
 class PetriParseError(ValueError):
@@ -219,8 +224,10 @@ class ForwardCoverable:
 
 @dataclass(frozen=True)
 class NotCoverableWithinCaps:
+    """The forward search exhausted the markings and no cap touched it."""
+
     markings_explored: int
-    complete: bool  # True when no successor was pruned by the token cap
+    complete = True  # still read by perfbench/oracles.py; not a field
 
 
 @dataclass(frozen=True)
@@ -235,15 +242,15 @@ ForwardVerdict = ForwardCoverable | NotCoverableWithinCaps | ForwardUnknown
 def cover_forward_bfs(
     net: PetriNet,
     target: Marking | None = None,
-    max_tokens: int = 64,
-    max_markings: int = 1_000_000,
+    max_tokens: int = DEFAULT_MAX_TOKENS,
+    max_markings: int = DEFAULT_MAX_MARKINGS,
 ) -> ForwardVerdict:
     """Forward breadth-first coverability.
 
-    Markings above the token cap are not expanded (recorded in the
-    `complete` flag); exhausting the capped space yields
-    NotCoverableWithinCaps, and expanding max_markings markings without a
-    verdict aborts to Unknown.
+    Markings above the token cap are not expanded.  Exhausting the space
+    with no cap touched yields NotCoverableWithinCaps; a search that pruned
+    a marking above max_tokens or stopped after max_markings markings is
+    ForwardUnknown, named by every cap it tripped.
     """
     validate_petri(net)
     if target is None:
@@ -266,9 +273,9 @@ def cover_forward_bfs(
     )
     if isinstance(result, Found):
         return ForwardCoverable(result.labels, result.explored)
-    if isinstance(result, Capped) and "max_markings" in result.tripped:
+    if isinstance(result, Capped):
         return ForwardUnknown(result.reason, result.explored)
-    return NotCoverableWithinCaps(result.explored, complete=not isinstance(result, Capped))
+    return NotCoverableWithinCaps(result.explored)
 
 
 # ---------------------------------------------------------------------------

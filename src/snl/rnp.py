@@ -39,6 +39,8 @@ from snl.text import strip_comments
 
 MAIN_SEQ = ("main",)
 
+DEFAULT_MAX_CONFIGS = 1_000_000
+
 
 class RnpParseError(ValueError):
     pass
@@ -312,7 +314,7 @@ ExploreVerdict = RnpHalts | RnpNo | RnpUnknown
 
 def explore_halting(
     rnp: Rnp,
-    max_configs: int = 1_000_000,
+    max_configs: int = DEFAULT_MAX_CONFIGS,
     max_value: int | None = None,
     start: RnpConfig | None = None,
 ) -> ExploreVerdict:

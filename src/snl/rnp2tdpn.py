@@ -105,75 +105,60 @@ def serialize_addr(book: AddressBook) -> str:
 # Depth-suffix automata
 
 
-def depth_range_checker(arity: int, lo: int, hi: int, suffix_width: int, name: str = "rng") -> Transducer:
-    """Accepts tuples whose coordinates all spell one depth d with
-    lo <= d <= hi.  Digit automaton over MSB-first bits: a state tracks
-    the position plus whether the prefix read so far still sits on the
-    lower and upper bounds.  At most 4*(suffix_width+1) states; a
-    singleton interval degenerates to a bare path."""
+def _depth_automaton(arity: int, lo: int, hi: int, suffix_width: int, name: str,
+                     steps: dict, start_mode: str, final_mode: str) -> Transducer:
+    """Digit automaton over MSB-first depth bits, confined to lo <= d <= hi.
+    A state is the position, whether the bits read so far still sit on
+    lo's and on hi's, and a mode; steps[mode] lists each move's (bit,
+    letters, next mode) in order, and a state past the last bit is final
+    when its mode is final_mode.  States are named after their fields."""
     lo_bits = _bits(lo, suffix_width)
     hi_bits = _bits(hi, suffix_width)
-    start = (0, True, True)
-    states: dict[tuple, str] = {start: f"{name}_0_11"}
+    states: dict[tuple, str] = {}
     transitions: list[tuple[str, tuple[str, ...], str]] = []
-    frontier = [start]
+    frontier: list[tuple] = []
+
+    def visit(state: tuple) -> str:
+        if state not in states:
+            i, lo_t, hi_t, mode = state
+            states[state] = f"{name}_{i}_{int(lo_t)}{int(hi_t)}{mode}"
+            frontier.append(state)
+        return states[state]
+
+    initial = visit((0, True, True, start_mode))
     while frontier:
-        i, lo_t, hi_t = state = frontier.pop()
+        i, lo_t, hi_t, mode = state = frontier.pop()
         if i == suffix_width:
             continue
-        for b in "01":
-            if lo_t and b < lo_bits[i]:
+        for b, letters, nxt_mode in steps[mode]:
+            if (lo_t and b < lo_bits[i]) or (hi_t and b > hi_bits[i]):
                 continue
-            if hi_t and b > hi_bits[i]:
-                continue
-            nxt = (i + 1, lo_t and b == lo_bits[i], hi_t and b == hi_bits[i])
-            if nxt not in states:
-                states[nxt] = f"{name}_{nxt[0]}_{int(nxt[1])}{int(nxt[2])}"
-                frontier.append(nxt)
-            transitions.append((states[state], (b,) * arity, states[nxt]))
-    finals = frozenset(v for (i, _, _), v in states.items() if i == suffix_width)
-    return Transducer(arity, ALPHABET, tuple(states.values()), states[start], finals, tuple(transitions))
+            nxt = visit((i + 1, lo_t and b == lo_bits[i], hi_t and b == hi_bits[i], nxt_mode))
+            transitions.append((states[state], letters, nxt))
+    finals = frozenset(v for (i, _, _, mode), v in states.items() if i == suffix_width and mode == final_mode)
+    return Transducer(arity, ALPHABET, tuple(states.values()), initial, finals, tuple(transitions))
+
+
+def depth_range_checker(arity: int, lo: int, hi: int, suffix_width: int, name: str = "rng") -> Transducer:
+    """Accepts tuples whose coordinates all spell one depth d with
+    lo <= d <= hi.  At most 4*(suffix_width+1) states; a singleton
+    interval degenerates to a bare path."""
+    steps = {"": [(b, (b,) * arity, "") for b in "01"]}
+    return _depth_automaton(arity, lo, hi, suffix_width, name, steps, "", "")
 
 
 def depth_successor_checker(lo: int, hi: int, suffix_width: int, name: str = "suc") -> Transducer:
     """Accepts exactly the triples (d, d+1, d) with lo <= d <= hi, all
     three coordinates MSB first.  Adding one flips the trailing block of
-    ones, so the words agree up to a flip position (letters (a,a,a)),
-    differ there ((0,1,0)), and are complementary after it ((1,0,1)); a
-    word of all ones has no flip position and is rejected.  At most
-    8*(suffix_width+1) states."""
-    lo_bits = _bits(lo, suffix_width)
-    hi_bits = _bits(hi, suffix_width)
-    start = (0, True, True, False)
-    states: dict[tuple, str] = {start: f"{name}_0_110"}
-    transitions: list[tuple[str, tuple[str, ...], str]] = []
-    frontier = [start]
-
-    def step(state: tuple, b: str, letters: tuple[str, ...], flipped: bool) -> None:
-        i, lo_t, hi_t, _ = state
-        if lo_t and b < lo_bits[i]:
-            return
-        if hi_t and b > hi_bits[i]:
-            return
-        nxt = (i + 1, lo_t and b == lo_bits[i], hi_t and b == hi_bits[i], flipped)
-        if nxt not in states:
-            states[nxt] = f"{name}_{nxt[0]}_{int(nxt[1])}{int(nxt[2])}{int(nxt[3])}"
-            frontier.append(nxt)
-        transitions.append((states[state], letters, states[nxt]))
-
-    while frontier:
-        state = frontier.pop()
-        i, _, _, flipped = state
-        if i == suffix_width:
-            continue
-        if not flipped:
-            for b in "01":
-                step(state, b, (b, b, b), False)
-            step(state, "0", ("0", "1", "0"), True)
-        else:
-            step(state, "1", ("1", "0", "1"), True)
-    finals = frozenset(v for (i, _, _, f), v in states.items() if i == suffix_width and f)
-    return Transducer(3, ALPHABET, tuple(states.values()), states[start], finals, tuple(transitions))
+    ones, so the words agree up to a flip position (letters (a,a,a), mode
+    0), differ there ((0,1,0)), and are complementary after it ((1,0,1),
+    mode 1); a word of all ones has no flip position and is rejected.  At
+    most 8*(suffix_width+1) states."""
+    steps = {
+        "0": [("0", ("0", "0", "0"), "0"), ("1", ("1", "1", "1"), "0"), ("0", ("0", "1", "0"), "1")],
+        "1": [("1", ("1", "0", "1"), "1")],
+    }
+    return _depth_automaton(3, lo, hi, suffix_width, name, steps, "0", "1")
 
 
 # ---------------------------------------------------------------------------

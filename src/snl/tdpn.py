@@ -12,7 +12,8 @@ widths) and running the backward procedure, or searching forward over
 markings, firing only the rows of the net's one table (`Tdpn.table`) filed
 under the marked words.  Forks and joins are multiset-true in the symbolic
 semantics: a join whose two pre words coincide needs two tokens on that
-word, and a fork whose post words coincide adds two.
+word, and a fork whose post words coincide adds two.  Either way "no" means
+an exhaustive search; a search a cap touched is Unknown, named by the caps.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from functools import cached_property
 from itertools import product
 
 from snl.petri import (
+    DEFAULT_MAX_MARKINGS,
+    DEFAULT_MAX_TOKENS,
     PetriNet,
     canonical,
     cover_backward,
@@ -37,6 +40,8 @@ Marking = dict[str, int]
 
 Descriptor = tuple[str, tuple[str, ...]]  # ("move"|"fork"|"join", words)
 ARITY = {"move": 2, "fork": 3, "join": 3}
+
+DEFAULT_PLACE_LIMIT = 4096
 
 
 class TdpnParseError(ValueError):
@@ -111,7 +116,7 @@ class PlaceLimitExceeded(ValueError):
     pass
 
 
-def expand(net: Tdpn, place_limit: int = 4096) -> PetriNet:
+def expand(net: Tdpn, place_limit: int = DEFAULT_PLACE_LIMIT) -> PetriNet:
     """Materialize the net: one place per word, one transition per accepted
     tuple.  Because Petri flow is a relation, a degenerate tuple (a fork
     with equal post words, a join with equal pre words) collapses to a
@@ -169,8 +174,10 @@ class TdpnCoverable:
 
 @dataclass(frozen=True)
 class TdpnNotCoverable:
+    """An exhaustive search found no cover."""
+
     mode: str
-    complete: bool
+    complete = True  # still read by perfbench/oracles.py and perfbench/spans.py; not a field
 
 
 @dataclass(frozen=True)
@@ -185,17 +192,17 @@ TdpnVerdict = TdpnCoverable | TdpnNotCoverable | TdpnUnknown
 def coverable(
     net: Tdpn,
     mode: str = "backward",
-    place_limit: int = 4096,
-    max_tokens: int = 64,
-    max_markings: int = 1_000_000,
+    place_limit: int = DEFAULT_PLACE_LIMIT,
+    max_tokens: int = DEFAULT_MAX_TOKENS,
+    max_markings: int = DEFAULT_MAX_MARKINGS,
 ) -> TdpnVerdict:
     """Decide coverability of the final word.
 
     backward: expand and run the complete backward procedure (refusing the
-    expansion yields Unknown).  symbolic: forward search with fire_symbolic
-    under token/marking caps; exhausting the capped space reports
-    NotCoverable with a completeness flag, expanding max_markings markings
-    without a verdict reports Unknown.
+    expansion yields Unknown).  symbolic: forward search with fire_symbolic;
+    exhausting the markings with no cap touched reports NotCoverable, and a
+    search that pruned a marking above max_tokens or stopped after
+    max_markings markings reports Unknown, named by every cap it tripped.
     """
     validate_tdpn(net)
     if mode == "backward":
@@ -208,7 +215,7 @@ def coverable(
             return TdpnCoverable(
                 tuple(descriptor_of_transition_id(t) for t in verdict.witness), mode
             )
-        return TdpnNotCoverable(mode, complete=True)
+        return TdpnNotCoverable(mode)
     if mode != "symbolic":
         raise ValueError(f"unknown mode {mode!r}")
 
@@ -222,9 +229,9 @@ def coverable(
     )
     if isinstance(result, Found):
         return TdpnCoverable(result.labels, mode)
-    if isinstance(result, Capped) and "max_markings" in result.tripped:
+    if isinstance(result, Capped):
         return TdpnUnknown(mode, result.reason)
-    return TdpnNotCoverable(mode, complete=not isinstance(result, Capped))
+    return TdpnNotCoverable(mode)
 
 
 # ---------------------------------------------------------------------------

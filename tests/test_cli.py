@@ -165,13 +165,6 @@ def test_explore_dcps_pretty_witness(capsys, tiny_dcps):
     assert "kill" in out
 
 
-def test_explore_dcps_env_cap(capsys, tiny_dcps, monkeypatch):
-    monkeypatch.setenv("SNL_MAX_CONFIGS", "5")
-    code, out, _ = run_cli(capsys, "explore-dcps", tiny_dcps, "--target", "g_halt", "--K", 1)
-    assert code == EXIT_UNKNOWN
-    assert "configs_explored=5" in out
-
-
 def test_desugar_then_explore(capsys, tiny_dcps, tmp_path):
     plain = tmp_path / "tiny_plain.dcps"
     code, out, _ = run_cli(capsys, "desugar-kill", tiny_dcps, "-o", plain)
@@ -438,8 +431,8 @@ MOVE = ("move", ("0", "1"))
     ("rnp", rnp.RnpUnknown("max_value", 4),
      ("Unknown reason=max_value", "unknown", {"configs_explored": 4})),
     ("tdpn", tdpn.TdpnCoverable((MOVE, MOVE), "symbolic"), ("Coverable", "yes", {"witness_steps": 2})),
-    ("tdpn", tdpn.TdpnNotCoverable("symbolic", True), ("NotCoverable (exhaustive)", "no", {})),
-    ("tdpn", tdpn.TdpnNotCoverable("symbolic", False), ("Unknown", "unknown", {"reason": "max_tokens"})),
+    ("tdpn", tdpn.TdpnNotCoverable("symbolic"), ("NotCoverable (exhaustive)", "no", {})),
+    ("tdpn", tdpn.TdpnUnknown("symbolic", "max_tokens"), ("Unknown", "unknown", {"reason": "max_tokens"})),
     ("tdpn", tdpn.TdpnUnknown("symbolic", "max_markings"),
      ("Unknown", "unknown", {"reason": "max_markings"})),
     ("dcps", dcps.DcpsReachable((), 1241),
@@ -510,13 +503,6 @@ def test_unwritable_output_is_input_error(capsys, tmp_path):
     assert str(out) in err
 
 
-def test_bad_env_cap_is_input_error(capsys, tiny_dcps, monkeypatch):
-    monkeypatch.setenv("SNL_MAX_CONFIGS", "banana")
-    code, _, err = run_cli(capsys, "explore-dcps", tiny_dcps, "--target", "g_halt", "--K", 1)
-    assert code == EXIT_INPUT
-    assert "SNL_MAX_CONFIGS" in err
-
-
 def test_negative_switch_budget_is_input_error(capsys, tiny_dcps):
     code, out, err = run_cli(capsys, "explore-dcps", tiny_dcps, "--target", "g_halt", "--K", -1)
     assert code == EXIT_INPUT
@@ -580,11 +566,3 @@ def test_zero_cap_is_accepted(capsys):
     code, out, _ = run_cli(capsys, "cover", TINY, "--mode", "symbolic", "--max-markings", 0)
     assert code == EXIT_UNKNOWN
     assert "reason=max_markings" in out
-
-
-def test_negative_env_cap_is_input_error(capsys, tiny_dcps, monkeypatch):
-    monkeypatch.setenv("SNL_MAX_CONFIGS", "-5")
-    code, out, err = run_cli(capsys, "explore-dcps", tiny_dcps, "--target", "g_halt", "--K", 1)
-    assert code == EXIT_INPUT
-    assert out == ""
-    assert "SNL_MAX_CONFIGS must be an integer of at least 0, got '-5'" in err

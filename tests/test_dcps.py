@@ -406,17 +406,6 @@ def test_reach_unknown_on_config_budget():
     assert "max_configs" in result.reason
 
 
-def test_env_override_for_config_budget(monkeypatch):
-    system = make_dcps("g0", "a", (DcpsRule("g0", "a", "g0", ("a",), "b"),))
-    monkeypatch.setenv("SNL_MAX_CONFIGS", "2")
-    result = reach_state(system, "gx", 0, max_threads=3)
-    assert isinstance(result, DcpsUnknown)
-    assert "max_configs" in result.reason
-    monkeypatch.setenv("SNL_MAX_CONFIGS", "banana")
-    with pytest.raises(ValueError, match="SNL_MAX_CONFIGS"):
-        reach_state(system, "gx", 0)
-
-
 def test_witness_needs_budget_for_resume():
     # d is reachable only by parking the main thread and coming back to it
     rules = (

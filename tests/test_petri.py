@@ -122,7 +122,7 @@ def test_forward_witness_replays():
     assert covers(m, {"pf": 1})
 
 
-def test_forward_token_cap_marks_incomplete():
+def test_forward_token_cap_is_unknown():
     # pure token factory: every marking expands past any cap eventually
     net = PetriNet(
         places=("p0", "pf"),
@@ -131,8 +131,8 @@ def test_forward_token_cap_marks_incomplete():
         final="pf",
     )
     verdict = cover_forward_bfs(net, target={"pf": 3}, max_tokens=2)
-    assert isinstance(verdict, NotCoverableWithinCaps)
-    assert not verdict.complete
+    assert isinstance(verdict, ForwardUnknown)
+    assert verdict.reason == "max_tokens"
     # with room to grow, the target is found
     assert isinstance(cover_forward_bfs(net, target={"pf": 3}, max_tokens=8), ForwardCoverable)
 
