@@ -8,9 +8,12 @@ The package covers:
 * dynamic networks of concurrent pushdown systems (thread pools with
   context-switch budgets, optionally with thread-kill rules).
 
-Each model has a text format, a validator, and an executable semantics; the
-compilers connect them so that a single counter program can be pushed through
-the whole chain and the verdicts cross-checked.
+Each model has a text format, a well-formedness check, and an executable
+semantics; the compilers connect them so that a single counter program can be
+pushed through the whole chain and the verdicts cross-checked.  Petri nets,
+symbolic nets and thread pools check themselves where they are built, so every
+consumer holds a well-formed one; counter and net programs are checked by
+their validators where they are loaded or compiled.
 """
 
 from snl.counter import (

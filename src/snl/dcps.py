@@ -45,15 +45,14 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import chain, repeat
 from math import inf
-from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 from snl.search import Capped, Exhausted, Found, bfs
-from snl.text import strip_comments
+from snl.text import non_words, strip_comments
 
 Stack = tuple[str, ...]
 Thread = tuple[Stack, int]
@@ -103,13 +102,62 @@ class KillRule(NamedTuple):
 
 @dataclass(frozen=True)
 class Dcps:
-    states: tuple[str, ...]
-    symbols: tuple[str, ...]
+    """A thread pool, checked where it is built.
+
+    The text format carries no declaration lines, so `states` and `symbols`
+    are derived in mention order: initial first, then rule and kill
+    mentions in declaration order, then any kill symbols never mentioned
+    (sorted).  parse(serialize(x)) is therefore the identity.  Every name
+    is a word identifier and no symbol is `eps`, the text format's empty
+    push; a rule pushes at most two symbols and keeps every kill-topped
+    stack a singleton; a kill's top and victim are kill symbols.  A system
+    that breaks any of these raises DcpsValidationError naming each problem.
+    """
+
     initial_state: str
     initial_symbol: str
-    rules: tuple[DcpsRule, ...]
+    rules: tuple[DcpsRule, ...] = ()
     kills: tuple[KillRule, ...] = ()
     kill_syms: frozenset[str] = frozenset()
+    states: tuple[str, ...] = field(init=False)
+    symbols: tuple[str, ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        kill_syms = self.kill_syms
+        states: dict[str, None] = {self.initial_state: None}
+        symbols: dict[str, None] = {self.initial_symbol: None}
+        problems = []
+        for i, (state, top, new_state, push, spawn) in enumerate(self.rules):
+            states[state] = None
+            states[new_state] = None
+            symbols[top] = None
+            for s in push:
+                symbols[s] = None
+            if spawn is not None:
+                symbols[spawn] = None
+            if len(push) > 2:
+                problems.append(f"rule {i}: pushes {len(push)} symbols (limit 2)")
+            if top in kill_syms:
+                if len(push) > 1 or not kill_syms.issuperset(push):
+                    problems.append(f"rule {i}: kill-symbol top may push at most one kill symbol")
+            elif not kill_syms.isdisjoint(push):
+                problems.append(f"rule {i}: regular top must not push kill symbols")
+        for i, (state, top, new_state, _, victim) in enumerate(self.kills):
+            states[state] = None
+            states[new_state] = None
+            symbols[top] = None
+            symbols[victim] = None
+            for role, s in (("top", top), ("victim", victim)):
+                if s not in kill_syms:
+                    problems.append(f"kill rule {i}: {role} {s!r} is not a kill symbol")
+        symbols.update(dict.fromkeys(sorted(kill_syms)))
+        problems += non_words(chain(states, symbols))
+        if "eps" in symbols:
+            problems.append("symbol 'eps' is reserved for the empty push")
+        if problems:
+            raise DcpsValidationError("; ".join(problems))
+        object.__setattr__(self, "states", tuple(states))
+        object.__setattr__(self, "symbols", tuple(symbols))
 
     def size(self) -> int:
         return len(self.states) + len(self.symbols) + len(self.rules) + len(self.kills)
@@ -127,104 +175,7 @@ class Dcps:
         return rule_buckets, kill_buckets
 
 
-def make_dcps(
-    initial_state: str,
-    initial_symbol: str,
-    rules: tuple[DcpsRule, ...] = (),
-    kills: tuple[KillRule, ...] = (),
-    kill_syms: frozenset[str] = frozenset(),
-) -> Dcps:
-    """Build a system with states/symbols derived in mention order.
-
-    The text format carries no declaration lines, so the state and symbol
-    tuples are always reconstructed the same way: initial first, then rule
-    mentions in declaration order, then any kill symbols never mentioned by
-    a rule (sorted).  Compilers build their outputs through this factory so
-    parse(serialize(x)) is the identity.
-    """
-    rules = tuple(rules)
-    kills = tuple(kills)
-    kill_syms = frozenset(kill_syms)
-    states: dict[str, None] = {initial_state: None}
-    symbols: dict[str, None] = {initial_symbol: None}
-    for r in rules:
-        states.setdefault(r.state)
-        states.setdefault(r.new_state)
-        symbols.setdefault(r.top)
-        for s in r.push:
-            symbols.setdefault(s)
-        if r.spawn is not None:
-            symbols.setdefault(r.spawn)
-    for k in kills:
-        states.setdefault(k.state)
-        states.setdefault(k.new_state)
-        symbols.setdefault(k.top)
-        symbols.setdefault(k.victim)
-    for s in sorted(kill_syms):
-        symbols.setdefault(s)
-    return Dcps(
-        tuple(states), tuple(symbols), initial_state, initial_symbol, rules, kills, kill_syms
-    )
-
-
-_NAME_RE = re.compile(r"\w+\Z")
-
-
-def validate_dcps(system: Dcps) -> None:
-    problems = []
-    state_set = set(system.states)
-    sym_set = set(system.symbols)
-    if len(state_set) != len(system.states):
-        problems.append("duplicate states")
-    if len(sym_set) != len(system.symbols):
-        problems.append("duplicate symbols")
-    if not all(map(_NAME_RE.match, chain(system.states, system.symbols))):
-        for name in chain(system.states, system.symbols):
-            if not _NAME_RE.match(name):
-                problems.append(f"name {name!r} is not a word identifier")
-    if system.initial_state not in state_set:
-        problems.append(f"initial state {system.initial_state!r} not declared")
-    if system.initial_symbol not in sym_set:
-        problems.append(f"initial symbol {system.initial_symbol!r} not declared")
-    if not system.kill_syms <= sym_set:
-        extra = sorted(system.kill_syms - sym_set)
-        problems.append(f"kill symbols {extra} not declared")
-    kill_syms = system.kill_syms
-
-    def at(where: str, i: int, problem: str) -> None:
-        problems.append(f"{where} {i}: {problem}")
-
-    for i, (state, top, new_state, push, spawn) in enumerate(system.rules):
-        if len(push) > 2:
-            at("rule", i, f"pushes {len(push)} symbols (limit 2)")
-        for role, name in (("state", state), ("target state", new_state)):
-            if name not in state_set:
-                at("rule", i, f"{role} {name!r} not declared")
-        for s in (top, *push) if spawn is None else (top, *push, spawn):
-            if s not in sym_set:
-                at("rule", i, f"symbol {s!r} not declared")
-        if top in kill_syms:
-            # kill-topped stacks must stay singletons
-            if len(push) > 1 or any(s not in kill_syms for s in push):
-                at("rule", i, "kill-symbol top may push at most one kill symbol")
-        elif any(s in kill_syms for s in push):
-            at("rule", i, "regular top must not push kill symbols")
-    # field by field first (state, top, target, keep, victim); the per-kill
-    # loop only words the problems
-    def column(field: int):
-        return map(itemgetter(field), system.kills)
-
-    if not (state_set.issuperset(column(0)) and state_set.issuperset(column(2))
-            and kill_syms.issuperset(column(1)) and kill_syms.issuperset(column(4))):
-        for i, (state, top, new_state, _, victim) in enumerate(system.kills):
-            for role, name in (("state", state), ("target state", new_state)):
-                if name not in state_set:
-                    at("kill rule", i, f"{role} {name!r} not declared")
-            for role, s in (("top", top), ("victim", victim)):
-                if s not in kill_syms:
-                    at("kill rule", i, f"{role} {s!r} is not a kill symbol")
-    if problems:
-        raise DcpsValidationError("; ".join(problems))
+make_dcps = Dcps  # the name perfbench/oracles.py builds systems by
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +446,6 @@ def _search(system: Dcps, budget: int, goal, max_threads: int, max_stack: int,
     global-state set and target reachability exactly.  It is not a cap:
     an exhausted search still certifies "no".
     """
-    validate_dcps(system)
     check_budget(budget)
     if semantics not in SEMANTICS:
         raise ValueError(f"unknown semantics {semantics!r}")
@@ -591,7 +541,6 @@ def desugar_kill(system: Dcps) -> Dcps:
     so the reachable global states within the original state set are
     unchanged.
     """
-    validate_dcps(system)
     taken = set(system.states) | set(system.symbols)
     marker = fresh_name(taken, "spawnmark")
     rules = list(system.rules)
@@ -603,7 +552,7 @@ def desugar_kill(system: Dcps) -> Dcps:
         rules.append(DcpsRule(g_spawn, k.top, g_kill, ()))
         rules.append(DcpsRule(g_kill, k.victim, g_return, ()))
         rules.append(DcpsRule(g_return, marker, k.new_state, (k.top,) if k.keep else ()))
-    return make_dcps(system.initial_state, system.initial_symbol, tuple(rules))
+    return Dcps(system.initial_state, system.initial_symbol, tuple(rules))
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +596,6 @@ def compile_to_inheritance(system: Dcps, g_target: str) -> tuple[Dcps, str]:
     thread, which is what makes inherited counts track the original counts
     shifted by one.
     """
-    validate_dcps(system)
     if system.kills or system.kill_syms:
         raise DcpsValidationError("inheritance reduction expects a plain system (desugar kills first)")
     if g_target not in set(system.states):
@@ -676,7 +624,7 @@ def compile_to_inheritance(system: Dcps, g_target: str) -> tuple[Dcps, str]:
     for g in system.states:
         for y in system.symbols:
             rules.append(DcpsRule(hand[(g, y)], dorm, run[g], (y, bot)))
-    compiled = make_dcps(boot, boot_sym, tuple(rules))
+    compiled = Dcps(boot, boot_sym, tuple(rules))
     return compiled, swp[g_target]
 
 
@@ -713,7 +661,7 @@ def _parse_push(word: str, lineno: int) -> tuple[str, ...]:
     if word == "eps":
         return ()
     parts = word.split(".")
-    if not all(_NAME_RE.match(p) for p in parts):
+    if non_words(parts):
         raise DcpsParseError(f"line {lineno}: bad push word {word!r}")
     return tuple(parts)
 
@@ -742,7 +690,7 @@ def parse_dcps(text: str) -> Dcps:
                 raise DcpsParseError(f"line {lineno}: duplicate killsyms line")
             saw_killsyms = True
             names = m.group(1).split()
-            if not all(_NAME_RE.match(n) for n in names):
+            if non_words(names):
                 raise DcpsParseError(f"line {lineno}: bad kill symbol name")
             kill_syms = frozenset(names)
         elif m := _RULE_RE.match(line):
@@ -757,12 +705,10 @@ def parse_dcps(text: str) -> Dcps:
         raise DcpsParseError("missing state g0 line")
     if initial_symbol is None:
         raise DcpsParseError("missing stackinit line")
-    system = make_dcps(initial_state, initial_symbol, tuple(rules), tuple(kills), kill_syms)
     try:
-        validate_dcps(system)
+        return Dcps(initial_state, initial_symbol, tuple(rules), tuple(kills), kill_syms)
     except DcpsValidationError as exc:
         raise DcpsParseError(str(exc)) from None
-    return system
 
 
 def dcps_lines(system: Dcps) -> Iterator[str]:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from snl.search import Capped, Found, bfs
-from snl.text import strip_comments
+from snl.text import non_words, strip_comments
 
 Marking = dict[str, int]
 CanonMarking = tuple[tuple[str, int], ...]
@@ -44,21 +44,29 @@ class PetriValidationError(ValueError):
 
 @dataclass(frozen=True)
 class PetriNet:
+    """A net checked where it is built: see validate_petri."""
+
     places: tuple[str, ...]
     transitions: tuple[tuple[str, frozenset[str], frozenset[str]], ...]
     initial: str
     final: str
+
+    def __post_init__(self) -> None:
+        validate_petri(self)
 
     def size(self) -> int:
         return len(self.places) + len(self.transitions)
 
 
 def validate_petri(net: PetriNet) -> None:
-    problems = []
+    """Raise PetriValidationError unless the places and transition ids are
+    distinct word identifiers and every place a transition or role names
+    is declared."""
     place_set = set(net.places)
+    ids = [tid for tid, _, _ in net.transitions]
+    problems = non_words((*net.places, *ids))
     if len(place_set) != len(net.places):
         problems.append("duplicate places")
-    ids = [tid for tid, _, _ in net.transitions]
     if len(set(ids)) != len(ids):
         problems.append("duplicate transition ids")
     for tid, pre, post in net.transitions:
@@ -149,7 +157,6 @@ def cover_backward(net: PetriNet, target: Marking | None = None) -> BackwardVerd
     of parent pointers replays into a concrete firing sequence, which is
     verified before being returned.
     """
-    validate_petri(net)
     if target is None:
         target = target_marking(net)
     bit = {p: 1 << i for i, p in enumerate(dict.fromkeys((*net.places, *target)))}
@@ -252,7 +259,6 @@ def cover_forward_bfs(
     a marking above max_tokens or stopped after max_markings markings is
     ForwardUnknown, named by every cap it tripped.
     """
-    validate_petri(net)
     if target is None:
         target = target_marking(net)
 
@@ -309,9 +315,7 @@ def parse_pnet(text: str) -> PetriNet:
             raise PetriParseError(f"unrecognized statement {stmt!r}")
     if len(roles) < 2:
         raise PetriParseError("missing initial or final place")
-    net = PetriNet(tuple(places), tuple(transitions), roles["initial"], roles["final"])
-    validate_petri(net)
-    return net
+    return PetriNet(tuple(places), tuple(transitions), roles["initial"], roles["final"])
 
 
 def serialize_pnet(net: PetriNet) -> str:

@@ -41,7 +41,7 @@ from snl.rnp import (
     Return,
     validate_rnp,
 )
-from snl.tdpn import Tdpn, validate_tdpn
+from snl.tdpn import Tdpn
 from snl.transducer import Transducer
 
 ALPHABET = ("0", "1")
@@ -192,11 +192,7 @@ def _collect(rnp: Rnp) -> tuple[tuple[str, ...], dict[str, str], list[Emission],
         bases.append(start)
         label_to_base[p.lt_max[0].label] = start
         label_to_base[p.eq_max[0].label] = start
-        for cmd in p.lt_max[1:]:
-            base = f"label:{cmd.label}"
-            label_to_base[cmd.label] = base
-            bases.append(base)
-        for cmd in p.eq_max[1:]:
+        for cmd in (*p.lt_max[1:], *p.eq_max[1:]):
             base = f"label:{cmd.label}"
             label_to_base[cmd.label] = base
             bases.append(base)
@@ -319,7 +315,6 @@ def compile_rnp_to_tdpn(rnp: Rnp) -> RnpCompilation:
         _assemble(3, forks, book),
         _assemble(3, joins, book),
     )
-    validate_tdpn(net)
     return RnpCompilation(net, book, label_to_base)
 
 

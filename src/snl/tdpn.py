@@ -33,7 +33,7 @@ from snl.petri import (
     Coverable as PetriCoverable,
 )
 from snl.search import Capped, Found, bfs
-from snl.text import strip_comments
+from snl.text import non_words, strip_comments
 from snl.transducer import Transducer, enumerate_accepted, validate_transducer
 
 Marking = dict[str, int]
@@ -54,6 +54,8 @@ class TdpnValidationError(ValueError):
 
 @dataclass(frozen=True)
 class Tdpn:
+    """A net checked where it is built: see validate_tdpn."""
+
     width: int
     alphabet: tuple[str, ...]
     w_init: str
@@ -61,6 +63,9 @@ class Tdpn:
     t_move: Transducer
     t_fork: Transducer
     t_join: Transducer
+
+    def __post_init__(self) -> None:
+        validate_tdpn(self)
 
     def size(self) -> int:
         return self.width + self.t_move.size() + self.t_fork.size() + self.t_join.size()
@@ -88,6 +93,10 @@ class Tdpn:
 
 
 def validate_tdpn(net: Tdpn) -> None:
+    """Raise TdpnValidationError unless the width is positive, the alphabet
+    single characters, both words width-long words over it, and each
+    transducer valid, of its kind's arity, over the net's alphabet, with
+    word-identifier states."""
     problems = []
     if net.width < 1:
         problems.append("width must be positive")
@@ -103,7 +112,7 @@ def validate_tdpn(net: Tdpn) -> None:
         if tuple(t.alphabet) != tuple(net.alphabet):
             problems.append(f"{name} transducer alphabet differs from the net alphabet")
         report = validate_transducer(t)
-        problems.extend(f"{name}: {e}" for e in report.errors)
+        problems.extend(f"{name}: {e}" for e in (*report.errors, *non_words(t.states)))
     if problems:
         raise TdpnValidationError("; ".join(problems))
 
@@ -122,7 +131,6 @@ def expand(net: Tdpn, place_limit: int = DEFAULT_PLACE_LIMIT) -> PetriNet:
     with equal post words, a join with equal pre words) collapses to a
     single arc in the expansion; the symbolic semantics keeps multiset
     counts, so it differs from the expansion exactly on such tuples."""
-    validate_tdpn(net)
     n_places = len(net.alphabet) ** net.width
     if n_places > place_limit:
         raise PlaceLimitExceeded(
@@ -204,7 +212,6 @@ def coverable(
     search that pruned a marking above max_tokens or stopped after
     max_markings markings reports Unknown, named by every cap it tripped.
     """
-    validate_tdpn(net)
     if mode == "backward":
         try:
             expanded = expand(net, place_limit=place_limit)
@@ -302,12 +309,10 @@ def parse_tdpn(text: str) -> Tdpn:
     for kind in ("move", "fork", "join"):
         if kind not in blocks:
             raise TdpnParseError(f"missing transducer block {kind!r}")
-    net = Tdpn(
+    return Tdpn(
         width, alphabet, header["init"], header["final"],
         blocks["move"], blocks["fork"], blocks["join"],
     )
-    validate_tdpn(net)
-    return net
 
 
 def _serialize_transducer_block(kind: str, t: Transducer) -> list[str]:

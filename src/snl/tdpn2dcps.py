@@ -54,8 +54,8 @@ import heapq
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from snl.dcps import Dcps, DcpsRule, Event, KillRule, make_dcps, mint_name, validate_dcps
-from snl.tdpn import Descriptor, Tdpn, validate_tdpn
+from snl.dcps import Dcps, DcpsRule, Event, KillRule, mint_name
+from snl.tdpn import Descriptor, Tdpn
 from snl.transducer import Transducer, language
 
 MODES = ("move", "join", "fork")
@@ -153,7 +153,6 @@ def _by_mode(net: Tdpn) -> dict[str, Transducer]:
 def compile_tdpn_to_killdcps(net: Tdpn) -> KillDcps:
     """The full five-stage system with its verify-stage kill rules, returned
     with its names, halt state and synthesis tables."""
-    validate_tdpn(net)
     l, sigma, by_mode = net.width, net.alphabet, _by_mode(net)
     names: dict[str, str] = {}
     event: dict[tuple, Event] = {}
@@ -243,22 +242,17 @@ def compile_tdpn_to_killdcps(net: Tdpn) -> KillDcps:
                 ("guess", m, l, tag, a),
                 DcpsRule(guess[(m, l, tag)], guess_sym, guess[(m, below_top, tag)], (a,), bit[(a, l, tag)]),
             )
-    for m, tag in GUESS_PAIRS:
-        for i in range(2, l):
-            for a in sigma:
-                for c in sigma:
-                    rule(
-                        ("guess", m, i, tag, c, a),
-                        DcpsRule(guess[(m, i, tag)], a, guess[(m, i - 1, tag)], (c, a), bit[(c, i, tag)]),
-                    )
-    if l >= 2:
+    # positions 2..l-1 step down one position; position 1 (when l >= 2) steps to the toplock
+    for positions in (range(2, l), range(1, min(l, 2))):
         for m, tag in GUESS_PAIRS:
-            for a in sigma:
-                for c in sigma:
-                    rule(
-                        ("guess", m, 1, tag, c, a),
-                        DcpsRule(guess[(m, 1, tag)], a, guess[(m, "toplock", tag)], (c, a), bit[(c, 1, tag)]),
-                    )
+            for i in positions:
+                below = guess[(m, i - 1 if i > 1 else "toplock", tag)]
+                for a in sigma:
+                    for c in sigma:
+                        rule(
+                            ("guess", m, i, tag, c, a),
+                            DcpsRule(guess[(m, i, tag)], a, below, (c, a), bit[(c, i, tag)]),
+                        )
     # a row of verify states per (mode, position, tag), see _VerifyRow
     verify: dict[tuple[str, int, str], _VerifyRow] = {}
     for m, roles in VERIFY_ROLES.items():
@@ -335,8 +329,7 @@ def compile_tdpn_to_killdcps(net: Tdpn) -> KillDcps:
     ):
         raise RuntimeError("verify blocks do not tile the kill rules; witness events would be ambiguous")
     kill_syms = frozenset({verify_sym}) | frozenset(bit.values())
-    system = make_dcps(g_init[l], w0[l - 1], tuple(rules), tuple(kills), kill_syms)
-    validate_dcps(system)
+    system = Dcps(g_init[l], w0[l - 1], tuple(rules), tuple(kills), kill_syms)
     return KillDcps(net, system, names, g_halt, event, block_start, offsets, lock, guess_sym, verify_sym)
 
 

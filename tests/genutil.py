@@ -169,7 +169,7 @@ def random_kill_dcps(rng: random.Random):
     Kill symbols only ever enter stacks as spawned singletons or via
     kill-top pushes, so every kill-topped thread is a stack singleton.
     """
-    from snl.dcps import DcpsRule, KillRule, make_dcps
+    from snl.dcps import Dcps, DcpsRule, KillRule
 
     states = [f"g{i}" for i in range(rng.randint(2, 4))]
     regular = [f"a{i}" for i in range(rng.randint(1, 2))]
@@ -198,7 +198,7 @@ def random_kill_dcps(rng: random.Random):
         )
     # sometimes start on a kill symbol: allowed, the stack starts a singleton
     init_sym = rng.choice(regular + regular + kill)
-    return make_dcps(states[0], init_sym, tuple(rules), tuple(kills), frozenset(kill))
+    return Dcps(states[0], init_sym, tuple(rules), tuple(kills), frozenset(kill))
 
 
 def random_firing_kill_dcps(rng: random.Random):
@@ -210,7 +210,7 @@ def random_firing_kill_dcps(rng: random.Random):
     and victim, so switching one in lets it kill the other.  Kills mostly
     lead to h-states, which no spine rule reaches.
     """
-    from snl.dcps import DcpsRule, KillRule, make_dcps
+    from snl.dcps import Dcps, DcpsRule, KillRule
 
     spine = [f"g{i}" for i in range(rng.randint(3, 4))]
     after = [f"h{i}" for i in range(rng.randint(2, 3))]
@@ -233,7 +233,7 @@ def random_firing_kill_dcps(rng: random.Random):
         top, victim = rng.sample(spawned[:at], 2)
         target = rng.choice(after + after + spine)
         kills.append(KillRule(spine[at], top, target, rng.choice([True, False]), victim))
-    return make_dcps(spine[0], regular[0], tuple(rules), tuple(kills), frozenset(kill))
+    return Dcps(spine[0], regular[0], tuple(rules), tuple(kills), frozenset(kill))
 
 
 def random_plain_dcps(rng: random.Random):
@@ -242,7 +242,7 @@ def random_plain_dcps(rng: random.Random):
     Pushes are kept short so compiled stacks stay shallow and capped
     explorations exhaust quickly.
     """
-    from snl.dcps import DcpsRule, make_dcps
+    from snl.dcps import Dcps, DcpsRule
 
     states = [f"g{i}" for i in range(rng.randint(2, 3))]
     symbols = [f"a{i}" for i in range(rng.randint(1, 3))]
@@ -253,7 +253,7 @@ def random_plain_dcps(rng: random.Random):
         push = tuple(rng.choice(symbols) for _ in range(rng.choice([0, 1, 1])))
         spawn = rng.choice([None, None, None] + symbols)
         rules.append(DcpsRule(src, top, dst, push, spawn))
-    return make_dcps(states[0], rng.choice(symbols), tuple(rules))
+    return Dcps(states[0], rng.choice(symbols), tuple(rules))
 
 
 def tiny_rnps():

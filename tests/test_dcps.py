@@ -22,7 +22,6 @@ from snl.dcps import (
     inheritance_rule_count,
     initial_config,
     make_config,
-    make_dcps,
     parse_dcps,
     reach_state,
     reachable_states,
@@ -30,7 +29,6 @@ from snl.dcps import (
     replay_witness,
     serialize_dcps,
     successors,
-    validate_dcps,
 )
 from snl.dcps import _apply, _cap_rule, _enabled, _events, _remove, _search
 from snl.search import Capped, Exhausted, Found, bfs
@@ -43,7 +41,7 @@ def kill_demo() -> Dcps:
         DcpsRule("g1", "a", "g1", ()),
     )
     kills = (KillRule("g0", "v", "g1", True, "u"),)
-    return make_dcps("g0", "v", rules, kills, frozenset({"v", "u"}))
+    return Dcps("g0", "v", rules, kills, frozenset({"v", "u"}))
 
 
 # ---------------------------------------------------------------------------
@@ -51,61 +49,63 @@ def kill_demo() -> Dcps:
 
 
 def test_validate_rejects_triple_push():
-    system = make_dcps("g0", "a", (DcpsRule("g0", "a", "g0", ("a", "a", "a")),))
     with pytest.raises(DcpsValidationError, match="limit 2"):
-        validate_dcps(system)
+        Dcps("g0", "a", (DcpsRule("g0", "a", "g0", ("a", "a", "a")),))
 
 
 def test_validate_rejects_kill_push_on_regular_top():
-    system = make_dcps(
-        "g0",
-        "a",
-        (DcpsRule("g0", "a", "g0", ("v",)),),
-        kill_syms=frozenset({"v"}),
-    )
     with pytest.raises(DcpsValidationError, match="regular top"):
-        validate_dcps(system)
+        Dcps(
+            "g0",
+            "a",
+            (DcpsRule("g0", "a", "g0", ("v",)),),
+            kill_syms=frozenset({"v"}),
+        )
 
 
 def test_validate_rejects_widening_kill_top():
-    bad = make_dcps(
-        "g0",
-        "v",
-        (DcpsRule("g0", "v", "g0", ("v", "v")),),
-        kill_syms=frozenset({"v"}),
-    )
     with pytest.raises(DcpsValidationError, match="kill-symbol top"):
-        validate_dcps(bad)
-    swapped = make_dcps(
-        "g0",
-        "v",
-        (DcpsRule("g0", "v", "g0", ("a",)),),
-        kill_syms=frozenset({"v"}),
-    )
+        Dcps(
+            "g0",
+            "v",
+            (DcpsRule("g0", "v", "g0", ("v", "v")),),
+            kill_syms=frozenset({"v"}),
+        )
     with pytest.raises(DcpsValidationError, match="kill-symbol top"):
-        validate_dcps(swapped)
+        Dcps(
+            "g0",
+            "v",
+            (DcpsRule("g0", "v", "g0", ("a",)),),
+            kill_syms=frozenset({"v"}),
+        )
 
 
 def test_validate_rejects_kill_rule_on_regular_symbols():
-    system = make_dcps(
-        "g0",
-        "a",
-        (),
-        (KillRule("g0", "a", "g1", True, "a"),),
-        frozenset(),
-    )
     with pytest.raises(DcpsValidationError, match="not a kill symbol"):
-        validate_dcps(system)
-
-
-def test_validate_rejects_undeclared_mentions():
-    system = Dcps(("g0",), ("a",), "g0", "a", (DcpsRule("g0", "a", "g9", ()),))
-    with pytest.raises(DcpsValidationError, match="g9"):
-        validate_dcps(system)
+        Dcps(
+            "g0",
+            "a",
+            (),
+            (KillRule("g0", "a", "g1", True, "a"),),
+            frozenset(),
+        )
 
 
 def test_spawning_kill_symbols_is_allowed():
-    validate_dcps(kill_demo())
+    kill_demo()
+
+
+def test_eps_is_no_symbol():
+    # "g1|eps" is the empty push: pushing a symbol eps would not read back
+    with pytest.raises(DcpsParseError, match="'eps' is reserved"):
+        parse_dcps("state g0 g0;\nstackinit a;\nrule g0|a -> g1|a.eps;\n")
+    with pytest.raises(DcpsValidationError, match="'eps' is reserved"):
+        Dcps("g0", "a", (DcpsRule("g0", "a", "g1", ("eps",)),))
+
+
+def test_names_must_be_word_identifiers():
+    with pytest.raises(DcpsValidationError, match="'g-1' is not a word identifier"):
+        Dcps("g0", "a", (DcpsRule("g0", "a", "g-1", ()),))
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +113,7 @@ def test_spawning_kill_symbols_is_allowed():
 
 
 def test_rule_step_rewrites_top_and_keeps_count():
-    system = make_dcps("g0", "a", (DcpsRule("g0", "a", "g1", ("b", "a")),))
+    system = Dcps("g0", "a", (DcpsRule("g0", "a", "g1", ("b", "a")),))
     cfg = make_config("g0", (("a", "c"), 2), [])
     steps = successors(system, cfg, budget=0)
     assert steps == [
@@ -122,13 +122,13 @@ def test_rule_step_rewrites_top_and_keeps_count():
 
 
 def test_no_rule_fires_on_empty_stack():
-    system = make_dcps("g0", "a", (DcpsRule("g0", "a", "g1", ()),))
+    system = Dcps("g0", "a", (DcpsRule("g0", "a", "g1", ()),))
     cfg = make_config("g0", ((), 0), [])
     assert successors(system, cfg, budget=1) == []
 
 
 def test_spawn_count_depends_on_semantics():
-    system = make_dcps("g0", "a", (DcpsRule("g0", "a", "g0", ("a",), "u"),))
+    system = Dcps("g0", "a", (DcpsRule("g0", "a", "g0", ("a",), "u"),))
     cfg = make_config("g0", (("a",), 2), [])
     (_, plain), = successors(system, cfg, budget=2, semantics="noinherit")
     assert plain.pool == ((("u",), 0),)
@@ -137,7 +137,7 @@ def test_spawn_count_depends_on_semantics():
 
 
 def test_switch_respects_budget_and_dedupes():
-    system = make_dcps("g0", "a", ())
+    system = Dcps("g0", "a", ())
     cfg = make_config("g0", (("a",), 0), [(("u",), 1), (("u",), 1)])
     assert successors(system, cfg, budget=0) == []
     steps = successors(system, cfg, budget=1)
@@ -148,7 +148,7 @@ def test_switch_respects_budget_and_dedupes():
 
 
 def test_switch_can_activate_a_corpse():
-    system = make_dcps("g0", "a", ())
+    system = Dcps("g0", "a", ())
     cfg = make_config("g0", (("a",), 0), [((), 0)])
     steps = successors(system, cfg, budget=0)
     assert steps == [
@@ -178,7 +178,7 @@ def test_kill_removes_victim_and_resets_count():
 def test_pop_kill_leaves_empty_active():
     rules = ()
     kills = (KillRule("g0", "v", "g1", False, "u"),)
-    system = make_dcps("g0", "v", rules, kills, frozenset({"v", "u"}))
+    system = Dcps("g0", "v", rules, kills, frozenset({"v", "u"}))
     cfg = make_config("g0", (("v",), 0), [(("u",), 0)])
     (_, nxt), = [s for s in successors(system, cfg, 0) if s[0][0] == "kill"]
     assert nxt.active == ((), 0)
@@ -252,7 +252,7 @@ def hand_built_configs():
         KillRule("g1", "v", "g1", True, "u"),
         KillRule("g0", "v", "g1", False, "u"),
     )
-    system = make_dcps("g0", "v", rules, kills, frozenset({"t", "u", "v", "w"}))
+    system = Dcps("g0", "v", rules, kills, frozenset({"t", "u", "v", "w"}))
     # sorted by hand, not canonical: repeated live threads, (u,) threads
     # on both sides of every budget, a longer stack starting with u, and
     # several empty-stack threads, one of them twice
@@ -365,42 +365,42 @@ def test_reach_trivial_chain():
         DcpsRule("g0", "a", "g1", ("b",), "c"),
         DcpsRule("g1", "b", "g2", ("b",)),
     )
-    system = make_dcps("g0", "a", rules)
+    system = Dcps("g0", "a", rules)
     result = reach_state(system, "g2", 0)
     assert isinstance(result, DcpsReachable)
     assert result.witness == (("rule", 0), ("rule", 1))
 
 
 def test_reach_initial_state_immediately():
-    system = make_dcps("g0", "a", ())
+    system = Dcps("g0", "a", ())
     result = reach_state(system, "g0", 0)
     assert isinstance(result, DcpsReachable)
     assert result.witness == ()
 
 
 def test_reach_no_on_clean_exhaustion():
-    system = make_dcps("g0", "a", (DcpsRule("g0", "a", "g1", ()),))
+    system = Dcps("g0", "a", (DcpsRule("g0", "a", "g1", ()),))
     result = reach_state(system, "g2", 1)
     assert isinstance(result, DcpsNo)
     assert result.configs_explored == 2
 
 
 def test_reach_unknown_when_thread_cap_prunes():
-    system = make_dcps("g0", "a", (DcpsRule("g0", "a", "g0", ("a",), "b"),))
+    system = Dcps("g0", "a", (DcpsRule("g0", "a", "g0", ("a",), "b"),))
     result = reach_state(system, "gx", 0, max_threads=3)
     assert isinstance(result, DcpsUnknown)
     assert result.reason == "max_threads"
 
 
 def test_reach_unknown_when_stack_cap_prunes():
-    system = make_dcps("g0", "a", (DcpsRule("g0", "a", "g0", ("a", "a")),))
+    system = Dcps("g0", "a", (DcpsRule("g0", "a", "g0", ("a", "a")),))
     result = reach_state(system, "gx", 0, max_stack=4)
     assert isinstance(result, DcpsUnknown)
     assert result.reason == "max_stack"
 
 
 def test_reach_unknown_on_config_budget():
-    system = make_dcps("g0", "a", (DcpsRule("g0", "a", "g0", ("a",), "b"),))
+    system = Dcps("g0", "a", (DcpsRule("g0", "a", "g0", ("a",), "b"),))
     result = reach_state(system, "gx", 0, max_threads=3, max_configs=2)
     assert isinstance(result, DcpsUnknown)
     assert "max_configs" in result.reason
@@ -413,13 +413,13 @@ def test_witness_needs_budget_for_resume():
         DcpsRule("b", "z", "c", ("z",)),
         DcpsRule("c", "x", "d", ("x",)),
     )
-    system = make_dcps("a", "x", rules)
+    system = Dcps("a", "x", rules)
     assert isinstance(reach_state(system, "d", 1), DcpsReachable)
     assert not isinstance(reach_state(system, "d", 0), DcpsReachable)
 
 
 def test_replay_rejects_inapplicable_event():
-    system = make_dcps("g0", "a", (DcpsRule("g0", "a", "g1", ()),))
+    system = Dcps("g0", "a", (DcpsRule("g0", "a", "g1", ()),))
     with pytest.raises(ValueError, match="does not apply"):
         replay_witness(system, (("rule", 5),), 0)
 
@@ -433,7 +433,7 @@ def test_replay_rejects_malformed_and_out_of_range_events(bad):
     # negative index that wrapped around would be taken
     rules = (DcpsRule("g0", "v", "g0", ("v",), "u"),)
     kills = (KillRule("g0", "v", "g1", True, "u"),)
-    system = make_dcps("g0", "v", rules, kills, frozenset({"u", "v"}))
+    system = Dcps("g0", "v", rules, kills, frozenset({"u", "v"}))
     assert replay_final(system, (("rule", 0), ("kill", 0, 0)), 1).state == "g1"
     for replay in (replay_witness, replay_final):
         with pytest.raises(ValueError, match=r"does not apply at step 1\Z"):
@@ -456,7 +456,7 @@ def test_replay_parks_two_empty_threads_at_one_count():
         DcpsRule("g0", "c", "g0", (), "b"),
         DcpsRule("g0", "b", "g0", ()),
     )
-    system = make_dcps("g0", "a", rules)
+    system = Dcps("g0", "a", rules)
     b0 = (("b",), 0)
     witness = (("rule", 0), ("rule", 1), ("switch", b0), ("rule", 2), ("switch", b0))
     configs = replay_witness(system, witness, 1)
@@ -566,7 +566,7 @@ def test_dead_switch_pruning_is_exact_on_kill_firing_systems():
 
 def test_negative_budget_is_refused():
     # no switch is within a negative budget, so a search would certify a hollow "no"
-    system = make_dcps("g0", "a", (DcpsRule("g0", "a", "g1", ()),))
+    system = Dcps("g0", "a", (DcpsRule("g0", "a", "g1", ()),))
     with pytest.raises(ValueError, match="K must be at least 0"):
         reach_state(system, "g2", -1)
     with pytest.raises(ValueError, match="K must be at least 0"):
@@ -574,10 +574,10 @@ def test_negative_budget_is_refused():
 
 
 def test_reachable_states_reports_completeness():
-    finite = make_dcps("g0", "a", (DcpsRule("g0", "a", "g1", ()),))
+    finite = Dcps("g0", "a", (DcpsRule("g0", "a", "g1", ()),))
     states, complete = reachable_states(finite, 0)
     assert states == frozenset({"g0", "g1"}) and complete
-    pump = make_dcps("g0", "a", (DcpsRule("g0", "a", "g0", ("a",), "b"),))
+    pump = Dcps("g0", "a", (DcpsRule("g0", "a", "g0", ("a",), "b"),))
     _, complete = reachable_states(pump, 0, max_threads=3)
     assert not complete
 
@@ -677,7 +677,7 @@ def test_dead_switch_pruning_on_hand_built_systems():
         DcpsRule("g0", "b", "g1", ("b",), "d"),
         DcpsRule("g1", "b", "g2", ()),
     )
-    idle = make_dcps("g0", "a", rules)
+    idle = Dcps("g0", "a", rules)
     for semantics in SEMANTICS:
         for budget in (0, 1, 2):
             full, pruned, exhaustive = check_pruning_is_exact(idle, budget, semantics)
@@ -688,7 +688,7 @@ def test_dead_switch_pruning_on_hand_built_systems():
     # switch itself parks the active u, so v is live although no victim is
     rules = (DcpsRule("g0", "u", "g2", ("u",), "v"),)
     kills = (KillRule("g2", "v", "g1", True, "u"),)
-    victim = make_dcps("g0", "u", rules, kills, frozenset({"u", "v"}))
+    victim = Dcps("g0", "u", rules, kills, frozenset({"u", "v"}))
     for semantics in SEMANTICS:
         for budget in (0, 1, 2):
             check_pruning_is_exact(victim, budget, semantics)
@@ -739,7 +739,7 @@ def golden_systems():
         DcpsRule("g3", "v", "g4", ("v",)),
     )
     kills = (KillRule("g0", "v", "g1", True, "u"),)
-    yield "kill_reset", make_dcps("g0", "v", rules, kills, frozenset({"u", "v"}))
+    yield "kill_reset", Dcps("g0", "v", rules, kills, frozenset({"u", "v"}))
     rng = random.Random(20261019)
     for trial in range(16):
         kill = random_kill_dcps(rng)
@@ -788,7 +788,7 @@ def test_desugar_adds_four_rules_three_states_one_symbol():
 
 
 def test_desugar_without_kills_is_plain_passthrough():
-    system = make_dcps(
+    system = Dcps(
         "g0", "a", (DcpsRule("g0", "a", "g1", ()),), (), frozenset({"v"})
     )
     # v never occurs in a rule, so it only existed via the kill declaration
@@ -840,7 +840,7 @@ def plain_demo() -> Dcps:
         DcpsRule("b", "z", "c", ("z",)),
         DcpsRule("c", "x", "d", ("x",)),
     )
-    return make_dcps("a", "x", rules)
+    return Dcps("a", "x", rules)
 
 
 def test_inheritance_requires_plain_system():

@@ -159,6 +159,13 @@ def test_canonical_drops_zero_entries():
     assert canonical({"a": 0, "b": 2}) == (("b", 2),)
 
 
+@pytest.mark.parametrize("place, tid", [("p-0", "t0"), ("p0", "t 0")])
+def test_names_must_be_word_identifiers(place, tid):
+    # "place p-0;" and "trans t 0 ..." would not read back
+    with pytest.raises(PetriValidationError, match="is not a word identifier"):
+        PetriNet((place,), ((tid, frozenset({place}), frozenset()),), place, place)
+
+
 def test_validation_and_parse_errors():
     with pytest.raises(PetriValidationError):
         validate_petri(

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import re
 
@@ -59,6 +60,15 @@ def test_validate_rejects_bad_words():
         validate_tdpn(Tdpn(2, ("0", "1"), "02", "11", t2, t3, t3))
     with pytest.raises(TdpnValidationError):
         validate_tdpn(Tdpn(2, ("0", "1"), "00", "11", t3, t3, t3))
+
+
+def test_transducer_states_must_be_word_identifiers():
+    # "trans q-1 -> ..." would not read back: the parser takes word states
+    t2 = transducer_from_tuples(2, ("0", "1"), [])
+    t3 = transducer_from_tuples(3, ("0", "1"), [])
+    odd = dataclasses.replace(t2, states=("r", "q-1"), transitions=(("r", ("0", "1"), "q-1"),))
+    with pytest.raises(TdpnValidationError, match="move: name 'q-1' is not a word identifier"):
+        Tdpn(1, ("0", "1"), "0", "1", odd, t3, t3)
 
 
 def test_expand_width_one():
