@@ -10,10 +10,9 @@ The package covers:
 
 Each model has a text format, a well-formedness check, and an executable
 semantics; the compilers connect them so that a single counter program can be
-pushed through the whole chain and the verdicts cross-checked.  Petri nets,
-symbolic nets and thread pools check themselves where they are built, so every
-consumer holds a well-formed one; counter and net programs are checked by
-their validators where they are loaded or compiled.
+pushed through the whole chain and the verdicts cross-checked.  Every model,
+and every transducer, checks itself where it is built, so every consumer holds
+a well-formed one.
 """
 
 from snl.counter import (

@@ -188,7 +188,7 @@ def _print_descriptors(witness) -> None:
 
 
 def _cmd_run_counter(args) -> int:
-    program = _load(args.file, counter.parse_counter, counter.validate_counter)
+    program = _load(args.file, counter.parse_counter)
     with _boundary(args.file):  # the depth rule refuses n < 1
         bound = args.bound if args.bound is not None else lipton.simulated_bound(args.n, args.depth_mode)
     return _exit_code(_say(counter.run_bounded(program, bound, fuel=args.fuel), bound=bound))
@@ -204,7 +204,7 @@ def _cmd_compile_rnp(args) -> int:
 
 
 def _cmd_run_rnp(args) -> int:
-    program = _load(args.file, rnp.parse_rnp, rnp.validate_rnp)
+    program = _load(args.file, rnp.parse_rnp)
     verdict = rnp.explore_halting(program, max_configs=args.max_configs, max_value=args.max_value)
     extra = {}
     if isinstance(verdict, rnp.RnpHalts):
@@ -213,7 +213,7 @@ def _cmd_run_rnp(args) -> int:
 
 
 def _cmd_compile_tdpn(args) -> int:
-    program = _load(args.file, rnp.parse_rnp, rnp.validate_rnp)
+    program = _load(args.file, rnp.parse_rnp)
     compiled = rnp2tdpn.compile_rnp_to_tdpn(program)
     out = Path(args.output) if args.output else Path(args.file).with_suffix(".tdpn")
     _write(out, (tdpn.serialize_tdpn(compiled.tdpn),))

@@ -77,7 +77,12 @@ Command = Inc | Dec | Goto | IfZero | Halt
 
 @dataclass(frozen=True)
 class CounterProgram:
+    """A program checked where it is built: see validate_counter."""
+
     commands: tuple[Command, ...]
+
+    def __post_init__(self) -> None:
+        validate_counter(self)
 
     @property
     def variables(self) -> tuple[str, ...]:
@@ -201,6 +206,13 @@ def duplicates(what: str, names: list[str]) -> str | None:
     return f"duplicate {what}: {', '.join(dupes)}" if dupes else None
 
 
+def non_identifiers(what: str, names) -> list[str]:
+    """A problem line for each distinct one of `names` that is not an
+    identifier, the one name shape the statement grammar reads back."""
+    return [f"{what} {n!r} is not an identifier"
+            for n in dict.fromkeys(names) if not re.fullmatch(IDENT, n)]
+
+
 def jump_targets(cmd) -> tuple[str, ...]:
     """The labels a command may jump to: its `target...` fields."""
     return tuple(value for field, value in vars(cmd).items() if field.startswith("target"))
@@ -208,8 +220,8 @@ def jump_targets(cmd) -> tuple[str, ...]:
 
 def validate_counter(program: CounterProgram) -> None:
     """Raise CounterValidationError unless the program is well formed:
-    distinct labels, all jump targets defined, and exactly one halt sitting
-    at the very end."""
+    identifier labels and counters, distinct labels, all jump targets
+    defined, and exactly one halt sitting at the very end."""
     problems = []
     labels = [cmd.label for cmd in program.commands]
     label_set = set(labels)
@@ -225,6 +237,7 @@ def validate_counter(program: CounterProgram) -> None:
         for t in jump_targets(cmd):
             if t not in label_set:
                 problems.append(f"jump target {t!r} of {cmd.label!r} is undefined")
+    problems += non_identifiers("label", labels) + non_identifiers("counter", program.variables)
     if problems:
         raise CounterValidationError("; ".join(problems))
 

@@ -46,7 +46,7 @@ import re
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 from itertools import chain, repeat
 from math import inf
 from typing import Iterator, NamedTuple
@@ -190,20 +190,8 @@ class DcpsConfig(NamedTuple):
     pool: tuple[Thread, ...]
 
 
-def _canon_pool(entries) -> tuple[Thread, ...]:
-    live = []
-    corpse_counts = set()
-    for w, j in entries:
-        if w:
-            live.append((w, j))
-        else:
-            corpse_counts.add(j)
-    live.extend(((), j) for j in corpse_counts)
-    return tuple(sorted(live))
-
-
 def make_config(state: str, active: Thread, pool) -> DcpsConfig:
-    return DcpsConfig(state, active, _canon_pool(pool))
+    return DcpsConfig(state, active, reduce(_insert, pool, ()))
 
 
 def initial_config(system: Dcps) -> DcpsConfig:

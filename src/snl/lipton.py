@@ -34,7 +34,6 @@ from snl.rnp import (
     Proc,
     Return,
     Rnp,
-    validate_rnp,
 )
 
 HELPER_VARS = ("s", "bar_s", "y", "bar_y", "z", "bar_z")
@@ -196,11 +195,10 @@ def _translate_sim(program: counter.CounterProgram) -> list[Command]:
 
 
 def validate_source(program: counter.CounterProgram, n: int) -> None:
-    """Raise a ValueError unless compile_lipton accepts the program at n:
-    n >= 1, a valid counter program, no label containing '__' (reserved for
-    generated labels) and no counter named like a helper or 'bar_...'."""
+    """Raise a ValueError unless compile_lipton accepts the (already valid)
+    program at n: n >= 1, no label containing '__' (reserved for generated
+    labels) and no counter named like a helper or 'bar_...'."""
     max_depth_for(n)
-    counter.validate_counter(program)
     for label in program.labels:
         if "__" in label:
             raise LiptonInputError(f"label {label!r} uses reserved separator '__'")
@@ -225,6 +223,4 @@ def compile_lipton(program: counter.CounterProgram, n: int, depth_mode: str = "d
         *(Inc(f"init__x__{x}", complement(x)) for x in program.variables),
         *expand_test_plus1("y", sim[0].label, "init__loop", entry="init__t1"),
     )
-    result = Rnp(max_depth_for(n, depth_mode), init + tuple(sim), helper_procs())
-    validate_rnp(result)
-    return result
+    return Rnp(max_depth_for(n, depth_mode), init + tuple(sim), helper_procs())

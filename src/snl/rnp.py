@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from snl.counter import IDENT, SHARED_FORMS, Grammar, duplicates, jump_targets
+from snl.counter import IDENT, SHARED_FORMS, Grammar, duplicates, jump_targets, non_identifiers
 from snl.counter import Dec, Goto, Halt, Inc  # the commands both languages share
 from snl.search import Capped, Found, bfs
 from snl.text import strip_comments
@@ -85,9 +85,14 @@ class Proc:
 
 @dataclass(frozen=True)
 class Rnp:
+    """A program checked where it is built: see validate_rnp."""
+
     max_depth: int
     main: tuple[Command, ...]
     procs: tuple[Proc, ...]
+
+    def __post_init__(self) -> None:
+        validate_rnp(self)
 
     def proc(self, name: str) -> Proc:
         for p in self.procs:
@@ -242,6 +247,10 @@ def successors(rnp: Rnp, config: RnpConfig) -> list[tuple[int | None, RnpConfig]
 
 
 def validate_rnp(rnp: Rnp) -> None:
+    """Raise RnpValidationError, naming each problem, unless the depth is
+    positive, every name an identifier, labels and procedures distinct, and
+    the bodies well formed: jumps local, calls defined and not in eq_max,
+    returns only in procedures, one halt, ending main."""
     problems: list[str] = []
     if rnp.max_depth < 1:
         problems.append(f"max depth must be at least 1, got {rnp.max_depth}")
@@ -283,6 +292,9 @@ def validate_rnp(rnp: Rnp) -> None:
         problems.append("main must end with halt")
     if dupes := duplicates("labels", all_labels):
         problems.append(dupes)
+    counters = [c.var for _, cmds in rnp.sequences() for c in cmds if isinstance(c, (Inc, Dec))]
+    problems += non_identifiers("label", all_labels) + non_identifiers("counter", counters)
+    problems += non_identifiers("procedure name", names)
     if problems:
         raise RnpValidationError("; ".join(problems))
 
@@ -325,7 +337,6 @@ def explore_halting(
     RnpUnknown when a cap interfered: max_configs bounds the configurations
     expanded, and a counter copy exceeding max_value prunes that branch.
     """
-    validate_rnp(rnp)
     if start is None:
         start = initial_config(rnp)
     over_value = None

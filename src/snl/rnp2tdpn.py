@@ -39,7 +39,6 @@ from snl.rnp import (
     Inc,
     Rnp,
     Return,
-    validate_rnp,
 )
 from snl.tdpn import Tdpn
 from snl.transducer import Transducer
@@ -300,7 +299,6 @@ class RnpCompilation:
 
 
 def compile_rnp_to_tdpn(rnp: Rnp) -> RnpCompilation:
-    validate_rnp(rnp)
     k = rnp.max_depth
     bases, label_to_base, moves, forks, joins = _collect(rnp)
     prefix_width = max(1, (len(bases) - 1).bit_length())

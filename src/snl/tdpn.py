@@ -34,7 +34,7 @@ from snl.petri import (
 )
 from snl.search import Capped, Found, bfs
 from snl.text import non_words, strip_comments
-from snl.transducer import Transducer, enumerate_accepted, validate_transducer
+from snl.transducer import Transducer, TransducerError, enumerate_accepted
 
 Marking = dict[str, int]
 
@@ -95,8 +95,8 @@ class Tdpn:
 def validate_tdpn(net: Tdpn) -> None:
     """Raise TdpnValidationError unless the width is positive, the alphabet
     single characters, both words width-long words over it, and each
-    transducer valid, of its kind's arity, over the net's alphabet, with
-    word-identifier states."""
+    transducer (valid as built) of its kind's arity, over the net's
+    alphabet, with word-identifier states."""
     problems = []
     if net.width < 1:
         problems.append("width must be positive")
@@ -111,8 +111,7 @@ def validate_tdpn(net: Tdpn) -> None:
             problems.append(f"{name} transducer must have arity {ARITY[name]}, got {t.arity}")
         if tuple(t.alphabet) != tuple(net.alphabet):
             problems.append(f"{name} transducer alphabet differs from the net alphabet")
-        report = validate_transducer(t)
-        problems.extend(f"{name}: {e}" for e in (*report.errors, *non_words(t.states)))
+        problems.extend(f"{name}: {e}" for e in non_words(t.states))
     if problems:
         raise TdpnValidationError("; ".join(problems))
 
@@ -300,15 +299,20 @@ def parse_tdpn(text: str) -> Tdpn:
             raise TdpnParseError(f"missing {key} declaration")
     width = int(header["width"])
     alphabet = tuple(header["alphabet"].split())
-    blocks = {}
+    blocks, bad = {}, {}
     for m in _TRANSDUCER_RE.finditer(text):
         kind, arity, body = m.group(1), int(m.group(2)), m.group(3)
         if kind in blocks:
             raise TdpnParseError(f"second transducer block {kind!r}")
-        blocks[kind] = _parse_transducer_block(kind, arity, body, alphabet)
-    for kind in ("move", "fork", "join"):
+        try:
+            blocks[kind] = _parse_transducer_block(kind, arity, body, alphabet)
+        except TransducerError as err:
+            blocks[kind], bad[kind] = None, f"{kind}: {err}"
+    for kind in ARITY:
         if kind not in blocks:
             raise TdpnParseError(f"missing transducer block {kind!r}")
+    if bad:
+        raise TdpnParseError("; ".join(bad[kind] for kind in ARITY if kind in bad))
     return Tdpn(
         width, alphabet, header["init"], header["final"],
         blocks["move"], blocks["fork"], blocks["join"],

@@ -3,7 +3,8 @@
 A transducer of arity n reads n words of equal length in lockstep: each
 transition consumes one letter per coordinate.  The accepted language is a
 set of n-tuples of words.  There are no epsilon moves, so every accepted
-tuple has exactly the length of the run that accepted it.
+tuple has exactly the length of the run that accepted it.  A transducer
+checks its structure where it is built: see `validate_transducer`.
 
 Every consumer reads one language per (transducer, length): `language`
 walks the transitions depth-first in declaration order once and keeps the
@@ -32,12 +33,17 @@ Language = dict[tuple[str, ...], tuple[int, ...]]  # words -> first accepting pa
 
 @dataclass(frozen=True)
 class Transducer:
+    """A transducer checked where it is built: see validate_transducer."""
+
     arity: int
     alphabet: tuple[str, ...]
     states: tuple[str, ...]
     initial: str
     finals: frozenset[str]
     transitions: tuple[Transition, ...]
+
+    def __post_init__(self) -> None:
+        validate_transducer(self)
 
     def size(self) -> int:
         return self.arity * len(self.transitions)
@@ -57,21 +63,10 @@ class Transducer:
         return {}
 
 
-@dataclass(frozen=True)
-class TransducerReport:
-    errors: tuple[str, ...]
-    unreachable: tuple[str, ...]
-    dead: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
-
-def validate_transducer(t: Transducer) -> TransducerReport:
-    """Structural checks plus reachability analysis.  Unreachable and dead
-    (non-co-reachable) states are reported but are not errors: they cannot
-    change the language."""
+def validate_transducer(t: Transducer) -> None:
+    """Raise TransducerError, naming each problem, unless the states are
+    distinct, the initial, final and transition states declared, and every
+    transition reads one letter of the alphabet per coordinate."""
     errors = []
     state_set = set(t.states)
     if len(state_set) != len(t.states):
@@ -91,47 +86,7 @@ def validate_transducer(t: Transducer) -> TransducerReport:
             if a not in sigma:
                 errors.append(f"letter {a!r} not in alphabet")
     if errors:
-        return TransducerReport(tuple(errors), (), ())
-
-    forward = {t.initial}
-    frontier = [t.initial]
-    table = t.by_source
-    while frontier:
-        q = frontier.pop()
-        for _, _, dst in table[q]:
-            if dst not in forward:
-                forward.add(dst)
-                frontier.append(dst)
-    backward = set(t.finals)
-    changed = True
-    while changed:
-        changed = False
-        for src, _, dst in t.transitions:
-            if dst in backward and src not in backward:
-                backward.add(src)
-                changed = True
-    unreachable = tuple(q for q in t.states if q not in forward)
-    dead = tuple(q for q in t.states if q not in backward)
-    return TransducerReport((), unreachable, dead)
-
-
-def prune_transducer(t: Transducer) -> Transducer:
-    """Drop states that are unreachable or cannot reach a final state.
-    The language is preserved.  The initial state is kept even when the
-    language is empty."""
-    report = validate_transducer(t)
-    if not report.ok:
-        raise TransducerError("; ".join(report.errors))
-    drop = set(report.unreachable) | set(report.dead)
-    drop.discard(t.initial)
-    keep = tuple(q for q in t.states if q not in drop)
-    live = tuple(
-        tr for tr in t.transitions if tr[0] not in drop and tr[2] not in drop
-    )
-    return Transducer(
-        t.arity, t.alphabet, keep, t.initial,
-        frozenset(f for f in t.finals if f not in drop), live,
-    )
+        raise TransducerError("; ".join(errors))
 
 
 def accepts(t: Transducer, words: tuple[str, ...]) -> bool:

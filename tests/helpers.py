@@ -1,4 +1,5 @@
-"""Shared test machinery: statement harnesses and corpus access.
+"""Shared test machinery: statement harnesses, corpus access, and renaming
+inside a program.
 
 The statement harnesses wrap single compiled procedures in a tiny main so
 that one call (plus, for the depth-limit case, a shim that adds one stack
@@ -6,6 +7,7 @@ frame) exercises exactly the effect under test, starting from a
 preconditioned valuation.
 """
 
+import dataclasses
 from pathlib import Path
 
 from snl import counter
@@ -81,3 +83,31 @@ def corpus_program(name: str) -> counter.CounterProgram:
 
 def corpus_names() -> list[str]:
     return sorted(p.name for p in CORPUS.glob("*.cp"))
+
+
+# names that no statement grammar reads back
+BAD_NAMES = ("l-1", "a b", "x y", "p-q", "1a", "")
+
+
+def names_in(obj) -> set[str]:
+    """Every string in a tree of tuples and dataclasses: the names of a
+    program or of its parts."""
+    if isinstance(obj, str):
+        return {obj}
+    if isinstance(obj, tuple):
+        return set().union(*map(names_in, obj))
+    if dataclasses.is_dataclass(obj):
+        return names_in(tuple(vars(obj).values()))
+    return set()
+
+
+def renamed(obj, old: str, new: str):
+    """A tree of tuples and dataclasses with every string `old` replaced by
+    `new`."""
+    if obj == old:
+        return new
+    if isinstance(obj, tuple):
+        return tuple(renamed(x, old, new) for x in obj)
+    if dataclasses.is_dataclass(obj):
+        return type(obj)(*(renamed(v, old, new) for v in vars(obj).values()))
+    return obj

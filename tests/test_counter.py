@@ -1,8 +1,11 @@
 """Counter program parsing, validation, and bounded execution."""
 
-import pytest
-from hypothesis import given, settings, strategies as st
+import re
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from helpers import BAD_NAMES, names_in, renamed
 from snl import counter
 from snl.counter import (
     Aborts,
@@ -14,7 +17,6 @@ from snl.counter import (
     parse_counter,
     run_bounded,
     serialize_counter,
-    validate_counter,
 )
 
 COUNT4 = """\
@@ -89,7 +91,7 @@ def test_parse_errors(src):
 )
 def test_validation_errors(src):
     with pytest.raises(CounterValidationError):
-        validate_counter(parse_counter(src))
+        parse_counter(src)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +176,6 @@ def straightline_programs(draw):
 @given(straightline_programs(), st.integers(min_value=1, max_value=6))
 @settings(max_examples=200, deadline=None)
 def test_bounded_run_properties(prog, bound):
-    validate_counter(prog)
     verdict = run_bounded(prog, bound)
     # deterministic
     assert run_bounded(prog, bound) == verdict
@@ -188,7 +189,8 @@ def test_bounded_run_properties(prog, bound):
 
 
 # ---------------------------------------------------------------------------
-# The text format round-trips every command class, whatever the identifiers.
+# The statement grammar round-trips every command class, whatever the
+# identifiers; a program round-trips whenever it can be built at all.
 
 IDENTS = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,4}", fullmatch=True)
 COMMANDS = st.one_of(
@@ -200,8 +202,43 @@ COMMANDS = st.one_of(
 )
 
 
-@given(st.lists(COMMANDS, max_size=8))
+@given(st.lists(COMMANDS, max_size=8).map(tuple))
 @settings(max_examples=200, deadline=None)
 def test_format_then_parse_is_identity(commands):
-    prog = counter.CounterProgram(tuple(commands))
-    assert parse_counter(serialize_counter(prog)) == prog
+    text = "\n".join(counter.GRAMMAR.format(cmd) for cmd in commands)
+    assert counter.GRAMMAR.parse(text, "counter program") == commands
+
+
+@st.composite
+def sometimes_misnamed_commands(draw):
+    """Distinct labels, defined targets and one final halt, so a valid
+    program, in which half the time one name is replaced throughout by one
+    the statement grammar would not read back."""
+    labels = draw(st.lists(IDENTS, min_size=1, max_size=6, unique=True))
+    targets = st.sampled_from(labels)
+    body = [
+        draw(st.one_of(
+            st.builds(counter.Inc, st.just(label), IDENTS),
+            st.builds(counter.Dec, st.just(label), IDENTS),
+            st.builds(counter.Goto, st.just(label), targets),
+            st.builds(counter.IfZero, st.just(label), IDENTS, targets, targets),
+        ))
+        for label in labels[:-1]
+    ]
+    commands = (*body, counter.Halt(labels[-1]))
+    old = draw(st.sampled_from(sorted(names_in(commands))))
+    return renamed(commands, old, draw(st.just(old) | st.sampled_from(BAD_NAMES)))
+
+
+@given(sometimes_misnamed_commands())
+@example((counter.Inc("l-1", "x"), counter.Halt("h")))
+@example((counter.Inc("a", "x y"), counter.Halt("h")))
+@example((counter.Goto("a b", "h"), counter.Halt("h")))
+@settings(max_examples=200, deadline=None)
+def test_every_program_that_builds_round_trips(commands):
+    if all(re.fullmatch(counter.IDENT, name) for name in names_in(commands)):
+        prog = counter.CounterProgram(commands)
+        assert parse_counter(serialize_counter(prog)) == prog
+    else:
+        with pytest.raises(CounterValidationError, match="is not an identifier"):
+            counter.CounterProgram(commands)

@@ -1,9 +1,15 @@
 """Recursive net program semantics, exploration, and the text format."""
 
-import pytest
-from hypothesis import given, settings, strategies as st
+import random
+import re
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from genutil import random_rnp, tiny_rnps
+from helpers import BAD_NAMES, corpus_names, corpus_program, names_in, renamed
 from snl import counter, rnp
+from snl.lipton import compile_lipton
 from snl.rnp import (
     Call,
     Dec,
@@ -28,7 +34,6 @@ from snl.rnp import (
     serialize_rnp,
     successors,
     valuation_dict,
-    validate_rnp,
 )
 
 CANONICAL = """\
@@ -97,16 +102,64 @@ BODIES = st.lists(
 ).map(tuple)
 
 
-@given(
-    st.integers(min_value=0, max_value=9),
-    BODIES,
-    st.lists(st.builds(Proc, IDENTS, BODIES, BODIES), max_size=3).map(tuple),
-)
+@given(BODIES)
 @settings(max_examples=200, deadline=None)
-def test_format_then_parse_is_identity(k, main, procs):
-    # every command class, unvalidated, whatever the identifiers
-    prog = Rnp(k, main, procs)
-    assert parse_rnp(serialize_rnp(prog)) == prog
+def test_format_then_parse_is_identity(body):
+    # every command class, whatever the identifiers
+    text = "\n".join(rnp.GRAMMAR.format(cmd) for cmd in body)
+    assert rnp.GRAMMAR.parse(text, "main") == body
+
+
+@st.composite
+def sometimes_misnamed_parts(draw):
+    """(depth, main, procs) with distinct labels, local jumps, calls to
+    defined procedures outside the depth-limit bodies and a halt ending
+    main, so a valid program, in which half the time one name is replaced
+    throughout by one the statement grammar would not read back."""
+    names = draw(st.lists(IDENTS, max_size=2, unique=True))
+    sizes = [draw(st.integers(1, 4)) for _ in range(1 + 2 * len(names))]
+    labels = draw(st.lists(IDENTS, min_size=sum(sizes), max_size=sum(sizes), unique=True))
+    bodies = []
+    for i, size in enumerate(sizes):  # main, then each procedure's lt_max and eq_max
+        own, labels = labels[:size], labels[size:]
+        targets = st.sampled_from(own)
+        body = []
+        for label in own[:-1]:
+            forms = [
+                st.builds(Inc, st.just(label), IDENTS),
+                st.builds(Dec, st.just(label), IDENTS),
+                st.builds(Goto, st.just(label), targets),
+                st.builds(GotoOr, st.just(label), targets, targets),
+            ]
+            if names and (i == 0 or i % 2 == 1):
+                forms.append(st.builds(Call, st.just(label), st.sampled_from(names)))
+            body.append(draw(st.one_of(forms)))
+        body.append((Halt if i == 0 else Return)(own[-1]))
+        bodies.append(tuple(body))
+    procs = tuple(Proc(name, bodies[1 + 2 * j], bodies[2 + 2 * j]) for j, name in enumerate(names))
+    parts = (draw(st.integers(1, 3)), bodies[0], procs)
+    old = draw(st.sampled_from(sorted(names_in(parts))))
+    return renamed(parts, old, draw(st.just(old) | st.sampled_from(BAD_NAMES)))
+
+
+@given(sometimes_misnamed_parts())
+@example((2, (Call("m0", "p-q"), Halt("m1")), (Proc("p-q", (Return("u0"),), (Return("v0"),)),)))
+@settings(max_examples=200, deadline=None)
+def test_every_program_that_builds_round_trips(parts):
+    if all(re.fullmatch(counter.IDENT, name) for name in names_in(parts)):
+        prog = Rnp(*parts)
+        assert parse_rnp(serialize_rnp(prog)) == prog
+    else:
+        with pytest.raises(RnpValidationError, match="is not an identifier"):
+            Rnp(*parts)
+
+
+def test_valid_programs_round_trip():
+    programs = [program for _, program in tiny_rnps()]
+    programs += [random_rnp(random.Random(seed)) for seed in range(20)]
+    programs += [compile_lipton(corpus_program(name), 1) for name in corpus_names()]
+    for prog in programs:
+        assert parse_rnp(serialize_rnp(prog)) == prog
 
 
 def _simple(k, main, procs=()):
@@ -119,34 +172,34 @@ PROC_UV = Proc("p", (Inc("a1", "u"), Return("a2")), (Inc("b1", "v"), Return("b2"
 def test_validation_rejects_bad_programs():
     bad = [
         # call inside a depth-limit body
-        _simple(2, [Call("l1", "p"), Halt("l2")],
-                [Proc("p", (Return("a1"),), (Call("b1", "p"), Return("b2")))]),
+        (2, [Call("l1", "p"), Halt("l2")],
+         [Proc("p", (Return("a1"),), (Call("b1", "p"), Return("b2")))]),
         # duplicate labels across sequences
-        _simple(2, [Inc("a1", "x"), Halt("l2")],
-                [Proc("p", (Return("a1"),), (Return("b1"),))]),
+        (2, [Inc("a1", "x"), Halt("l2")],
+         [Proc("p", (Return("a1"),), (Return("b1"),))]),
         # jump across sequences
-        _simple(2, [Goto("l1", "a1"), Halt("l2")],
-                [Proc("p", (Return("a1"),), (Return("b1"),))]),
+        (2, [Goto("l1", "a1"), Halt("l2")],
+         [Proc("p", (Return("a1"),), (Return("b1"),))]),
         # return in main
-        _simple(2, [Return("l1"), Halt("l2")]),
+        (2, [Return("l1"), Halt("l2")]),
         # halt inside a procedure
-        _simple(2, [Call("l1", "p"), Halt("l2")],
-                [Proc("p", (Halt("a1"),), (Return("b1"),))]),
+        (2, [Call("l1", "p"), Halt("l2")],
+         [Proc("p", (Halt("a1"),), (Return("b1"),))]),
         # empty body
-        _simple(2, [Call("l1", "p"), Halt("l2")], [Proc("p", (), (Return("b1"),))]),
+        (2, [Call("l1", "p"), Halt("l2")], [Proc("p", (), (Return("b1"),))]),
         # inc may not end a sequence
-        _simple(2, [Inc("l1", "x"), Halt("l2")],
-                [Proc("p", (Inc("a1", "x"),), (Return("b1"),))]),
+        (2, [Inc("l1", "x"), Halt("l2")],
+         [Proc("p", (Inc("a1", "x"),), (Return("b1"),))]),
         # undefined procedure
-        _simple(2, [Call("l1", "q"), Halt("l2")], [PROC_UV]),
+        (2, [Call("l1", "q"), Halt("l2")], [PROC_UV]),
         # halt not last in main
-        _simple(2, [Halt("l1"), Inc("l2", "x"), Halt("l3")]),
+        (2, [Halt("l1"), Inc("l2", "x"), Halt("l3")]),
         # depth must be positive
-        _simple(0, [Halt("l1")]),
+        (0, [Halt("l1")]),
     ]
-    for prog in bad:
+    for parts in bad:
         with pytest.raises(RnpValidationError):
-            validate_rnp(prog)
+            _simple(*parts)
 
 
 # ---------------------------------------------------------------------------

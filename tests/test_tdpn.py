@@ -257,6 +257,13 @@ def test_parse_errors():
         parse_tdpn(good.replace("on (0,1)", "on (0,1,1)", 1))
 
 
+def test_parse_names_every_ill_formed_transducer_block():
+    text = tiny_text().replace("initial r;", "initial q9;")
+    bad = "initial state 'q9' not declared"
+    with pytest.raises(TdpnParseError, match=re.escape(f"move: {bad}; fork: {bad}; join: {bad}")):
+        parse_tdpn(text)
+
+
 def test_parse_rejects_a_second_transducer_block():
     # the second block used to replace the first
     second = "transducer move arity 2 {\n  states r;\n  initial r;\n  finals;\n}\n"

@@ -1,5 +1,5 @@
-"""Transducer acceptance, enumeration order, validation, and pruning, and
-symbolic firing against the language it reads."""
+"""Transducer acceptance, enumeration order and validation, and symbolic
+firing against the language it reads."""
 
 import random
 from itertools import product
@@ -15,8 +15,6 @@ from snl.transducer import (
     TransducerError,
     accepts,
     enumerate_accepted,
-    prune_transducer,
-    validate_transducer,
 )
 
 
@@ -65,60 +63,31 @@ def test_enumeration_deduplicates():
     assert list(enumerate_accepted(t, 1)) == [("a",)]
 
 
-def test_validate_reports_unreachable_and_dead_states():
-    t = Transducer(
-        arity=1,
-        alphabet=("a",),
-        states=("q0", "q1", "q2", "q3"),
-        initial="q0",
-        finals=frozenset({"q1"}),
-        transitions=(
-            ("q0", ("a",), "q1"),
-            ("q2", ("a",), "q1"),  # q2 unreachable
-            ("q0", ("a",), "q3"),  # q3 dead
-        ),
-    )
-    report = validate_transducer(t)
-    assert report.ok
-    assert report.unreachable == ("q2",)
-    assert report.dead == ("q3",)
-
-
 def test_validate_catches_structural_errors():
-    t = Transducer(
-        arity=2,
-        alphabet=("a",),
-        states=("q0",),
-        initial="q9",
-        finals=frozenset({"q0"}),
-        transitions=(("q0", ("a",), "q0"),),
-    )
-    report = validate_transducer(t)
-    assert not report.ok
-    assert any("q9" in e for e in report.errors)
-    bad_arity = Transducer(
-        arity=2,
-        alphabet=("a",),
-        states=("q0",),
-        initial="q0",
-        finals=frozenset({"q0"}),
-        transitions=(("q0", ("a",), "q0"),),
-    )
-    assert not validate_transducer(bad_arity).ok
+    with pytest.raises(TransducerError, match="initial state 'q9' not declared"):
+        Transducer(
+            arity=2,
+            alphabet=("a",),
+            states=("q0",),
+            initial="q9",
+            finals=frozenset({"q0"}),
+            transitions=(("q0", ("a",), "q0"),),
+        )
+    with pytest.raises(TransducerError, match="has 1 letters, arity is 2"):
+        Transducer(
+            arity=2,
+            alphabet=("a",),
+            states=("q0",),
+            initial="q0",
+            finals=frozenset({"q0"}),
+            transitions=(("q0", ("a",), "q0"),),
+        )
 
 
-def test_prune_drops_useless_states_and_keeps_language():
-    rng = random.Random(7)
-    for _ in range(25):
-        t = random_transducer(rng, arity=2)
-        pruned = prune_transducer(t)
-        assert set(pruned.states) <= set(t.states)
-        for length in (0, 1, 2):
-            assert brute_force_language(t, length) == brute_force_language(pruned, length)
-        report = validate_transducer(pruned)
-        # pruning is idempotent: nothing useless remains
-        assert not report.unreachable or pruned.states == (t.initial,)
-        assert not report.dead or pruned.states == (t.initial,)
+def test_undeclared_transition_state_is_refused_when_built():
+    # once built, its language walk would raise a bare KeyError from by_source
+    with pytest.raises(TransducerError, match="transition 'q9'->'q0' uses undeclared state"):
+        Transducer(1, ("a",), ("q0",), "q0", frozenset({"q0"}), (("q9", ("a",), "q0"),))
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=3))

@@ -1,6 +1,6 @@
-"""PetriNet and Tdpn check themselves where they are built, and Dcps
-likewise with no separate validator: no consumer re-validates what it
-receives, so no verdict rests on a check a caller could skip."""
+"""Every model checks itself where it is built (Dcps with no separate
+validator): no loader, compiler or explorer re-validates what it receives,
+so no verdict rests on a check a caller could skip."""
 
 import ast
 from pathlib import Path
@@ -8,6 +8,9 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "snl"
 # each validator and the one place that may call it; validate_dcps is gone
 ALLOWED = {
+    "validate_counter": ("CounterProgram", "__post_init__"),
+    "validate_rnp": ("Rnp", "__post_init__"),
+    "validate_transducer": ("Transducer", "__post_init__"),
     "validate_petri": ("PetriNet", "__post_init__"),
     "validate_tdpn": ("Tdpn", "__post_init__"),
     "validate_dcps": None,
