@@ -371,20 +371,21 @@ def _pipeline_rnp(compiled, max_configs: int) -> StageResult:
 def _pipeline_dcps(compiled, tdpn_witness, caps: dict) -> StageResult:
     if tdpn_witness:
         events = tdpn2dcps.synthesize_cover_witness(compiled, tdpn_witness)
-        final = dcps.replay_final(compiled.system, events, 1)
+        final = dcps.replay_final(compiled.system, events, tdpn2dcps.SWITCH_BUDGET)
         if final.state != compiled.halt:
             raise RuntimeError("synthesized witness did not reach the halt state")
         return StageResult(
             "dcps", "", "Reachable (replayed witness)", "yes",
             {"method": "replay", "events": len(events)},
         )
-    return _stage("dcps", dcps.reach_state(compiled.system, compiled.halt, 1, **caps), method="search")
+    verdict = dcps.reach_state(compiled.system, compiled.halt, tdpn2dcps.SWITCH_BUDGET, **caps)
+    return _stage("dcps", verdict, method="search")
 
 
 def _cmd_pipeline(args) -> int:
     src = Path(args.file)
     program = _load(args.file, counter.parse_counter, lambda p: lipton.validate_source(p, args.n))
-    bound = args.bound if args.bound is not None else lipton.simulated_bound(args.n, args.depth_mode)
+    bound = lipton.simulated_bound(args.n, args.depth_mode)
     out_dir = Path(args.out_dir) if args.out_dir else src.parent / f"{src.stem}_pipeline"
     stem = src.stem
     timings: dict[str, float] = {}
@@ -563,7 +564,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--depth-mode", choices=("double", "triple"), default="double")
-    p.add_argument("--bound", type=cap, default=None, help="override the simulated bound")
     p.add_argument("--fuel", type=cap, default=counter.DEFAULT_FUEL)
     p.add_argument("--max-configs", type=cap, default=rnp.DEFAULT_MAX_CONFIGS,
                    help="recursive-net search cap")

@@ -29,15 +29,18 @@ cannot target them, but they may still be switched in and out.  Canonical
 configurations keep at most one empty-stack thread per switch count, which
 preserves state reachability while keeping pools finite.
 
-The searches behind `reach_state` and `reachable_states` never switch in a
-thread that could only switch out again (a dead thread, see `_search`).
-That pruning is exact, not a cap: an exhausted search still certifies "no",
-and every witness it finds replays under the unpruned semantics.  A replay
-checks each event by its own guard (`_enabled`) and never scans for the
-other enabled events.  Both hold plain tuples in DcpsConfig's layout,
-(state, (stack, count), pool): a search's pool is a canonical sorted tuple,
-equal to a DcpsConfig's and a seen key, a replay's a multiset (thread ->
-copies) updated in place.  A DcpsConfig is built only where the API returns it.
+`_events` yields every enabled event.  The searches behind `reach_state`
+and `reachable_states` drop, in their own step, each switch to a thread that
+could only switch out again (a dead thread, see `_search`).  That pruning is
+exact, not a cap: an exhausted search still certifies "no", and every
+witness it finds replays under the unpruned semantics.  A replay checks each
+event by its own guard (`_enabled`) and never scans for the other enabled
+events.  Both hold plain tuples in DcpsConfig's layout, (state, (stack,
+count), pool): a search's pool is a canonical sorted tuple, equal to a
+DcpsConfig's and a seen key, a replay's a multiset (thread -> copies)
+updated in place.  A DcpsConfig is built only where the API returns it.
+Compiled kill systems are replayed, not searched, where the TDPN has a
+witness: `tdpn2dcps` synthesizes it by the one-switch rule of its construction.
 """
 
 from __future__ import annotations
@@ -164,14 +167,14 @@ class Dcps:
 
     @cached_property
     def buckets(self) -> tuple[dict, dict]:
-        """Rule indices and (index, kill rule) pairs by (state, top),
+        """Rule indices and (index, kill rule) pairs by state, then top,
         declaration order kept."""
-        rule_buckets: dict[tuple[str, str], list[int]] = {}
-        kill_buckets: dict[tuple[str, str], list[tuple[int, KillRule]]] = {}
+        rule_buckets: dict[str, dict[str, list[int]]] = {}
+        kill_buckets: dict[str, dict[str, list[tuple[int, KillRule]]]] = {}
         for idx, r in enumerate(self.rules):
-            rule_buckets.setdefault((r.state, r.top), []).append(idx)
+            rule_buckets.setdefault(r.state, {}).setdefault(r.top, []).append(idx)
         for idx, k in enumerate(self.kills):
-            kill_buckets.setdefault((k.state, k.top), []).append((idx, k))
+            kill_buckets.setdefault(k.state, {}).setdefault(k.top, []).append((idx, k))
         return rule_buckets, kill_buckets
 
 
@@ -251,31 +254,21 @@ def _enabled(system: Dcps, config: Config, event: Event, budget: int) -> bool:
     return False
 
 
-def _events(
-    system: Dcps,
-    config: Config,
-    budget: int,
-    *,
-    skip_dead_switch: bool = False,
-) -> Iterator[Event]:
+def _events(system: Dcps, config: Config, budget: int) -> Iterator[Event]:
     """Exactly the events _enabled accepts, in successor order.
 
     The pool is sorted, so a kill's candidate victims are one run of
     (victim,) threads in ascending count, found by bisection, and equal
-    switch entries, like threads with equal tops, are adjacent.
-
-    skip_dead_switch leaves out the switches a search may drop (see
-    _search): those to any thread that could do nothing but switch out
-    again.
+    switch entries are adjacent.
     """
     rule_buckets, kill_buckets = system.buckets
     state, (stack, _), pool = config
     if stack:
         top = stack[0]
-        for idx in rule_buckets.get((state, top), ()):
+        for idx in rule_buckets.get(state, {}).get(top, ()):
             yield ("rule", idx)
         if len(stack) == 1:
-            for idx, k in kill_buckets.get((state, top), ()):
+            for idx, k in kill_buckets.get(state, {}).get(top, ()):
                 victim = (k.victim,)
                 last = None
                 for pos in range(bisect_left(pool, (victim,)), len(pool)):
@@ -285,19 +278,11 @@ def _events(
                     if j != last:
                         last = j
                         yield ("kill", idx, j)
-    last = top = None
+    last = None
     for entry in pool:
-        if entry[1] > budget or entry == last:
-            continue
-        w = entry[0]
-        if skip_dead_switch:
-            if w and w[0] != top:  # equal tops are adjacent: probe once per run
-                top = w[0]
-                ruled, killed = (state, top) in rule_buckets, (state, top) in kill_buckets
-            if not w or not ruled and (len(w) != 1 or not killed):
-                continue
-        last = entry
-        yield ("switch", entry)
+        if entry[1] <= budget and entry != last:
+            last = entry
+            yield ("switch", entry)
 
 
 def _apply(system: Dcps, config: Config, event: Event, semantics: str,
@@ -422,7 +407,7 @@ def _search(system: Dcps, budget: int, goal, max_threads: int, max_stack: int,
             max_configs: int, semantics: str):
     """Breadth-first search over canonical configurations.
 
-    The search never switches in a dead thread: one whose top has no rule
+    Its step never switches in a dead thread: one whose top has no rule
     in the current global state and, unless its stack is a singleton with
     a kill rule on that top, no kill either (an empty stack is dead too).
     Such a switch keeps the global state, and the thread can do nothing
@@ -438,9 +423,19 @@ def _search(system: Dcps, budget: int, goal, max_threads: int, max_stack: int,
     if semantics not in SEMANTICS:
         raise ValueError(f"unknown semantics {semantics!r}")
 
+    rule_buckets, kill_buckets = system.buckets
+
     def step(config: Config):
-        events = _events(system, config, budget, skip_dead_switch=True)
-        return [(event, _apply(system, config, event, semantics)) for event in events]
+        # the tops with a rule, and those with a kill, in the global state
+        ruled, killed = rule_buckets.get(config[0], {}), kill_buckets.get(config[0], {})
+        found = []
+        for event in _events(system, config, budget):
+            if event[0] == "switch":
+                w = event[1][0]
+                if not w or w[0] not in ruled and (len(w) != 1 or w[0] not in killed):
+                    continue  # a dead thread
+            found.append((event, _apply(system, config, event, semantics)))
+        return found
 
     cap = _cap_rule(max_threads, max_stack)
     return bfs(initial_config(system), step, goal, max_configs, "max_configs", cap)

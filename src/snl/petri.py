@@ -70,7 +70,7 @@ def validate_petri(net: PetriNet) -> None:
     if len(set(ids)) != len(ids):
         problems.append("duplicate transition ids")
     for tid, pre, post in net.transitions:
-        for p in pre | post:
+        for p in sorted(pre | post):
             if p not in place_set:
                 problems.append(f"transition {tid!r} uses undeclared place {p!r}")
     for role, p in (("initial", net.initial), ("final", net.final)):

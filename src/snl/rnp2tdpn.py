@@ -295,7 +295,6 @@ def _assemble(arity: int, emissions: list[Emission], book: AddressBook) -> Trans
 class RnpCompilation:
     tdpn: Tdpn
     book: AddressBook
-    label_to_base: dict[str, str]
 
 
 def compile_rnp_to_tdpn(rnp: Rnp) -> RnpCompilation:
@@ -313,7 +312,7 @@ def compile_rnp_to_tdpn(rnp: Rnp) -> RnpCompilation:
         _assemble(3, forks, book),
         _assemble(3, joins, book),
     )
-    return RnpCompilation(net, book, label_to_base)
+    return RnpCompilation(net, book)
 
 
 def expected_language_sizes(rnp: Rnp) -> dict[str, int]:

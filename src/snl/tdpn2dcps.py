@@ -20,8 +20,10 @@ g_main:
 
 Reaching the final word is checked letter by letter from g_main (popping
 the lock first), ending in g_halt.  The whole round trip works with every
-thread undergoing at most one context switch, so coverability of the TDPN
-matches g_halt reachability at switch budget 1.
+thread switched in at most once, so coverability of the TDPN matches g_halt
+reachability at switch budget SWITCH_BUDGET = 1.  Witness synthesis relies
+on that rule: a token is parked once, complete, and switched in once, to be
+read, at count SWITCH_BUDGET; a marker is switched in once, at count 0.
 
 Emission is stage order (init, check, read, guess, verify), schema order
 within a stage, and index/letter order within a schema, so compiled systems
@@ -50,13 +52,16 @@ state.  The compiler checks that the blocks tile the kills.
 from __future__ import annotations
 
 import functools
-import heapq
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from snl.dcps import Dcps, DcpsRule, Event, KillRule, mint_name
 from snl.tdpn import Descriptor, Tdpn
 from snl.transducer import Transducer, language
+
+# the switch budget the construction is built for: a thread is switched in at most once
+SWITCH_BUDGET = 1
 
 MODES = ("move", "join", "fork")
 TAGS = ("pop1", "pop2", "push1", "push2")
@@ -387,40 +392,39 @@ def synthesize_cover_witness(compiled: KillDcps, steps: tuple[Descriptor, ...]) 
     choice: which token each round consumes, which words are guessed, and
     which transducer path the verifier commits to.  The resulting event
     list drives the compiled system from its initial configuration to
-    g_halt at switch budget 1; replaying it is a machine check of the
+    g_halt at SWITCH_BUDGET; replaying it is a machine check of the
     whole round trip.  Each rule or kill event is looked up by the schema
     key under which the compiler emitted it, in the tables of `compiled`.
     """
     net = compiled.net
     l, lock, by_mode = net.width, compiled.lock, _by_mode(net)
     events: list[Event] = []
-    parked: dict[str, list[int]] = {}  # switch counts of the live parked tokens, a heap per word
-    active_word: str | None = net.w_init
-    active_count = 0
+    # parked tokens per word (see the module docstring's one-switch rule), and
+    # the word of the active thread's unread token: the initial one or a guess
+    parked: Counter[str] = Counter()
+    active: str | None = net.w_init
 
     def fire(*key) -> None:
         events.append(compiled.event[key])
 
-    def park_and_switch(stack: tuple[str, ...], count: int) -> None:
-        nonlocal active_word
-        if active_word is not None:
-            heapq.heappush(parked.setdefault(active_word, []), active_count + 1)
-        active_word = None
+    def switch(stack: tuple[str, ...], count: int) -> None:
+        nonlocal active
+        if active is not None:
+            parked[active] += 1
+        active = None
         events.append(("switch", (stack, count)))
 
-    def activate(word: str) -> None:
-        nonlocal active_word, active_count
-        if active_word == word:
-            return
-        counts = parked.get(word)
-        if not counts:
-            raise ValueError(f"witness needs a token on {word!r} that was never produced")
-        count = heapq.heappop(counts)
-        park_and_switch((lock,) + tuple(word), count)
-        active_word, active_count = word, count
+    def switch_to(word: str) -> None:
+        """Make a token on word the active thread, to be read."""
+        nonlocal active
+        if active != word:
+            if not parked[word]:
+                raise ValueError(f"witness needs a token on {word!r} that was never produced")
+            parked[word] -= 1
+            switch((lock, *word), SWITCH_BUDGET)
+        active = None
 
     def read_token(mode: str, word: str, tag: str) -> None:
-        nonlocal active_word
         if tag == "pop1":
             fire("start", mode)
         fire("unlock", mode, tag)
@@ -428,24 +432,21 @@ def synthesize_cover_witness(compiled: KillDcps, steps: tuple[Descriptor, ...]) 
             fire("read", mode, i, tag, word[i - 1])
         if (mode, tag) in HANDOFF_PAIRS:
             fire("dispatch", mode, word[l - 1])
-        active_word = None
 
     def guess_word(mode: str, word: str, tag: str) -> None:
-        nonlocal active_word, active_count
+        nonlocal active
         fire("guess", mode, l, tag, word[l - 1])
         for i in range(l - 1, 0, -1):
             fire("guess", mode, i, tag, word[i - 1], word[i])
-        active_word, active_count = word, 0
+        active = word
 
     def kill(key: tuple, offset: int) -> None:
         events.append(("kill", compiled.block[key] + offset, 0))
 
     def verify(mode: str, words: tuple[str, ...], path: tuple[int, ...]) -> None:
-        nonlocal active_word, active_count
         fire("enter", mode, words[-1][0], path[0])
         # the capped guess is now a complete token; hand control to the verifier
-        active_word, active_count = words[-1], 0
-        park_and_switch((compiled.verify_sym,), 0)
+        switch((compiled.verify_sym,), 0)
         last = len(words) - 1
         chain_start, rank, final = compiled.offsets[mode]
         for i in range(1, l + 1):
@@ -465,26 +466,26 @@ def synthesize_cover_witness(compiled: KillDcps, steps: tuple[Descriptor, ...]) 
     for kind, words in steps:
         if kind not in by_mode:
             raise ValueError(f"unknown step kind {kind!r}")
-        activate(words[0])
+        switch_to(words[0])
         # every word's letters index schema keys, so check the tuple before using them
         path = language(by_mode[kind], len(words[0])).get(words)
         if path is None:
             raise ValueError(f"transducer does not accept {words!r}")
         read_token(kind, words[0], "pop1")
         if kind == "join":
-            activate(words[1])
+            switch_to(words[1])
             read_token("join", words[1], "pop2")
-        park_and_switch((compiled.guess_sym,), 0)
+        switch((compiled.guess_sym,), 0)
         if kind == "fork":
             guess_word("fork", words[1], "push1")
             fire("fork2", words[1][0])
-            park_and_switch((compiled.guess_sym,), 0)
+            switch((compiled.guess_sym,), 0)
             guess_word("fork", words[2], "push2")
         else:
             guess_word(kind, words[-1], "push1")
         verify(kind, words, path)
 
-    activate(net.w_final)
+    switch_to(net.w_final)
     for i in range(l + 1):
         fire("check", i)
     return tuple(events)

@@ -73,7 +73,7 @@ def validate_transducer(t: Transducer) -> None:
         errors.append("duplicate states")
     if t.initial not in state_set:
         errors.append(f"initial state {t.initial!r} not declared")
-    for f in t.finals:
+    for f in sorted(t.finals):
         if f not in state_set:
             errors.append(f"final state {f!r} not declared")
     sigma = set(t.alphabet)

@@ -3,6 +3,9 @@ validator): no loader, compiler or explorer re-validates what it receives,
 so no verdict rests on a check a caller could skip."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "snl"
@@ -53,3 +56,31 @@ def test_each_model_constructor_calls_its_validator():
         for name, where, _ in _calls(ast.parse(path.read_text(), filename=str(path)))
     }
     assert sites == {(name, where) for name, where in ALLOWED.items() if where}
+
+
+# a transducer with three undeclared finals and a net transition with four
+# undeclared places; each prints its validation message
+BAD_MODELS = """
+from snl.petri import PetriNet
+from snl.transducer import Transducer
+for build in (
+    lambda: Transducer(1, ("a",), ("q0",), "q0", frozenset({"x", "y", "z"}), ()),
+    lambda: PetriNet(("p",), (("t", frozenset("abc"), frozenset("d")),), "p", "p"),
+):
+    try:
+        build()
+    except ValueError as err:
+        print(err)
+"""
+
+
+def test_validation_messages_do_not_depend_on_the_hash_seed():
+    messages = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(SRC.parent))
+        run = subprocess.run([sys.executable, "-c", BAD_MODELS], env=env,
+                             capture_output=True, text=True, check=True)
+        messages.append(run.stdout.splitlines())
+    finals = "; ".join(f"final state {q!r} not declared" for q in "xyz")
+    places = "; ".join(f"transition 't' uses undeclared place {p!r}" for p in "abcd")
+    assert messages == [[finals, places]] * 2
