@@ -11,7 +11,7 @@ Exit codes: 0 a verdict was produced, 2 an input did not read, parse or
 validate, or an output path could not be written, 3 a search gave up within
 its caps (Unknown), 4 cross-checked verdicts disagree, 5 any failure after
 that, such as a witness that does not replay.  Only `_boundary`, around
-`_load`, `_write` and `run-counter`'s bound, turns an error into exit 2; the
+`_load`, `_write` and the simulated bound, turns an error into exit 2; the
 two refusals found later are named where they occur, and argparse refuses a
 malformed flag, or a cap below 0, before any of them.  An Unknown never
 counts as a disagreement.
@@ -78,8 +78,30 @@ def _write(path: Path, chunks: Iterable[str]) -> None:
             out.writelines(chunks)
 
 
-def _write_names(path: Path, names: dict[str, str]) -> None:
-    _write(path, (f"{key}\t{names[key]}\n" for key in sorted(names)))
+def _output(args, suffix: str) -> Path:
+    """The -o path, or else the input's path with the model's suffix."""
+    return Path(args.output) if args.output else Path(args.file).with_suffix(suffix)
+
+
+def _write_rnp(path: Path, program: rnp.Rnp) -> Path:
+    """Write the program; return its path, as the other writers do."""
+    _write(path, (rnp.serialize_rnp(program),))
+    return path
+
+
+def _write_tdpn(path: Path, compiled: rnp2tdpn.RnpCompilation) -> Path:
+    """Write the net, and its address book in a `.addr` file beside it."""
+    _write(path, (tdpn.serialize_tdpn(compiled.tdpn),))
+    _write(path.with_suffix(".addr"), (rnp2tdpn.serialize_addr(compiled.book),))
+    return path
+
+
+def _write_dcps(path: Path, system: dcps.Dcps, names: dict[str, str] | None = None) -> Path:
+    """Write the system, and its pretty names, if any, in a `.names` file beside it."""
+    _write(path, dcps.dcps_lines(system))
+    if names is not None:
+        _write(path.with_suffix(".names"), (f"{key}\t{names[key]}\n" for key in sorted(names)))
+    return path
 
 
 def _load_names(data_path: str) -> dict[str, str]:
@@ -189,7 +211,7 @@ def _print_descriptors(witness) -> None:
 
 def _cmd_run_counter(args) -> int:
     program = _load(args.file, counter.parse_counter)
-    with _boundary(args.file):  # the depth rule refuses n < 1
+    with _boundary(args.file):  # the depth rule refuses n < 1, and a bound too long to print
         bound = args.bound if args.bound is not None else lipton.simulated_bound(args.n, args.depth_mode)
     return _exit_code(_say(counter.run_bounded(program, bound, fuel=args.fuel), bound=bound))
 
@@ -197,8 +219,7 @@ def _cmd_run_counter(args) -> int:
 def _cmd_compile_rnp(args) -> int:
     program = _load(args.file, counter.parse_counter, lambda p: lipton.validate_source(p, args.n))
     compiled = lipton.compile_lipton(program, args.n, args.depth_mode)
-    out = Path(args.output) if args.output else Path(args.file).with_suffix(".rnp")
-    _write(out, (rnp.serialize_rnp(compiled),))
+    out = _write_rnp(_output(args, ".rnp"), compiled)
     print(f"wrote {out} (max_depth={compiled.max_depth}, size={compiled.size()})")
     return EXIT_OK
 
@@ -215,11 +236,8 @@ def _cmd_run_rnp(args) -> int:
 def _cmd_compile_tdpn(args) -> int:
     program = _load(args.file, rnp.parse_rnp)
     compiled = rnp2tdpn.compile_rnp_to_tdpn(program)
-    out = Path(args.output) if args.output else Path(args.file).with_suffix(".tdpn")
-    _write(out, (tdpn.serialize_tdpn(compiled.tdpn),))
-    _write(out.with_suffix(".addr"), (rnp2tdpn.serialize_addr(compiled.book),))
-    net = compiled.tdpn
-    print(f"wrote {out} (width={net.width}, size={net.size()})")
+    out = _write_tdpn(_output(args, ".tdpn"), compiled)
+    print(f"wrote {out} (width={compiled.tdpn.width}, size={compiled.tdpn.size()})")
     return EXIT_OK
 
 
@@ -230,7 +248,7 @@ def _cmd_expand_tdpn(args) -> int:
     except tdpn.PlaceLimitExceeded as err:
         print(f"snl: {args.file}: {err}", file=sys.stderr)
         return EXIT_UNKNOWN
-    out = Path(args.output) if args.output else Path(args.file).with_suffix(".pnet")
+    out = _output(args, ".pnet")
     _write(out, (petri.serialize_pnet(expanded),))
     print(f"wrote {out} (places={len(expanded.places)}, transitions={len(expanded.transitions)})")
     return EXIT_OK
@@ -264,9 +282,7 @@ def _cmd_compile_dcps(args) -> int:
     net = _load(args.file, tdpn.parse_tdpn)
     compiled = tdpn2dcps.compile_tdpn_to_killdcps(net)
     system = compiled.system
-    out = Path(args.output) if args.output else Path(args.file).with_suffix(".dcps")
-    _write(out, dcps.dcps_lines(system))
-    _write_names(out.with_suffix(".names"), compiled.names)
+    out = _write_dcps(_output(args, ".dcps"), system, compiled.names)
     print(f"wrote {out} (rules={len(system.rules)}, kills={len(system.kills)}, target={compiled.halt})")
     return EXIT_OK
 
@@ -274,8 +290,7 @@ def _cmd_compile_dcps(args) -> int:
 def _cmd_desugar_kill(args) -> int:
     system = _load(args.file, dcps.parse_dcps)
     plain = dcps.desugar_kill(system)
-    out = Path(args.output) if args.output else Path(args.file).with_suffix(".plain.dcps")
-    _write(out, dcps.dcps_lines(plain))
+    out = _write_dcps(_output(args, ".plain.dcps"), plain)
     print(f"wrote {out} (rules={len(plain.rules)}, kills=0)")
     return EXIT_OK
 
@@ -286,9 +301,7 @@ def _cmd_to_inheritance(args) -> int:
         compiled, shifted = dcps.compile_to_inheritance(system, args.target)
     except dcps.DcpsValidationError as err:  # kill rules, or an undeclared --target
         raise _BadPath(f"{args.file}: {err}") from None
-    out = Path(args.output) if args.output else Path(args.file).with_suffix(".inherit.dcps")
-    _write(out, dcps.dcps_lines(compiled))
-    _write_names(out.with_suffix(".names"), dcps.inheritance_names(system))
+    out = _write_dcps(_output(args, ".inherit.dcps"), compiled, dcps.inheritance_names(system))
     print(f"wrote {out} (rules={len(compiled.rules)})")
     print(f"target {args.target} becomes {shifted}; explore with --semantics inherit --K K+2")
     return EXIT_OK
@@ -385,7 +398,8 @@ def _pipeline_dcps(compiled, tdpn_witness, caps: dict) -> StageResult:
 def _cmd_pipeline(args) -> int:
     src = Path(args.file)
     program = _load(args.file, counter.parse_counter, lambda p: lipton.validate_source(p, args.n))
-    bound = lipton.simulated_bound(args.n, args.depth_mode)
+    with _boundary(args.file):
+        bound = lipton.simulated_bound(args.n, args.depth_mode)
     out_dir = Path(args.out_dir) if args.out_dir else src.parent / f"{src.stem}_pipeline"
     stem = src.stem
     timings: dict[str, float] = {}
@@ -406,15 +420,12 @@ def _cmd_pipeline(args) -> int:
     timed("counter", lambda: counter.run_bounded(program, bound, fuel=args.fuel), src.name)
 
     compiled_rnp = timed("compile-rnp", lambda: lipton.compile_lipton(program, args.n, args.depth_mode))
-    rnp_path = out_dir / f"{stem}.rnp"
-    _write(rnp_path, (rnp.serialize_rnp(compiled_rnp),))
+    rnp_path = _write_rnp(out_dir / f"{stem}.rnp", compiled_rnp)
     timed("rnp", lambda: _pipeline_rnp(compiled_rnp, args.max_configs), rnp_path.name)
 
     compilation = timed("compile-tdpn", lambda: rnp2tdpn.compile_rnp_to_tdpn(compiled_rnp))
     net = compilation.tdpn
-    tdpn_path = out_dir / f"{stem}.tdpn"
-    _write(tdpn_path, (tdpn.serialize_tdpn(net),))
-    _write(tdpn_path.with_suffix(".addr"), (rnp2tdpn.serialize_addr(compilation.book),))
+    tdpn_path = _write_tdpn(out_dir / f"{stem}.tdpn", compilation)
     cover = timed(
         "tdpn",
         lambda: tdpn.coverable(
@@ -424,9 +435,7 @@ def _cmd_pipeline(args) -> int:
     )
 
     compiled = timed("compile-dcps", lambda: tdpn2dcps.compile_tdpn_to_killdcps(net))
-    dcps_path = out_dir / f"{stem}.dcps"
-    _write(dcps_path, dcps.dcps_lines(compiled.system))
-    _write_names(dcps_path.with_suffix(".names"), compiled.names)
+    dcps_path = _write_dcps(out_dir / f"{stem}.dcps", compiled.system, compiled.names)
     dcps_caps = dict(
         max_threads=3 * compiled.net.width + 4,
         max_stack=compiled.net.width + 1,
@@ -492,87 +501,65 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("run-counter", help="run a counter program under a value bound")
-    p.add_argument("file")
+    def flag(*names, **kwargs) -> argparse.ArgumentParser:
+        """A parent parser holding one flag that several subcommands share."""
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(*names, **kwargs)
+        return parent
+
+    output = flag("-o", "--output")
+    n = flag("--n", type=int, required=True)
+    depth_mode = flag("--depth-mode", choices=("double", "triple"), default="double")
+    fuel = flag("--fuel", type=cap, default=counter.DEFAULT_FUEL)
+    place_limit = flag("--place-limit", type=cap, default=tdpn.DEFAULT_PLACE_LIMIT)
+    max_tokens = flag("--max-tokens", type=cap, default=tdpn.DEFAULT_MAX_TOKENS)
+    target = flag("--target", required=True)
+
+    def command(handler, name: str, about: str, *parents) -> argparse.ArgumentParser:
+        """A subcommand that reads one input file, with the shared flags of `parents`."""
+        p = sub.add_parser(name, parents=parents, help=about)
+        p.add_argument("file")
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command(_cmd_run_counter, "run-counter", "run a counter program under a value bound", depth_mode, fuel)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--bound", type=cap, help="explicit value bound")
     group.add_argument("--n", type=int, help="bound parameter: bound = 2^(2^n) (or triple)")
-    p.add_argument("--depth-mode", choices=("double", "triple"), default="double")
-    p.add_argument("--fuel", type=cap, default=counter.DEFAULT_FUEL)
-    p.set_defaults(handler=_cmd_run_counter)
 
-    p = sub.add_parser("compile-rnp", help="compile a counter program to a recursive net program")
-    p.add_argument("file")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--depth-mode", choices=("double", "triple"), default="double")
-    p.add_argument("-o", "--output")
-    p.set_defaults(handler=_cmd_compile_rnp)
-
-    p = sub.add_parser("run-rnp", help="search a recursive net program for a halting run")
-    p.add_argument("file")
+    command(_cmd_compile_rnp, "compile-rnp", "compile a counter program to a recursive net program",
+            n, depth_mode, output)
+    p = command(_cmd_run_rnp, "run-rnp", "search a recursive net program for a halting run")
     p.add_argument("--max-configs", type=cap, default=rnp.DEFAULT_MAX_CONFIGS)
     p.add_argument("--max-value", type=cap, default=None)
-    p.set_defaults(handler=_cmd_run_rnp)
 
-    p = sub.add_parser("compile-tdpn", help="compile a recursive net program to a symbolic net")
-    p.add_argument("file")
-    p.add_argument("-o", "--output")
-    p.set_defaults(handler=_cmd_compile_tdpn)
-
-    p = sub.add_parser("expand-tdpn", help="expand a symbolic net into an explicit Petri net")
-    p.add_argument("file")
-    p.add_argument("--place-limit", type=cap, default=tdpn.DEFAULT_PLACE_LIMIT)
-    p.add_argument("-o", "--output")
-    p.set_defaults(handler=_cmd_expand_tdpn)
-
-    p = sub.add_parser("cover", help="decide coverability of the final word")
-    p.add_argument("file")
+    command(_cmd_compile_tdpn, "compile-tdpn", "compile a recursive net program to a symbolic net", output)
+    command(_cmd_expand_tdpn, "expand-tdpn", "expand a symbolic net into an explicit Petri net",
+            place_limit, output)
+    p = command(_cmd_cover, "cover", "decide coverability of the final word", place_limit, max_tokens)
     p.add_argument("--mode", choices=("backward", "symbolic", "both"), default="backward")
-    p.add_argument("--place-limit", type=cap, default=tdpn.DEFAULT_PLACE_LIMIT)
-    p.add_argument("--max-tokens", type=cap, default=tdpn.DEFAULT_MAX_TOKENS)
     p.add_argument("--max-markings", type=cap, default=tdpn.DEFAULT_MAX_MARKINGS)
-    p.set_defaults(handler=_cmd_cover)
 
-    p = sub.add_parser("compile-dcps", help="compile a symbolic net to a thread pool with kills")
-    p.add_argument("file")
-    p.add_argument("-o", "--output")
-    p.set_defaults(handler=_cmd_compile_dcps)
-
-    p = sub.add_parser("desugar-kill", help="replace kill rules by spawn-and-confirm gadgets")
-    p.add_argument("file")
-    p.add_argument("-o", "--output")
-    p.set_defaults(handler=_cmd_desugar_kill)
-
-    p = sub.add_parser("to-inheritance", help="rebuild a plain system for inheriting switch counts")
-    p.add_argument("file")
-    p.add_argument("--target", required=True)
-    p.add_argument("-o", "--output")
-    p.set_defaults(handler=_cmd_to_inheritance)
-
-    p = sub.add_parser("explore-dcps", help="bounded-switch state reachability search")
-    p.add_argument("file")
-    p.add_argument("--target", required=True)
+    command(_cmd_compile_dcps, "compile-dcps", "compile a symbolic net to a thread pool with kills", output)
+    command(_cmd_desugar_kill, "desugar-kill", "replace kill rules by spawn-and-confirm gadgets", output)
+    command(_cmd_to_inheritance, "to-inheritance", "rebuild a plain system for inheriting switch counts",
+            target, output)
+    p = command(_cmd_explore_dcps, "explore-dcps", "bounded-switch state reachability search", target)
     p.add_argument("--K", type=int, required=True, help="per-thread switch budget")
     p.add_argument("--semantics", choices=dcps.SEMANTICS, default="noinherit")
     p.add_argument("--max-threads", type=cap, default=dcps.DEFAULT_MAX_THREADS)
     p.add_argument("--max-stack", type=cap, default=dcps.DEFAULT_MAX_STACK)
     p.add_argument("--max-configs", type=cap, default=dcps.DEFAULT_MAX_CONFIGS,
                    help="configurations to expand before giving up (Unknown)")
-    p.set_defaults(handler=_cmd_explore_dcps)
 
-    p = sub.add_parser("pipeline", help="run all four stages on a counter program and cross-check")
-    p.add_argument("file")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--depth-mode", choices=("double", "triple"), default="double")
-    p.add_argument("--fuel", type=cap, default=counter.DEFAULT_FUEL)
+    p = command(_cmd_pipeline, "pipeline", "run all four stages on a counter program and cross-check",
+                n, depth_mode, fuel, max_tokens)
     p.add_argument("--max-configs", type=cap, default=rnp.DEFAULT_MAX_CONFIGS,
                    help="recursive-net search cap")
-    p.add_argument("--max-tokens", type=cap, default=tdpn.DEFAULT_MAX_TOKENS)
     p.add_argument("--max-markings", type=cap, default=2_000_000)
     p.add_argument("--dcps-max-configs", type=cap, default=200_000)
     p.add_argument("--out-dir")
     p.add_argument("--report")
-    p.set_defaults(handler=_cmd_pipeline)
 
     return parser
 

@@ -22,6 +22,8 @@ one depth-mode rule; the simulated bound follows as B = 2^(2^(k-1)).
 
 from __future__ import annotations
 
+import math
+
 from snl import counter
 from snl.rnp import (
     Call,
@@ -37,6 +39,8 @@ from snl.rnp import (
 )
 
 HELPER_VARS = ("s", "bar_s", "y", "bar_y", "z", "bar_z")
+
+MAX_BOUND_DIGITS = 4300  # Python prints no longer int by default
 
 
 class LiptonInputError(ValueError):
@@ -59,8 +63,13 @@ def max_depth_for(n: int, depth_mode: str = "double") -> int:
 
 
 def simulated_bound(n: int, depth_mode: str = "double") -> int:
-    """Counter cap the compiled program enforces on the source counters."""
-    return 2 ** (2 ** (max_depth_for(n, depth_mode) - 1))
+    """Counter cap the compiled program enforces on the source counters.
+    Refuses a cap of more than MAX_BOUND_DIGITS digits, checking its
+    exponent first: at large n the cap would not fit in memory."""
+    e = max_depth_for(n, depth_mode) - 1  # the cap 2^(2^e) has 2^e·log10(2) digits
+    if e >= math.log2(MAX_BOUND_DIGITS / math.log10(2)):
+        raise LiptonInputError(f"the bound 2^(2^{e}) at n={n} has more than {MAX_BOUND_DIGITS} digits")
+    return 2 ** (2**e)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,11 @@ Commands:
     l: dec x;                 l: goto l1 or goto l2;    l: return;
     l: halt;
 
+A configuration is a site, the call stack and a valuation.  The program
+fixes its counter copies, so the valuation is a plain tuple with one count
+per copy, at the slot `Rnp.tables` gives it: counters in sorted order, each
+with its depths 0..k in turn.
+
 Semantics are nondeterministic only at `goto .. or goto ..`.  A decrement
 of a zero counter has no successor (the branch is stuck, there is no abort
 verdict).  Calling pushes the call command's label; depth is the stack
@@ -30,7 +35,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from itertools import product
+from typing import Iterable, Iterator, NamedTuple
 
 from snl.counter import IDENT, SHARED_FORMS, Grammar, duplicates, jump_targets, non_identifiers
 from snl.counter import Dec, Goto, Halt, Inc  # the commands both languages share
@@ -94,12 +100,6 @@ class Rnp:
     def __post_init__(self) -> None:
         validate_rnp(self)
 
-    def proc(self, name: str) -> Proc:
-        for p in self.procs:
-            if p.name == name:
-                return p
-        raise KeyError(name)
-
     def sequences(self) -> list[tuple[tuple, tuple[Command, ...]]]:
         """All command sequences with their ids, in canonical order:
         main, then per procedure lt_max then eq_max."""
@@ -115,19 +115,22 @@ class Rnp:
         return bits + sum(len(cmds) for _, cmds in self.sequences())
 
     @cached_property
-    def tables(self) -> tuple[dict, dict]:
-        """(label -> (seq id, index), seq id -> command tuple)."""
+    def tables(self) -> tuple[dict, dict, dict]:
+        """(label -> (seq id, index), seq id -> command tuple,
+        (counter, depth) -> valuation slot)."""
         sites: dict[str, tuple[tuple, int]] = {}
         seqs: dict[tuple, tuple[Command, ...]] = {}
         for seq_id, cmds in self.sequences():
             seqs[seq_id] = cmds
             for i, cmd in enumerate(cmds):
                 sites[cmd.label] = (seq_id, i)
-        return sites, seqs
+        counters = {cmd.var for cmds in seqs.values() for cmd in cmds if isinstance(cmd, (Inc, Dec))}
+        copies = product(sorted(counters), range(self.max_depth + 1))
+        return sites, seqs, {copy: slot for slot, copy in enumerate(copies)}
 
 
 def command_at(rnp: Rnp, site: tuple[tuple, int]) -> Command:
-    _, seqs = rnp.tables
+    _, seqs, _ = rnp.tables
     seq_id, idx = site
     return seqs[seq_id][idx]
 
@@ -136,110 +139,74 @@ def command_at(rnp: Rnp, site: tuple[tuple, int]) -> Command:
 # Configurations
 
 
-Valuation = tuple[tuple[str, int, int], ...]  # (var, depth, count), sorted
+class RnpConfig(NamedTuple):
+    """Where the run is, the labels of the pending calls, and one count per
+    counter copy, at the copy's slot in `Rnp.tables`."""
 
-
-@dataclass(frozen=True)
-class RnpConfig:
     site: tuple[tuple, int]
     stack: tuple[str, ...]
-    valuation: Valuation
-
-    @property
-    def depth(self) -> int:
-        return len(self.stack)
+    valuation: tuple[int, ...]
 
 
-def canonical_valuation(values: dict[tuple[str, int], int]) -> Valuation:
-    return tuple(
-        (var, depth, count)
-        for (var, depth), count in sorted(values.items())
-        if count != 0
-    )
-
-
-def valuation_dict(config: RnpConfig) -> dict[tuple[str, int], int]:
-    return {(var, depth): count for var, depth, count in config.valuation}
+def valuation_dict(rnp: Rnp, config: RnpConfig) -> dict[tuple[str, int], int]:
+    """The nonzero counter copies of a configuration: (counter, depth) -> count."""
+    _, _, slots = rnp.tables
+    return {copy: config.valuation[slot] for copy, slot in slots.items() if config.valuation[slot]}
 
 
 def make_config(
     rnp: Rnp,
-    site: tuple[tuple, int] | None = None,
+    site: tuple[tuple, int] = (MAIN_SEQ, 0),
     stack: tuple[str, ...] = (),
     valuation: dict[tuple[str, int], int] | None = None,
 ) -> RnpConfig:
-    if site is None:
-        site = (MAIN_SEQ, 0)
-    return RnpConfig(site, stack, canonical_valuation(valuation or {}))
+    """A configuration; `valuation` maps (counter, depth) to a count, and a
+    copy it does not name holds 0."""
+    _, _, slots = rnp.tables
+    counts = [0] * len(slots)
+    for copy, count in (valuation or {}).items():
+        counts[slots[copy]] = count
+    return RnpConfig(site, stack, tuple(counts))
 
 
 def initial_config(rnp: Rnp) -> RnpConfig:
     return make_config(rnp)
 
 
-def _bump(valuation: Valuation, var: str, depth: int, delta: int) -> Valuation:
-    items = list(valuation)
-    for i, (v, d, c) in enumerate(items):
-        if v == var and d == depth:
-            c += delta
-            if c == 0:
-                del items[i]
-            else:
-                items[i] = (v, d, c)
-            return tuple(items)
-    items.append((var, depth, delta))
-    items.sort()
-    return tuple(items)
-
-
-def _value(valuation: Valuation, var: str, depth: int) -> int:
-    for v, d, c in valuation:
-        if v == var and d == depth:
-            return c
-    return 0
-
-
 def successors(rnp: Rnp, config: RnpConfig) -> list[tuple[int | None, RnpConfig]]:
     """Successor configurations, paired with the branch choice taken
     (0 or 1 at a goto-or, None elsewhere).  Halt and a stuck decrement
     yield no successors."""
-    sites, seqs = rnp.tables
-    seq_id, idx = config.site
+    sites, seqs, slots = rnp.tables
+    (seq_id, idx), stack, valuation = config
     cmd = seqs[seq_id][idx]
-    depth = len(config.stack)
     if isinstance(cmd, Halt):
         return []
-    if isinstance(cmd, Inc):
-        val = _bump(config.valuation, cmd.var, depth, 1)
-        return [(None, RnpConfig((seq_id, idx + 1), config.stack, val))]
-    if isinstance(cmd, Dec):
-        if _value(config.valuation, cmd.var, depth) == 0:
+    if isinstance(cmd, (Inc, Dec)):
+        slot = slots[cmd.var, len(stack)]
+        count = valuation[slot] + (1 if isinstance(cmd, Inc) else -1)
+        if count < 0:
             return []
-        val = _bump(config.valuation, cmd.var, depth, -1)
-        return [(None, RnpConfig((seq_id, idx + 1), config.stack, val))]
+        valuation = valuation[:slot] + (count,) + valuation[slot + 1 :]
+        return [(None, RnpConfig((seq_id, idx + 1), stack, valuation))]
     if isinstance(cmd, Goto):
-        return [(None, RnpConfig(sites[cmd.target], config.stack, config.valuation))]
+        return [(None, RnpConfig(sites[cmd.target], stack, valuation))]
     if isinstance(cmd, GotoOr):
         return [
-            (0, RnpConfig(sites[cmd.target1], config.stack, config.valuation)),
-            (1, RnpConfig(sites[cmd.target2], config.stack, config.valuation)),
+            (0, RnpConfig(sites[cmd.target1], stack, valuation)),
+            (1, RnpConfig(sites[cmd.target2], stack, valuation)),
         ]
     if isinstance(cmd, Call):
-        new_stack = config.stack + (cmd.label,)
-        new_depth = len(new_stack)
-        if new_depth > rnp.max_depth:
+        depth = len(stack) + 1
+        if depth > rnp.max_depth:
             raise RnpStructureError(f"call {cmd.label!r} would exceed depth {rnp.max_depth}")
-        proc = rnp.proc(cmd.proc)
-        body = ("lt", proc.name) if new_depth < rnp.max_depth else ("eq", proc.name)
-        return [(None, RnpConfig((body, 0), new_stack, config.valuation))]
+        body = ("lt" if depth < rnp.max_depth else "eq", cmd.proc)
+        return [(None, RnpConfig((body, 0), stack + (cmd.label,), valuation))]
     # Return
-    if not config.stack:
+    if not stack:
         raise RnpStructureError(f"return at {cmd.label!r} with empty call stack")
-    caller_label = config.stack[-1]
-    caller_seq, caller_idx = sites[caller_label]
-    return [
-        (None, RnpConfig((caller_seq, caller_idx + 1), config.stack[:-1], config.valuation))
-    ]
+    caller_seq, caller_idx = sites[stack[-1]]
+    return [(None, RnpConfig((caller_seq, caller_idx + 1), stack[:-1], valuation))]
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +309,7 @@ def explore_halting(
     over_value = None
     if max_value is not None:
         def over_value(config: RnpConfig) -> str | None:
-            return "max_value" if any(c > max_value for _, _, c in config.valuation) else None
+            return "max_value" if max(config.valuation, default=0) > max_value else None
 
     result = bfs(
         start,
@@ -376,8 +343,9 @@ def run_scheduled(
     max_steps: int = 1_000_000,
 ) -> ScheduledRun:
     """Replay a run, resolving each goto-or with the next scheduled choice
-    (0 = first branch, 1 = second).  Reports how and where the run stopped;
-    a stuck decrement reports the variable and its depth."""
+    (0 = first branch, 1 = second; any other choice is a ValueError).
+    Reports how and where the run stopped; a stuck decrement reports the
+    variable and its depth."""
     if start is None:
         start = initial_config(rnp)
     stream: Iterator[int] = iter(choices)
@@ -393,14 +361,14 @@ def run_scheduled(
         if not succ:
             if not isinstance(cmd, Dec):
                 raise RuntimeError(f"{cmd.label!r} has no successor but is not a decrement")
-            return ScheduledRun(
-                "stuck_dec", steps, config, stuck_var=cmd.var, stuck_depth=config.depth
-            )
+            return ScheduledRun("stuck_dec", steps, config, stuck_var=cmd.var, stuck_depth=len(config.stack))
         if isinstance(cmd, GotoOr):
             try:
                 pick = next(stream)
             except StopIteration:
                 return ScheduledRun("choices_exhausted", steps, config)
+            if pick not in (0, 1):
+                raise ValueError(f"choice {pick!r} at step {steps} is neither 0 nor 1")
             config = succ[pick][1]
         else:
             config = succ[0][1]

@@ -47,7 +47,7 @@ def halting_effect(prog, start_val, max_configs=500_000):
     replay = run_scheduled(prog, verdict.witness, start=start)
     assert replay.stop == "halted"
     assert replay.config == verdict.config
-    return valuation_dict(replay.config)
+    return valuation_dict(prog, replay.config)
 
 
 def dec_harness():

@@ -530,6 +530,29 @@ def test_run_counter_n_below_one_is_input_error(capsys, n):
 HALT = CORPUS / "halt.cp"
 
 
+@pytest.mark.parametrize("flags", [
+    ("--n", 14),  # 2^(2^14) has 4933 digits
+    ("--n", 4, "--depth-mode", "triple"),
+])
+def test_bound_too_large_to_print_is_input_error(capsys, flags):
+    code, out, err = run_cli(capsys, "run-counter", HALT, *flags)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert "has more than 4300 digits" in err
+
+
+def test_pipeline_refuses_a_bound_too_large_to_print_before_any_stage(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "pipeline", HALT, "--n", 14, "--out-dir", tmp_path / "out")
+    assert (code, out) == (EXIT_INPUT, "")
+    assert "has more than 4300 digits" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_largest_printable_bound_still_runs(capsys):
+    code, out, _ = run_cli(capsys, "run-counter", HALT, "--n", 13)
+    assert code == EXIT_OK
+    assert out == f"Halts steps=0 peak=0 bound={2 ** 2 ** 13}\n"
+
+
 # a negative cap or limit would turn into a hollow Unknown (`--fuel -1` made
 # even halt.cp report FuelExhausted steps=-1), so every such flag refuses it
 @pytest.mark.parametrize("argv, flag", [

@@ -152,6 +152,16 @@ def test_depth_rule_rejects_n_below_one_and_unknown_modes(n, mode):
             rule(n, mode)
 
 
+def test_bound_is_refused_past_the_printable_digits():
+    # the largest bounds Python prints by default, and the first ones it would not
+    assert len(str(simulated_bound(13))) == 2467
+    assert len(str(simulated_bound(3, "triple"))) == 78
+    for n, mode in ((14, "double"), (4, "triple"), (40, "double"), (40, "triple")):
+        # at n=40 the bound alone would take 2^40 bits, or far more: refused before it is built
+        with pytest.raises(LiptonInputError, match="has more than 4300 digits"):
+            simulated_bound(n, mode)
+
+
 def _straightline(m: int) -> counter.CounterProgram:
     # m commands: alternating inc/dec on one counter, halt at the end;
     # started with enough incs that it never aborts

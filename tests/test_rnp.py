@@ -210,14 +210,14 @@ def test_call_at_depth_limit_runs_eq_body():
     prog = _simple(1, [Call("l1", "p"), Halt("l2")], [PROC_UV])
     verdict = explore_halting(prog)
     assert isinstance(verdict, RnpHalts)
-    assert valuation_dict(verdict.config) == {("v", 1): 1}
+    assert valuation_dict(prog, verdict.config) == {("v", 1): 1}
 
 
 def test_call_below_depth_limit_runs_lt_body():
     prog = _simple(2, [Call("l1", "p"), Halt("l2")], [PROC_UV])
     verdict = explore_halting(prog)
     assert isinstance(verdict, RnpHalts)
-    assert valuation_dict(verdict.config) == {("u", 1): 1}
+    assert valuation_dict(prog, verdict.config) == {("u", 1): 1}
 
 
 def test_counters_are_per_depth():
@@ -228,7 +228,7 @@ def test_counters_are_per_depth():
         [Proc("p", (Return("a1"),), (Inc("b1", "x"), Return("b2")))],
     )
     verdict = explore_halting(prog)
-    assert valuation_dict(verdict.config) == {("x", 0): 1, ("x", 1): 1}
+    assert valuation_dict(prog, verdict.config) == {("x", 0): 1, ("x", 1): 1}
 
 
 def test_return_resumes_after_the_call():
@@ -238,7 +238,7 @@ def test_return_resumes_after_the_call():
         [PROC_UV],
     )
     verdict = explore_halting(prog)
-    assert valuation_dict(verdict.config) == {("u", 1): 1, ("w", 0): 1}
+    assert valuation_dict(prog, verdict.config) == {("u", 1): 1, ("w", 0): 1}
 
 
 def test_dec_at_zero_is_stuck_not_abort():
@@ -307,6 +307,14 @@ def test_run_scheduled_choices_exhausted():
     assert run.stop == "choices_exhausted"
 
 
+@pytest.mark.parametrize("choice", [-1, 2])
+def test_run_scheduled_refuses_a_choice_other_than_0_or_1(choice):
+    # -1 would index the second branch and report halted; 2 would raise IndexError
+    prog = _simple(1, [Inc("l1", "x"), GotoOr("l2", "l3", "l4"), Goto("l3", "l2"), Halt("l4")])
+    with pytest.raises(ValueError, match=f"choice {choice} at step 1 is neither 0 nor 1"):
+        run_scheduled(prog, [choice])
+
+
 def test_return_with_empty_stack_is_structural_error():
     prog = _simple(2, [Call("l1", "p"), Halt("l2")], [PROC_UV])
     # start execution inside the procedure body without having called it
@@ -316,7 +324,9 @@ def test_return_with_empty_stack_is_structural_error():
     assert run_scheduled(prog, [], start=start).stop == "structural_error"
 
 
-def test_valuations_are_canonical_and_sparse():
+def test_valuations_are_canonical():
+    # a counter copy back at 0 leaves the configuration it would have had
+    # without the increment, so the two are one configuration to the search
     prog = _simple(1, [Inc("l1", "x"), Dec("l2", "x"), Halt("l3")])
     verdict = explore_halting(prog)
-    assert verdict.config.valuation == ()  # the zero entry is dropped
+    assert verdict.config == make_config(prog, site=(("main",), 2))
