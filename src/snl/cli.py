@@ -16,8 +16,11 @@ two refusals found later are named where they occur, and argparse refuses a
 malformed flag, or a cap below 0, before any of them.  An Unknown never
 counts as a disagreement.
 
-Reports and generated files are deterministic for fixed inputs and caps;
-wall-clock timings go to stderr only.
+When the counter stage sees a program halt, the pipeline carries that run
+down the chain: the rnp, tdpn and dcps stages replay a witness built from
+it, and `--max-configs` bounds its steps; other programs get each stage's
+search.  Reports and generated files are deterministic for fixed inputs and
+caps; wall-clock timings go to stderr only.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import time
 import traceback
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Iterable
 
@@ -135,6 +139,8 @@ def _verdict(verdict) -> tuple[str, str, dict]:
             return "NoHalt", "no", {"configs_explored": explored}
         case rnp.RnpUnknown(reason=reason, configs_explored=explored):
             return f"Unknown reason={reason}", "unknown", {"configs_explored": explored}
+        case tdpn.TdpnCoverable(witness=witness, mode="replay"):
+            return "Coverable (replayed witness)", "yes", {"method": "replay", "steps": len(witness)}
         case tdpn.TdpnCoverable(witness=witness):
             return "Coverable", "yes", {"witness_steps": len(witness)}
         case tdpn.TdpnNotCoverable():
@@ -218,7 +224,7 @@ def _cmd_run_counter(args) -> int:
 
 def _cmd_compile_rnp(args) -> int:
     program = _load(args.file, counter.parse_counter, lambda p: lipton.validate_source(p, args.n))
-    compiled = lipton.compile_lipton(program, args.n, args.depth_mode)
+    compiled = lipton.compile_lipton(program, args.n, args.depth_mode).rnp
     out = _write_rnp(_output(args, ".rnp"), compiled)
     print(f"wrote {out} (max_depth={compiled.max_depth}, size={compiled.size()})")
     return EXIT_OK
@@ -381,6 +387,34 @@ def _pipeline_rnp(compiled, max_configs: int) -> StageResult:
     return _stage("rnp", rnp.explore_halting(compiled, max_configs=max_configs))
 
 
+def _replay_rnp(compiled: lipton.LiptonCompilation, max_configs: int) -> StageResult:
+    """The rnp stage of a program the counter stage saw halt: the choices of
+    the guided run, replayed; Unknown if it takes more than max_configs steps."""
+    choices = tuple(pick for _, pick in islice(lipton.guided_run(compiled), max_configs) if pick is not None)
+    run = rnp.run_scheduled(compiled.rnp, choices, max_steps=max_configs)
+    detail = {"method": "replay", "choices": len(choices), "steps": run.steps}
+    if run.stop == "step_limit":
+        return StageResult("rnp", "", "Unknown reason=max_configs", "unknown", detail)
+    if run.stop != "halted":
+        label = rnp.command_at(compiled.rnp, run.config.site).label
+        raise RuntimeError(f"rnp: the guided run ends {run.stop} at {label!r} after {run.steps} steps")
+    return StageResult("rnp", "", "Halts (replayed witness)", "yes", detail)
+
+
+def _replay_tdpn(compiled: lipton.LiptonCompilation, compilation: rnp2tdpn.RnpCompilation):
+    """The tdpn stage after a replayed rnp stage: the guided run translated
+    into a firing sequence and replayed, which must cover the final word."""
+    net = compilation.tdpn
+    steps = tuple(rnp2tdpn.translate_run(compilation, compiled.rnp, lipton.guided_run(compiled)))
+    try:
+        final = tdpn.replay(net, steps)
+    except ValueError as err:
+        raise RuntimeError(f"tdpn: translated {err}") from None
+    if net.w_final not in final:
+        raise RuntimeError("tdpn: the translated run does not cover the final word")
+    return tdpn.TdpnCoverable(steps, "replay")
+
+
 def _pipeline_dcps(compiled, tdpn_witness, caps: dict) -> StageResult:
     if tdpn_witness:
         events = tdpn2dcps.synthesize_cover_witness(compiled, tdpn_witness)
@@ -417,18 +451,25 @@ def _cmd_pipeline(args) -> int:
             stages.append(stage)
         return result
 
-    timed("counter", lambda: counter.run_bounded(program, bound, fuel=args.fuel), src.name)
+    run = timed("counter", lambda: counter.run_bounded(program, bound, fuel=args.fuel), src.name)
 
     compiled_rnp = timed("compile-rnp", lambda: lipton.compile_lipton(program, args.n, args.depth_mode))
-    rnp_path = _write_rnp(out_dir / f"{stem}.rnp", compiled_rnp)
-    timed("rnp", lambda: _pipeline_rnp(compiled_rnp, args.max_configs), rnp_path.name)
+    rnp_path = _write_rnp(out_dir / f"{stem}.rnp", compiled_rnp.rnp)
+    halts = isinstance(run, counter.Halts)
+    rnp_stage = timed(
+        "rnp",
+        lambda: _replay_rnp(compiled_rnp, args.max_configs) if halts
+        else _pipeline_rnp(compiled_rnp.rnp, args.max_configs),
+        rnp_path.name,
+    )
+    carried = halts and rnp_stage.normalized == "yes"
 
-    compilation = timed("compile-tdpn", lambda: rnp2tdpn.compile_rnp_to_tdpn(compiled_rnp))
+    compilation = timed("compile-tdpn", lambda: rnp2tdpn.compile_rnp_to_tdpn(compiled_rnp.rnp))
     net = compilation.tdpn
     tdpn_path = _write_tdpn(out_dir / f"{stem}.tdpn", compilation)
     cover = timed(
         "tdpn",
-        lambda: tdpn.coverable(
+        lambda: _replay_tdpn(compiled_rnp, compilation) if carried else tdpn.coverable(
             net, mode="symbolic", max_tokens=args.max_tokens, max_markings=args.max_markings
         ),
         tdpn_path.name,
@@ -555,7 +596,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command(_cmd_pipeline, "pipeline", "run all four stages on a counter program and cross-check",
                 n, depth_mode, fuel, max_tokens)
     p.add_argument("--max-configs", type=cap, default=rnp.DEFAULT_MAX_CONFIGS,
-                   help="recursive-net search cap")
+                   help="recursive-net search cap, and the step cap of a carried run")
     p.add_argument("--max-markings", type=cap, default=2_000_000)
     p.add_argument("--dcps-max-configs", type=cap, default=200_000)
     p.add_argument("--out-dir")

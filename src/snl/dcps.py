@@ -37,8 +37,9 @@ witness it finds replays under the unpruned semantics.  A replay checks each
 event by its own guard (`_enabled`) and never scans for the other enabled
 events.  Both hold plain tuples in DcpsConfig's layout, (state, (stack,
 count), pool): a search's pool is a canonical sorted tuple, equal to a
-DcpsConfig's and a seen key, a replay's a multiset (thread -> copies)
-updated in place.  A DcpsConfig is built only where the API returns it.
+DcpsConfig's and a seen key, as is replay_witness's; replay_final's is a
+multiset (thread -> copies) updated in place.  A DcpsConfig is built only
+where the API returns it.
 Compiled kill systems are replayed, not searched, where the TDPN has a
 witness: `tdpn2dcps` synthesizes it by the one-switch rule of its construction.
 """
@@ -323,18 +324,21 @@ def successors(
             for event in events]
 
 
-def _replay(system: Dcps, witness, budget: int, semantics: str) -> Iterator[Config]:
+def _replay(system: Dcps, witness, budget: int, semantics: str,
+            pool_ops=(dict, _add, _take)) -> Iterator[Config]:
     """The configurations of a witness run, from the initial one on, each
-    event checked by _enabled before it is applied.  They share one
-    multiset pool, updated in place: read each before taking the next."""
+    event checked by _enabled before it is applied.  pool_ops are the pool's
+    (empty, insert, remove): a multiset's by default, which they all share,
+    updated in place (read each before taking the next), or a tuple's."""
     if semantics not in SEMANTICS:
         raise ValueError(f"unknown semantics {semantics!r}")
-    config = system.initial_state, ((system.initial_symbol,), 0), {}
+    empty, insert, remove = pool_ops
+    config = system.initial_state, ((system.initial_symbol,), 0), empty()
     yield config
     for step, event in enumerate(witness):
         if not _enabled(system, config, event, budget):
             raise ValueError(f"witness event {event!r} does not apply at step {step}")
-        config = _apply(system, config, event, semantics, _add, _take)
+        config = _apply(system, config, event, semantics, insert, remove)
         yield config
 
 
@@ -347,7 +351,8 @@ def replay_witness(
     system: Dcps, witness, budget: int, semantics: str = "noinherit"
 ) -> list[DcpsConfig]:
     """Apply a witness event sequence from the initial configuration."""
-    return [_canonical(*c) for c in _replay(system, witness, budget, semantics)]
+    replay = _replay(system, witness, budget, semantics, (tuple, _insert, _remove))
+    return [DcpsConfig._make(c) for c in replay]
 
 
 def replay_final(
@@ -384,7 +389,10 @@ def check_budget(budget: int) -> None:
 def _cap_rule(max_threads: int, max_stack: int):
     """The cap a search prunes by: "max_threads" when more than max_threads
     threads have a non-empty stack, else "max_stack" when a stack is deeper
-    than max_stack, else None."""
+    than max_stack, else None.  Only on the configurations a search reaches:
+    there a parked stack is a one-symbol spawn or initial stack, or was the
+    active stack of a configuration this cap passed, so it can be too deep
+    only when max_stack is 0."""
 
     def cap(config: Config) -> str | None:
         _, (stack, _), pool = config
@@ -393,11 +401,9 @@ def _cap_rule(max_threads: int, max_stack: int):
         n = len(pool)
         if n >= max_threads and n - bisect_left(pool, ((), inf)) + bool(stack) > max_threads:
             return "max_threads"
-        if len(stack) > max_stack:
+        # at max_stack 0, any live parked thread is too deep: the last sorted one
+        if len(stack) > max_stack or not max_stack and pool and pool[-1][0]:
             return "max_stack"
-        for w, _ in pool:
-            if len(w) > max_stack:
-                return "max_stack"
         return None
 
     return cap

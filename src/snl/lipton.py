@@ -18,13 +18,18 @@ k = 2^n + 1, pushing the budget to a triply exponential value.
 Source and target share `Inc`, `Dec`, `Goto` and `Halt` (`snl.counter`
 defines them), so jumps and the halt pass through.  `max_depth_for` is the
 one depth-mode rule; the simulated bound follows as B = 2^(2^(k-1)).
+
+`compile_lipton` also records how each gadget's goto-ors read the counters
+(`ZeroTest`); `guided_run` takes the run that reads them right.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Iterator, NamedTuple
 
-from snl import counter
+from snl import counter, rnp
 from snl.rnp import (
     Call,
     Command,
@@ -36,6 +41,7 @@ from snl.rnp import (
     Proc,
     Return,
     Rnp,
+    RnpConfig,
 )
 
 HELPER_VARS = ("s", "bar_s", "y", "bar_y", "z", "bar_z")
@@ -76,11 +82,22 @@ def simulated_bound(n: int, depth_mode: str = "double") -> int:
 # Gadget expansions
 
 
+class ZeroTest(NamedTuple):
+    """How a gadget's goto-or reads the counters, at the current depth plus
+    `offset`: the entry takes the nonzero branch iff `var` is positive, the
+    loop exit takes `exit` iff the complement is 0."""
+
+    var: str
+    offset: int  # 0 for expand_test, 1 for expand_test_plus1
+    exit: bool
+
+
 def _zero_test(
-    var: str, l_zero: str, l_nonzero: str, entry: str, tag: str, inc, dec
+    var: str, l_zero: str, l_nonzero: str, entry: str, tag: str, inc, dec, offset: int, guide
 ) -> tuple[Command, ...]:
     """Zero test on `var`; `inc(label, counter)` and `dec(label, counter)`
-    make the command that moves a counter, and `tag` marks the labels.
+    make the command that moves a counter, `offset` below the current depth,
+    `tag` marks the labels, and a `guide` dict gets each goto-or's ZeroTest.
 
     Nondeterministic: the nonzero branch proves var > 0 by moving it down
     and up; the zero branch swaps var with its complement, validating the
@@ -89,6 +106,9 @@ def _zero_test(
     """
     bar = complement(var)
     lab = lambda role: f"{entry}__{tag}__{var}__{role}"
+    if guide is not None:
+        guide[entry] = ZeroTest(var, offset, False)
+        guide[lab("lp5")] = ZeroTest(var, offset, True)
     return (
         GotoOr(entry, lab("nztest"), lab("loop")),
         dec(lab("nztest"), var),
@@ -104,12 +124,12 @@ def _zero_test(
     )
 
 
-def expand_test(var: str, l_zero: str, l_nonzero: str, entry: str) -> tuple[Command, ...]:
+def expand_test(var: str, l_zero: str, l_nonzero: str, entry: str, guide=None) -> tuple[Command, ...]:
     """Zero test on a simulated counter (depth 0 copies, direct inc/dec)."""
-    return _zero_test(var, l_zero, l_nonzero, entry, "test", Inc, Dec)
+    return _zero_test(var, l_zero, l_nonzero, entry, "test", Inc, Dec, 0, guide)
 
 
-def expand_test_plus1(var: str, l_zero: str, l_nonzero: str, entry: str) -> tuple[Command, ...]:
+def expand_test_plus1(var: str, l_zero: str, l_nonzero: str, entry: str, guide=None) -> tuple[Command, ...]:
     """Zero test on a helper counter one depth below the current one: every
     counter move goes through the one-step helper procedures, so it lands
     on the depth d+1 copies."""
@@ -117,6 +137,7 @@ def expand_test_plus1(var: str, l_zero: str, l_nonzero: str, entry: str) -> tupl
         var, l_zero, l_nonzero, entry, "testp1",
         lambda label, v: Call(label, f"{v}_inc"),
         lambda label, v: Call(label, f"{v}_dec"),
+        1, guide,
     )
 
 
@@ -139,7 +160,7 @@ def _one_step_procs() -> list[Proc]:
     return procs
 
 
-def _ladder_proc(name: str, start: tuple[Command, ...], moves, eq_moves) -> Proc:
+def _ladder_proc(name: str, start: tuple[Command, ...], moves, eq_moves, guide) -> Proc:
     """`dec` or `inc`: after `start`, the lt_max body makes `moves` once per
     pass of a loop over z nested in a loop over y (the depth d+1 helpers);
     the eq_max body makes `eq_moves`.  A move is a (command, counter) pair."""
@@ -154,27 +175,28 @@ def _ladder_proc(name: str, start: tuple[Command, ...], moves, eq_moves) -> Proc
             Call(lt("inner"), "z_dec"),
             Call(lt("i2"), "bar_z_inc"),
             *(cls(lt(f"i{i}"), var) for i, (cls, var) in enumerate(moves, 3)),
-            *expand_test_plus1("z", lt("next"), lt("inner"), entry=lt("t1")),
-            *expand_test_plus1("y", lt("exit"), lt("outer"), entry=lt("next")),
+            *expand_test_plus1("z", lt("next"), lt("inner"), lt("t1"), guide),
+            *expand_test_plus1("y", lt("exit"), lt("outer"), lt("next"), guide),
             Return(lt("exit")),
         ),
         (*eq, Return(f"{name}__eq__{len(eq) + 1}")),
     )
 
 
-def helper_procs() -> tuple[Proc, ...]:
+def helper_procs(guide=None) -> tuple[Proc, ...]:
     """The fourteen fixed procedures: twelve one-step helpers plus the
     budget-draining dec and the ladder-building inc."""
     drain = [(Dec, "s"), (Inc, "bar_s")]
     build = [(Inc, "y"), (Inc, "z"), (Inc, "bar_s")]
     return (
         *_one_step_procs(),
-        _ladder_proc("dec", (), drain, drain * 2),
+        _ladder_proc("dec", (), drain, drain * 2, guide),
         _ladder_proc(
             "inc",
             (Call("inc__lt__start", "inc"),),
             build,
             [(Inc, var) for var in ("y", "y", "z", "z", "bar_s", "bar_s")],
+            guide,
         ),
     )
 
@@ -183,7 +205,7 @@ def helper_procs() -> tuple[Proc, ...]:
 # Compilation
 
 
-def _translate_sim(program: counter.CounterProgram) -> list[Command]:
+def _translate_sim(program: counter.CounterProgram, guide) -> list[Command]:
     out: list[Command] = []
     for cmd in program.commands:
         if isinstance(cmd, Inc):
@@ -196,9 +218,9 @@ def _translate_sim(program: counter.CounterProgram) -> list[Command]:
             out.append(cmd)
         else:
             cont = f"{cmd.label}__cont"
-            out.extend(expand_test(cmd.var, cont, cmd.target_nonzero, entry=cmd.label))
+            out.extend(expand_test(cmd.var, cont, cmd.target_nonzero, cmd.label, guide))
             out.extend(
-                expand_test(complement(cmd.var), cmd.target_zero, cmd.target_nonzero, entry=cont)
+                expand_test(complement(cmd.var), cmd.target_zero, cmd.target_nonzero, cont, guide)
             )
     return out
 
@@ -216,7 +238,18 @@ def validate_source(program: counter.CounterProgram, n: int) -> None:
             raise LiptonInputError(f"variable {var!r} is reserved")
 
 
-def compile_lipton(program: counter.CounterProgram, n: int, depth_mode: str = "double") -> Rnp:
+@dataclass(frozen=True)
+class LiptonCompilation:
+    """The compiled program and each goto-or's ZeroTest, by label."""
+
+    rnp: Rnp
+    guide: dict[str, ZeroTest]
+
+    def size(self) -> int:  # the traced benchmark's lipton.compile span reads it
+        return self.rnp.size()
+
+
+def compile_lipton(program: counter.CounterProgram, n: int, depth_mode: str = "double") -> LiptonCompilation:
     """Compile a counter program into an equivalent recursive net program.
 
     The result halts iff the source halts under a B-bounded run with
@@ -224,12 +257,34 @@ def compile_lipton(program: counter.CounterProgram, n: int, depth_mode: str = "d
     validate_source.
     """
     validate_source(program, n)
-    sim = _translate_sim(program)
+    guide: dict[str, ZeroTest] = {}
+    sim = _translate_sim(program, guide)
     init = (
         Call("init__start", "inc"),
         Call("init__loop", "y_dec"),
         Call("init__l2", "bar_y_inc"),
         *(Inc(f"init__x__{x}", complement(x)) for x in program.variables),
-        *expand_test_plus1("y", sim[0].label, "init__loop", entry="init__t1"),
+        *expand_test_plus1("y", sim[0].label, "init__loop", "init__t1", guide),
     )
-    return Rnp(max_depth_for(n, depth_mode), init + tuple(sim), helper_procs())
+    return LiptonCompilation(Rnp(max_depth_for(n, depth_mode), init + tuple(sim), helper_procs(guide)), guide)
+
+
+def guided_run(compiled: LiptonCompilation) -> Iterator[tuple[RnpConfig, int | None]]:
+    """The run whose zero tests read the counters right: each configuration
+    up to the first without a successor, with the branch taken there (None
+    off a goto-or).  It halts when the source halts within the bound."""
+    program, guide = compiled.rnp, compiled.guide
+    _, seqs, slots = program.tables
+    config = rnp.initial_config(program)
+    while True:
+        succ = rnp.successors(program, config)
+        pick = None
+        if len(succ) == 2:
+            (seq_id, idx), stack, valuation = config
+            var, offset, at_exit = guide[seqs[seq_id][idx].label]
+            read = complement(var) if at_exit else var
+            pick = int((valuation[slots[read, len(stack) + offset]] == 0) != at_exit)
+        yield config, pick
+        if not succ:
+            return
+        config = succ[pick or 0][1]

@@ -24,11 +24,14 @@ resume tuples, a successor check accepting exactly the triples
 (d, d+1, d).  The transducers are tries over the base-index prefixes
 spliced into these shared suffix automata, so their state counts stay
 logarithmic in the depth bound.
+`translate_run` maps a run of the program, step by step, to the transitions
+that simulate it: a return fires its move and then the resuming join.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable, Iterator
 
 from snl.rnp import (
     Call,
@@ -38,9 +41,10 @@ from snl.rnp import (
     Halt,
     Inc,
     Rnp,
+    RnpConfig,
     Return,
 )
-from snl.tdpn import Tdpn
+from snl.tdpn import Descriptor, Tdpn
 from snl.transducer import Transducer
 
 ALPHABET = ("0", "1")
@@ -295,6 +299,7 @@ def _assemble(arity: int, emissions: list[Emission], book: AddressBook) -> Trans
 class RnpCompilation:
     tdpn: Tdpn
     book: AddressBook
+    label_to_base: dict[str, str]
 
 
 def compile_rnp_to_tdpn(rnp: Rnp) -> RnpCompilation:
@@ -312,7 +317,36 @@ def compile_rnp_to_tdpn(rnp: Rnp) -> RnpCompilation:
         _assemble(3, forks, book),
         _assemble(3, joins, book),
     )
-    return RnpCompilation(net, book)
+    return RnpCompilation(net, book, label_to_base)
+
+
+def translate_run(
+    compilation: RnpCompilation, rnp: Rnp, run: Iterable[tuple[RnpConfig, int | None]]
+) -> Iterator[Descriptor]:
+    """The firing sequence that simulates a run of `rnp`, given as in
+    `lipton.guided_run`; each word is made once, not once per step."""
+    sites, seqs, _ = rnp.tables
+    base, book = compilation.label_to_base, compilation.book
+    word = {(b, d): book.word(b, d) for b in book.bases for d in range(book.max_depth + 1)}
+    for ((seq_id, idx), stack, _), pick in run:
+        cmd, d = seqs[seq_id][idx], len(stack)
+        here = word[base[cmd.label], d]
+        if isinstance(cmd, (Inc, Dec)):
+            after, var = word[base[seqs[seq_id][idx + 1].label], d], word[f"var:{cmd.var}", d]
+            yield ("fork", (here, after, var)) if isinstance(cmd, Inc) else ("join", (here, var, after))
+        elif isinstance(cmd, (Goto, GotoOr)):
+            target = cmd.target if isinstance(cmd, Goto) else (cmd.target1, cmd.target2)[pick]
+            yield ("move", (here, word[base[target], d]))
+        elif isinstance(cmd, Call):
+            yield ("fork", (here, word[f"start:{cmd.proc}", d + 1], word[f"aux:{cmd.label}", d]))
+        elif isinstance(cmd, Return):
+            back = word[f"return:{seq_id[1]}", d]
+            caller_seq, caller_idx = sites[stack[-1]]
+            after = word[base[seqs[caller_seq][caller_idx + 1].label], d - 1]
+            yield ("move", (here, back))
+            yield ("join", (word[f"aux:{stack[-1]}", d - 1], back, after))
+        else:
+            yield ("move", (here, word["halt", d]))
 
 
 def expected_language_sizes(rnp: Rnp) -> dict[str, int]:

@@ -14,6 +14,7 @@ under the marked words.  Forks and joins are multiset-true in the symbolic
 semantics: a join whose two pre words coincide needs two tokens on that
 word, and a fork whose post words coincide adds two.  Either way "no" means
 an exhaustive search; a search a cap touched is Unknown, named by the caps.
+`replay` checks a given firing sequence instead, step by step.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
+from typing import Iterable
 
 from snl.petri import (
     DEFAULT_MAX_MARKINGS,
@@ -34,7 +36,7 @@ from snl.petri import (
 )
 from snl.search import Capped, Found, bfs
 from snl.text import non_words, strip_comments
-from snl.transducer import Transducer, TransducerError, enumerate_accepted
+from snl.transducer import Transducer, TransducerError, enumerate_accepted, language
 
 Marking = dict[str, int]
 
@@ -167,6 +169,22 @@ def fire_symbolic(net: Tdpn, marking: Marking) -> list[tuple[Descriptor, Marking
         if m is not None:
             out.append((descriptor, m))
     return out
+
+
+def replay(net: Tdpn, steps: Iterable[Descriptor]) -> Marking:
+    """The marking a firing sequence ends in, from one token on the initial
+    word, fired as in fire_symbolic; the first step its transducer does not
+    accept, or whose pre words are not marked, raises ValueError."""
+    kinds = {kind: (t, pre) for kind, t, pre in net.transducers()}
+    marking = {net.w_init: 1}
+    for i, (kind, words) in enumerate(steps):
+        t, pre = kinds[kind]
+        if words not in language(t, net.width):
+            raise ValueError(f"step {i} {kind} {words!r} is not a transition of the net")
+        marking = moved(marking, [(w, -1) for w in words[:pre]] + [(w, 1) for w in words[pre:]])
+        if marking is None:
+            raise ValueError(f"step {i} {kind} {words!r} is not enabled")
+    return marking
 
 
 # ---------------------------------------------------------------------------

@@ -52,9 +52,9 @@ state.  The compiler checks that the blocks tile the kills.
 from __future__ import annotations
 
 import functools
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from snl.dcps import Dcps, DcpsRule, Event, KillRule, mint_name
 from snl.tdpn import Descriptor, Tdpn
@@ -384,18 +384,46 @@ def expected_rule_counts(net: Tdpn) -> dict[str, int]:
 # Witness synthesis
 
 
-def synthesize_cover_witness(compiled: KillDcps, steps: tuple[Descriptor, ...]) -> tuple[Event, ...]:
+class CoverWitness:
+    """The events of a synthesized witness, made afresh by each pass over
+    them, so that a replay holds one step's events at a time.  len() is the
+    number of events: kept from the first full pass, or counted by a pass."""
+
+    def __init__(self, compiled: KillDcps, steps: tuple[Descriptor, ...]):
+        self.compiled, self.steps, self.count = compiled, steps, None
+
+    def __iter__(self) -> Iterator[Event]:
+        count = 0
+        for events in _synthesize(self.compiled, self.steps):
+            count += len(events)
+            yield from events
+        self.count = count
+
+    def __len__(self) -> int:
+        if self.count is None:
+            deque(self, maxlen=0)
+        return self.count
+
+
+def synthesize_cover_witness(compiled: KillDcps, steps: tuple[Descriptor, ...]) -> CoverWitness:
     """Turn a coverability witness into a replayable event sequence.
 
     The exhaustive search cannot face compiled systems of realistic width
     (each round guesses a full word), but a net-level witness pins every
     choice: which token each round consumes, which words are guessed, and
-    which transducer path the verifier commits to.  The resulting event
-    list drives the compiled system from its initial configuration to
-    g_halt at SWITCH_BUDGET; replaying it is a machine check of the
-    whole round trip.  Each rule or kill event is looked up by the schema
-    key under which the compiler emitted it, in the tables of `compiled`.
+    which transducer path the verifier commits to.  The resulting events
+    drive the compiled system from its initial configuration to g_halt at
+    SWITCH_BUDGET; replaying them is a machine check of the whole round
+    trip.  Each rule or kill event is looked up by the schema key under
+    which the compiler emitted it, in the tables of `compiled`.  A step
+    that cannot be synthesized raises ValueError when its events are made.
     """
+    return CoverWitness(compiled, steps)
+
+
+def _synthesize(compiled: KillDcps, steps: tuple[Descriptor, ...]) -> Iterator[list[Event]]:
+    """The events of synthesize_cover_witness, in one list per step, which
+    is emptied for the next once it has been read."""
     net = compiled.net
     l, lock, by_mode = net.width, compiled.lock, _by_mode(net)
     events: list[Event] = []
@@ -464,6 +492,8 @@ def synthesize_cover_witness(compiled: KillDcps, steps: tuple[Descriptor, ...]) 
         fire("init", i)
 
     for kind, words in steps:
+        yield events
+        events.clear()
         if kind not in by_mode:
             raise ValueError(f"unknown step kind {kind!r}")
         switch_to(words[0])
@@ -488,4 +518,4 @@ def synthesize_cover_witness(compiled: KillDcps, steps: tuple[Descriptor, ...]) 
     switch_to(net.w_final)
     for i in range(l + 1):
         fire("check", i)
-    return tuple(events)
+    yield events

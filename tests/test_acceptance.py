@@ -116,7 +116,7 @@ def test_criterion_4_counter_agrees_with_compiled_rnp_on_corpus():
         with budget(60):
             program = corpus_program(name)
             direct = run_bounded(program, 4, fuel=200_000)
-            verdict = explore_halting(compile_lipton(program, n=1))
+            verdict = explore_halting(compile_lipton(program, n=1).rnp)
             assert isinstance(verdict, (RnpHalts, RnpNo)), (name, verdict)
             assert isinstance(direct, Halts) == isinstance(verdict, RnpHalts), name
 
@@ -128,7 +128,7 @@ def test_criterion_4_bound_flip_follows_n():
     for n, direct_kind, rnp_kind in ((1, BoundExceeded, RnpNo), (2, Halts, RnpHalts)):
         with budget(30):
             assert isinstance(run_bounded(program, simulated_bound(n)), direct_kind), n
-            verdict = explore_halting(compile_lipton(program, n))
+            verdict = explore_halting(compile_lipton(program, n).rnp)
             assert isinstance(verdict, rnp_kind), n
     assert (simulated_bound(1), simulated_bound(2)) == (4, 16)
     # the n=2 search order and shortest witness, which no change to how a
@@ -271,12 +271,12 @@ def _straightline(m):
 def test_criterion_9_sizes_match_documented_closed_forms():
     with budget(60):
         # compiled command counts grow linearly in the source length
-        sizes = {m: len(compile_lipton(_straightline(m), n=1).main) for m in (5, 10, 20)}
+        sizes = {m: len(compile_lipton(_straightline(m), n=1).rnp.main) for m in (5, 10, 20)}
         assert sizes[20] - sizes[10] == 2 * (sizes[10] - sizes[5])
 
         # transducer language sizes on a compiled program
         program = corpus_program("count4.cp")
-        compiled = compile_lipton(program, n=1)
+        compiled = compile_lipton(program, n=1).rnp
         comp = compile_rnp_to_tdpn(compiled)
         expected = expected_language_sizes(compiled)
         width = comp.tdpn.width

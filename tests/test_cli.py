@@ -10,7 +10,7 @@ import json
 import pytest
 
 from helpers import CORPUS
-from snl import cli, counter, dcps, petri, rnp, tdpn, tdpn2dcps
+from snl import cli, counter, dcps, lipton, petri, rnp, rnp2tdpn, tdpn, tdpn2dcps
 from snl.cli import (
     EXIT_DISAGREE,
     EXIT_INPUT,
@@ -255,7 +255,7 @@ def test_pipeline_negative_never_disagrees(capsys, tmp_path):
 def test_pipeline_fault_injection_flags_disagreement(capsys, tmp_path, monkeypatch):
     # force a wrong middle-stage verdict; the harness must notice and exit 4
     monkeypatch.setattr(
-        cli, "_pipeline_rnp",
+        cli, "_replay_rnp",
         lambda compiled, max_configs: StageResult("rnp", "", "NoHalt", "no", {}),
     )
     out_dir = tmp_path / "fault_pipe"
@@ -268,9 +268,11 @@ def test_pipeline_fault_injection_flags_disagreement(capsys, tmp_path, monkeypat
 
 
 def test_pipeline_names_the_token_cap(capsys, tmp_path):
+    # a program the counter stage sees halt gets a replayed tdpn witness, which
+    # no search cap touches; the token cap bounds the search of one it does not
     out_dir = tmp_path / "token_pipe"
     code, _, _ = run_cli(
-        capsys, "pipeline", "--n", 1, CORPUS / "halt.cp",
+        capsys, "pipeline", "--n", 1, CORPUS / "abort_dec.cp",
         "--max-tokens", 1, "--dcps-max-configs", 100, "--out-dir", out_dir,
     )
     assert code == EXIT_UNKNOWN
@@ -288,6 +290,64 @@ def test_pipeline_failed_replay_is_internal_error(capsys, tmp_path, monkeypatch)
     assert code == EXIT_INTERNAL
     assert "snl: internal error:" in err
     assert "does not apply" in err
+
+
+def flip_first_choice(guided_run):
+    def flipped(compiled):
+        run = guided_run(compiled)
+        for config, pick in run:
+            if pick is not None:
+                yield config, 1 - pick
+                break
+            yield config, pick
+        yield from run
+
+    return flipped
+
+
+def reverse_first_step(translate_run):
+    def corrupted(*args):
+        steps = translate_run(*args)
+        kind, words = next(steps)
+        yield kind, words[::-1]
+        yield from steps
+
+    return corrupted
+
+
+@pytest.mark.parametrize("module, name, tamper, message", [
+    (lipton, "guided_run", flip_first_choice, "RuntimeError: rnp: the guided run ends stuck_dec at "),
+    (rnp2tdpn, "translate_run", reverse_first_step, "RuntimeError: tdpn: translated step 0 fork "),
+])
+def test_pipeline_failed_carried_run_is_internal_error(capsys, tmp_path, monkeypatch, module, name, tamper,
+                                                       message):
+    # the counter stage saw the program halt, so the carried run must halt and
+    # replay: a run that does not is the program's fault, named by its stage
+    monkeypatch.setattr(module, name, tamper(getattr(module, name)))
+    code, out, err = run_cli(capsys, "pipeline", "--n", 1, CORPUS / "halt.cp", "--out-dir", tmp_path / "p")
+    assert code == EXIT_INTERNAL
+    assert f"snl: internal error: {message}" in err
+    assert out == ""
+
+
+def test_pipeline_replay_is_not_capped(capsys, tmp_path):
+    # the caps bound searches; a replayed witness certifies whatever they say
+    code, out, _ = run_cli(
+        capsys, "pipeline", "--n", 1, CORPUS / "halt.cp", "--max-tokens", 1, "--max-markings", 0,
+        "--dcps-max-configs", 0, "--out-dir", tmp_path / "p",
+    )
+    assert code == EXIT_OK
+    assert "tdpn: Coverable (replayed witness)" in out
+
+
+@pytest.mark.parametrize("name", ["halt", "count4"])
+def test_pipeline_certifies_yes_at_n2(capsys, tmp_path, name):
+    out_dir = tmp_path / name
+    code, out, _ = run_cli(capsys, "pipeline", "--n", 2, CORPUS / f"{name}.cp", "--out-dir", out_dir)
+    assert code == EXIT_OK
+    report = json.loads((out_dir / "report.json").read_text())
+    assert [s["normalized"] for s in report["stages"]] == ["yes"] * 4
+    assert [s["detail"].get("method") for s in report["stages"]] == [None, "replay", "replay", "replay"]
 
 
 def test_cover_internal_failure_is_internal_error(capsys, monkeypatch):
@@ -406,7 +466,7 @@ def test_explore_dcps_summary_lines(capsys, tiny_dcps, argv, code, line):
 
 
 @pytest.mark.parametrize("argv, digest", [
-    (("halt.cp",), "cfedb0c892f2fd1ae47a157b1daed6c1b85971671ec571820ad62c3f0b5f84a3"),
+    (("halt.cp",), "2d571a36a26f03bd2712b76202432e3b251fb3e47ec3ebed7b4b90d40f75e2bd"),
     (("abort_dec.cp", "--dcps-max-configs", 20000),
      "b6df0cf2705c26cc9cd9bed36dc606a45c3b86694a878dac398b1b26a0965b2d"),
 ])

@@ -696,26 +696,55 @@ def test_dead_switch_pruning_on_hand_built_systems():
         assert isinstance(reach_state(victim, "g1", 0, semantics=semantics), DcpsNo)
 
 
-def random_canonical_config(rng):
-    def stack():
-        return tuple(rng.choice("ab") for _ in range(rng.choice([0, 0, 1, 1, 2, 3, 4, 5])))
+def random_canonical_config(rng, deepest_parked=5):
+    def stack(deepest=5):
+        return tuple(rng.choice("ab") for _ in range(min(deepest, rng.choice([0, 0, 1, 1, 2, 3, 4, 5]))))
 
-    pool = [(stack(), rng.randint(0, 2)) for _ in range(rng.randint(0, 6))]
+    pool = [(stack(deepest_parked), rng.randint(0, 2)) for _ in range(rng.randint(0, 6))]
     return make_config("g0", (stack(), rng.randint(0, 2)), pool)
 
 
 def test_cap_rule_matches_the_two_helpers():
+    # on the configurations a search reaches, where no parked stack is deeper
+    # than one symbol or the stack cap (see _cap_rule)
     rng = random.Random(9)
     tripped = set()
     for _ in range(400):
-        config = random_canonical_config(rng)
-        for max_threads in range(5):
-            for max_stack in range(5):
+        for max_stack in range(5):
+            config = random_canonical_config(rng, max(1, max_stack))
+            for max_threads in range(5):
                 got = _cap_rule(max_threads, max_stack)(config)
                 want = reference_cap(config, max_threads, max_stack)
                 assert got == want, (config, max_threads, max_stack)
                 tripped.add(got)
     assert tripped == {"max_threads", "max_stack", None}
+
+
+def test_cap_rule_matches_the_scanning_rule_in_searches(monkeypatch):
+    # the searches explore, find and trip exactly what they did when the cap
+    # scanned every parked stack
+    rng = random.Random(20261020)
+    searches = []
+    for trial in range(8):
+        plain = random_plain_dcps(rng)
+        for system in (random_kill_dcps(rng), plain, compile_to_inheritance(plain, plain.states[-1])[0]):
+            for semantics in SEMANTICS:
+                for max_stack in range(4):
+                    for budget in (0, 1):
+                        searches.append((system, budget, semantics, max_stack))
+
+    def run_all():
+        return [_search(system, budget, lambda c: False, 5, max_stack, 300, semantics)
+                for system, budget, semantics, max_stack in searches]
+
+    got = run_all()
+    monkeypatch.setattr(
+        "snl.dcps._cap_rule",
+        lambda max_threads, max_stack: lambda c: reference_cap(DcpsConfig._make(c), max_threads, max_stack),
+    )
+    assert got == run_all()
+    tripped = set().union(*(r.tripped for r in got if isinstance(r, Capped)))
+    assert tripped == {"max_stack", "max_threads", "max_configs"}
 
 
 # ---------------------------------------------------------------------------

@@ -72,11 +72,20 @@ def test_expansion_shape(expand):
     assert all(l == "e0" or l.startswith("e0__") for l in labels)
 
 
+def test_guide_names_every_goto_or():
+    compiled = compile_lipton(corpus_program("branch_zero.cp"), 1)
+    labels = {c.label for _, cmds in compiled.rnp.sequences() for c in cmds if isinstance(c, GotoOr)}
+    assert set(compiled.guide) == labels
+    # the source's zero tests read depth 0; the helpers' and init's read one deeper
+    assert {(t.var, t.offset) for t in compiled.guide.values()} == {
+        ("x", 0), ("bar_x", 0), ("y", 1), ("z", 1)}
+
+
 def test_compile_structure():
     prog = parse_counter(
         "l1: inc x; l2: inc x; l3: inc x; l4: inc x; l5: halt;"
     )
-    compiled = compile_lipton(prog, n=1)
+    compiled = compile_lipton(prog, n=1).rnp
     assert compiled.max_depth == 2
     # init prefix: 3 calls + one complement seed per variable + 11-command
     # gadget; simulation: 2 commands per inc, 1 for halt
@@ -104,8 +113,8 @@ def test_depth_modes():
     assert simulated_bound(1, "double") == 4
     assert simulated_bound(1, "triple") == 16
     prog = parse_counter("l1: halt;")
-    double = compile_lipton(prog, n=1, depth_mode="double")
-    triple = compile_lipton(prog, n=1, depth_mode="triple")
+    double = compile_lipton(prog, n=1, depth_mode="double").rnp
+    triple = compile_lipton(prog, n=1, depth_mode="triple").rnp
     assert triple.max_depth == 3
     # only the depth limit differs
     assert double.main == triple.main
@@ -139,7 +148,7 @@ STABLE_RNP_DIGESTS = {
 def test_compiled_program_is_byte_stable(name):
     program = corpus_program(name)
     digests = tuple(
-        hashlib.sha256(serialize_rnp(compile_lipton(program, n, mode)).encode()).hexdigest()
+        hashlib.sha256(serialize_rnp(compile_lipton(program, n, mode).rnp).encode()).hexdigest()
         for n, mode in RNP_SETTINGS
     )
     assert digests == STABLE_RNP_DIGESTS[name]
@@ -173,13 +182,13 @@ def _straightline(m: int) -> counter.CounterProgram:
 
 
 def test_output_size_is_linear_in_source_size():
-    sizes = {m: len(compile_lipton(_straightline(m), n=1).main) for m in (5, 10, 20)}
+    sizes = {m: len(compile_lipton(_straightline(m), n=1).rnp.main) for m in (5, 10, 20)}
     # each non-halt command costs exactly 2 emitted commands here, so the
     # growth from 10 to 20 is twice the growth from 5 to 10
     assert sizes[20] - sizes[10] == 2 * (sizes[10] - sizes[5])
     # and the procedure family does not grow at all
     assert all(
-        len(compile_lipton(_straightline(m), n=1).procs) == 14 for m in (5, 10, 20)
+        len(compile_lipton(_straightline(m), n=1).rnp.procs) == 14 for m in (5, 10, 20)
     )
 
 
@@ -224,11 +233,11 @@ def test_zero_test_gadget_nonzero_branch_preserves_the_valuation():
 
 def test_halting_program_compiles_to_halting_net_program():
     prog = parse_counter("l1: inc x; l2: dec x; l3: halt;")
-    verdict = explore_halting(compile_lipton(prog, n=1), max_value=5)
+    verdict = explore_halting(compile_lipton(prog, n=1).rnp, max_value=5)
     assert isinstance(verdict, RnpHalts)
 
 
 def test_aborting_program_compiles_to_stuck_net_program():
     prog = parse_counter("l1: dec x; l2: halt;")
-    verdict = explore_halting(compile_lipton(prog, n=1), max_value=5)
+    verdict = explore_halting(compile_lipton(prog, n=1).rnp, max_value=5)
     assert isinstance(verdict, RnpNo)

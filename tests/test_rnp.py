@@ -157,7 +157,7 @@ def test_every_program_that_builds_round_trips(parts):
 def test_valid_programs_round_trip():
     programs = [program for _, program in tiny_rnps()]
     programs += [random_rnp(random.Random(seed)) for seed in range(20)]
-    programs += [compile_lipton(corpus_program(name), 1) for name in corpus_names()]
+    programs += [compile_lipton(corpus_program(name), 1).rnp for name in corpus_names()]
     for prog in programs:
         assert parse_rnp(serialize_rnp(prog)) == prog
 

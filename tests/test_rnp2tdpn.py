@@ -3,7 +3,7 @@ import functools
 import pytest
 
 from helpers import CORPUS
-from snl.lipton import compile_lipton
+from snl.lipton import compile_lipton, guided_run
 from snl.counter import parse_counter
 from snl.rnp import (
     Call,
@@ -26,12 +26,14 @@ from snl.rnp2tdpn import (
     depth_successor_checker,
     expected_language_sizes,
     serialize_addr,
+    translate_run,
 )
 from snl.tdpn import (
     TdpnCoverable,
     TdpnNotCoverable,
     coverable,
     parse_tdpn,
+    replay,
     serialize_tdpn,
 )
 from snl.transducer import accepts, enumerate_accepted
@@ -224,7 +226,7 @@ def test_language_sizes_match_on_lipton_output(tmp_path):
         "l1: inc x; l2: inc x; l3: if x = 0 then goto l5 else goto l4; "
         "l4: dec x; l5: halt;"
     )
-    rnp = compile_lipton(source, n=1)
+    rnp = compile_lipton(source, n=1).rnp
     comp = compile_rnp_to_tdpn(rnp)
     sizes = expected_language_sizes(rnp)
     width = comp.tdpn.width
@@ -245,7 +247,7 @@ def sizes_across_n(name, depth_mode):
     program = parse_counter((CORPUS / f"{name}.cp").read_text())
     rows = []
     for n in range(1, 7):
-        rnp = compile_lipton(program, n, depth_mode)
+        rnp = compile_lipton(program, n, depth_mode).rnp
         net = compile_rnp_to_tdpn(rnp).tdpn
         langs = {
             kind: len(list(enumerate_accepted(t, net.width))) for kind, t, _ in net.transducers()
@@ -322,3 +324,22 @@ def test_addr_sidecar(inc_call_dec):
     for line in lines[1:]:
         word, base, depth = line.split()
         assert comp.book.decode(word) == (base, int(depth))
+
+
+# ---------------------------------------------------------------------------
+# A halting run carried down the chain: the pipeline replays these in place
+# of the two searches, which must keep finding the same witnesses
+
+
+HALTING = ("branch_nonzero", "branch_zero", "count4", "halt", "two_vars", "updown_loop")
+
+
+@pytest.mark.parametrize("name", HALTING)
+def test_carried_run_is_the_search_witness(name):
+    compiled = compile_lipton(parse_counter((CORPUS / f"{name}.cp").read_text()), 1)
+    run = list(guided_run(compiled))
+    assert tuple(pick for _, pick in run if pick is not None) == explore_halting(compiled.rnp).witness
+    compilation = compile_rnp_to_tdpn(compiled.rnp)
+    steps = tuple(translate_run(compilation, compiled.rnp, run))
+    assert steps == coverable(compilation.tdpn, mode="symbolic").witness
+    assert compilation.tdpn.w_final in replay(compilation.tdpn, steps)

@@ -17,6 +17,7 @@ from snl.tdpn import (
     expand,
     fire_symbolic,
     parse_tdpn,
+    replay,
     serialize_tdpn,
     validate_tdpn,
 )
@@ -338,3 +339,16 @@ def test_backward_and_symbolic_verdicts_agree_on_random_nets():
         assert isinstance(back, TdpnCoverable) == isinstance(forw, TdpnCoverable)
         checked += 1
     assert checked >= 20
+
+
+def test_replay_fires_multiset_true_and_names_the_failing_step():
+    net = make_tdpn(1, moves=[("0", "1")], forks=[("1", "0", "0")], joins=[("0", "0", "1")],
+                    init="0", final="1")
+    fork = ("fork", ("1", "0", "0"))
+    assert replay(net, [("move", ("0", "1")), fork]) == {"0": 2}
+    assert replay(net, [("move", ("0", "1")), fork, ("join", ("0", "0", "1"))]) == {"1": 1}
+    # a tuple the transducer does not accept, and one whose pre words are not marked
+    with pytest.raises(ValueError, match=r"step 0 move \('1', '0'\) is not a transition"):
+        replay(net, [("move", ("1", "0"))])
+    with pytest.raises(ValueError, match=r"step 1 join .* is not enabled"):
+        replay(net, [("move", ("0", "1")), ("join", ("0", "0", "1"))])

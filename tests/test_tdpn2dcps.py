@@ -378,6 +378,17 @@ def test_synthesized_witness_replays_on_micro_nets():
         assert configs[-1].state == "g_halt"
 
 
+def test_synthesized_witness_is_made_afresh_by_each_pass():
+    from snl.tdpn2dcps import synthesize_cover_witness
+
+    net = fork_join_net()
+    compiled = compile_tdpn_to_killdcps(net)
+    events = synthesize_cover_witness(compiled, coverable(net, mode="symbolic").witness)
+    count = len(events)  # counted by a pass of its own
+    assert list(events) == list(events) and len(list(events)) == count == len(events)
+    assert replay_final(compiled.system, events, 1).state == "g_halt"
+
+
 def test_language_is_walked_once_per_transducer_and_length(monkeypatch):
     from snl import transducer
     from snl.tdpn import expand
@@ -405,7 +416,7 @@ def test_language_is_walked_once_per_transducer_and_length(monkeypatch):
     assert {kind for kind, _ in cov.witness} == {"move", "fork", "join"}
     expand(net)
     expand(net)
-    synthesize_cover_witness(compile_tdpn_to_killdcps(net), cov.witness)
+    tuple(synthesize_cover_witness(compile_tdpn_to_killdcps(net), cov.witness))
     assert sorted(walks) == sorted((id(t), 2) for t in (net.t_move, net.t_fork, net.t_join))
 
 
@@ -432,7 +443,7 @@ def test_synthesis_rejects_steps_without_tokens():
 
     net = move_chain_net()
     with pytest.raises(ValueError, match="never produced"):
-        synthesize_cover_witness(compile_tdpn_to_killdcps(net), (("move", ("1", "0")),))
+        tuple(synthesize_cover_witness(compile_tdpn_to_killdcps(net), (("move", ("1", "0")),)))
 
 
 def test_synthesis_rejects_tuples_the_transducer_does_not_accept():
@@ -441,14 +452,14 @@ def test_synthesis_rejects_tuples_the_transducer_does_not_accept():
     compiled = compile_tdpn_to_killdcps(move_chain_net())
     # the token on "0" exists, but the move transducer only accepts ("0", "1")
     with pytest.raises(ValueError, match="does not accept"):
-        synthesize_cover_witness(compiled, (("move", ("0", "0")),))
+        tuple(synthesize_cover_witness(compiled, (("move", ("0", "0")),)))
     # a letter outside the alphabet is rejected before any schema is looked up
     with pytest.raises(ValueError, match="does not accept"):
-        synthesize_cover_witness(compiled, (("move", ("0", "2")),))
+        tuple(synthesize_cover_witness(compiled, (("move", ("0", "2")),)))
     # both join tokens exist after the fork, but only ("0", "0", "1") joins
     steps = (("fork", ("0", "0", "0")), ("join", ("0", "0", "0")))
     with pytest.raises(ValueError, match="does not accept"):
-        synthesize_cover_witness(compile_tdpn_to_killdcps(fork_join_net()), steps)
+        tuple(synthesize_cover_witness(compile_tdpn_to_killdcps(fork_join_net()), steps))
 
 
 # SHA-256 of the compiled .dcps text, the sorted names and the synthesized
@@ -471,12 +482,12 @@ STABLE_DIGESTS = {
 def test_compiled_system_and_witness_are_byte_stable(name):
     from snl.tdpn2dcps import synthesize_cover_witness
 
-    net = rnp2tdpn.compile_rnp_to_tdpn(lipton.compile_lipton(corpus_program(name), 1)).tdpn
+    net = rnp2tdpn.compile_rnp_to_tdpn(lipton.compile_lipton(corpus_program(name), 1).rnp).tdpn
     cov = coverable(net, mode="symbolic", max_tokens=64, max_markings=2_000_000)
     assert isinstance(cov, TdpnCoverable)
     compiled = compile_tdpn_to_killdcps(net)
     names = "".join(f"{key}\t{pretty}\n" for key, pretty in sorted(compiled.names.items()))
-    events = synthesize_cover_witness(compiled, cov.witness)
+    events = tuple(synthesize_cover_witness(compiled, cov.witness))
     digests = tuple(
         hashlib.sha256(text.encode()).hexdigest()
         for text in (serialize_dcps(compiled.system), names, repr(events))
@@ -487,12 +498,12 @@ def test_compiled_system_and_witness_are_byte_stable(name):
 def test_final_replay_holds_one_configuration():
     from snl.tdpn2dcps import synthesize_cover_witness
 
-    net = rnp2tdpn.compile_rnp_to_tdpn(lipton.compile_lipton(corpus_program("count4.cp"), 1)).tdpn
+    net = rnp2tdpn.compile_rnp_to_tdpn(lipton.compile_lipton(corpus_program("count4.cp"), 1).rnp).tdpn
     cov = coverable(net, mode="symbolic", max_tokens=64, max_markings=2_000_000)
     assert isinstance(cov, TdpnCoverable)
     compiled = compile_tdpn_to_killdcps(net)
     system = compiled.system
-    events = synthesize_cover_witness(compiled, cov.witness)
+    events = tuple(synthesize_cover_witness(compiled, cov.witness))
     system.buckets  # built once, outside both measurements
 
     def peak(replay):
@@ -511,7 +522,7 @@ def test_compiled_construction_retains_under_400_bytes_per_kill():
     # what the compiled record keeps: the system, its names, one event per
     # plain rule and one first-kill index per verify block (574 bytes per
     # kill when every kill had its own event key)
-    net = rnp2tdpn.compile_rnp_to_tdpn(lipton.compile_lipton(corpus_program("count4.cp"), 1)).tdpn
+    net = rnp2tdpn.compile_rnp_to_tdpn(lipton.compile_lipton(corpus_program("count4.cp"), 1).rnp).tdpn
     tracemalloc.start()
     try:
         compiled = compile_tdpn_to_killdcps(net)
@@ -525,7 +536,7 @@ def test_compiled_construction_retains_under_400_bytes_per_kill():
 def test_no_construction_outlives_its_caller():
     # nothing in the library keeps a compiled record alive once its caller
     # lets go of it
-    net = rnp2tdpn.compile_rnp_to_tdpn(lipton.compile_lipton(corpus_program("count4.cp"), 1)).tdpn
+    net = rnp2tdpn.compile_rnp_to_tdpn(lipton.compile_lipton(corpus_program("count4.cp"), 1).rnp).tdpn
     compiled = compile_tdpn_to_killdcps(net)
     system = weakref.ref(compiled.system)
     del compiled
@@ -543,7 +554,7 @@ def test_killdcps_sizes_across_n():
     program = corpus_program("count4.cp")
     rows = []
     for n in range(1, 7):
-        net = rnp2tdpn.compile_rnp_to_tdpn(lipton.compile_lipton(program, n, "triple")).tdpn
+        net = rnp2tdpn.compile_rnp_to_tdpn(lipton.compile_lipton(program, n, "triple").rnp).tdpn
         system = compile_tdpn_to_killdcps(net).system
         c = expected_rule_counts(net)
         assert len(system.rules) == c["init"] + c["check"] + c["read"] + c["guess"]
