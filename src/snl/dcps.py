@@ -33,13 +33,15 @@ preserves state reachability while keeping pools finite.
 and `reachable_states` drop, in their own step, each switch to a thread that
 could only switch out again (a dead thread, see `_search`).  That pruning is
 exact, not a cap: an exhausted search still certifies "no", and every
-witness it finds replays under the unpruned semantics.  A replay checks each
-event by its own guard (`_enabled`) and never scans for the other enabled
-events.  Both hold plain tuples in DcpsConfig's layout, (state, (stack,
-count), pool): a search's pool is a canonical sorted tuple, equal to a
-DcpsConfig's and a seen key, as is replay_witness's; replay_final's is a
-multiset (thread -> copies) updated in place.  A DcpsConfig is built only
-where the API returns it.
+witness it finds replays under the unpruned semantics.  `_run` replays
+events on a multiset pool (thread -> copies), updated in place: it is the
+one place that states each event's guard and what it does to the pool, and
+`_enabled` asks it about one event on a copy.  A replay never scans for the
+other enabled events.  Configurations are plain tuples in DcpsConfig's
+layout, (state, (stack, count), pool): a search's pool is a canonical
+sorted tuple, equal to a DcpsConfig's and a seen key, as is replay_witness's,
+which `_apply` updates; replay_final's is `_run`'s multiset.  A DcpsConfig
+is built only where the API returns it.
 Compiled kill systems are replayed, not searched, where the TDPN has a
 witness: `tdpn2dcps` synthesizes it by the one-switch rule of its construction.
 """
@@ -48,7 +50,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from collections import deque
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, partial, reduce
 from itertools import chain, repeat
@@ -146,14 +148,16 @@ class Dcps:
                     problems.append(f"rule {i}: kill-symbol top may push at most one kill symbol")
             elif not kill_syms.isdisjoint(push):
                 problems.append(f"rule {i}: regular top must not push kill symbols")
-        for i, (state, top, new_state, _, victim) in enumerate(self.kills):
-            states[state] = None
-            states[new_state] = None
-            symbols[top] = None
-            symbols[victim] = None
-            for role, s in (("top", top), ("victim", victim)):
-                if s not in kill_syms:
-                    problems.append(f"kill rule {i}: {role} {s!r} is not a kill symbol")
+        # the kills' tops and victims, in mention order, checked all at once
+        killed: dict[str, None] = {}
+        for state, top, new_state, _, victim in self.kills:
+            states[state] = states[new_state] = killed[top] = killed[victim] = None
+        if not kill_syms.issuperset(killed):
+            for i, (_, top, _, _, victim) in enumerate(self.kills):
+                for role, s in (("top", top), ("victim", victim)):
+                    if s not in kill_syms:
+                        problems.append(f"kill rule {i}: {role} {s!r} is not a kill symbol")
+        symbols.update(killed)
         symbols.update(dict.fromkeys(sorted(kill_syms)))
         problems += non_words(chain(states, symbols))
         if "eps" in symbols:
@@ -219,40 +223,16 @@ def _remove(pool: tuple[Thread, ...], thread: Thread) -> tuple[Thread, ...]:
     return pool[:pos] + pool[pos + 1 :]
 
 
-def _add(pool: dict[Thread, int], thread: Thread) -> dict[Thread, int]:
-    """_insert on a multiset pool (thread -> copies), in place."""
-    if thread[0] or thread not in pool:
-        pool[thread] = pool.get(thread, 0) + 1
-    return pool
-
-
-def _take(pool: dict[Thread, int], thread: Thread) -> dict[Thread, int]:
-    """_remove on a multiset pool, in place: the last copy takes the key."""
-    if (copies := pool.pop(thread)) > 1:
-        pool[thread] = copies - 1
-    return pool
-
-
 def _enabled(system: Dcps, config: Config, event: Event, budget: int) -> bool:
-    """Whether one event applies at config: the one place that says so;
-    _apply says what it does.
-
-    A rule or kill needs its state and top to be the global state and the
-    active top; a kill also needs a singleton active stack and a (victim,)
-    pool thread of its count, a switch its pool thread, each count within
-    budget.  Anything else, an index out of range too, is not enabled.
-    """
-    state, (stack, _), pool = config
-    match event:
-        case ("rule", idx) if stack and 0 <= idx < len(system.rules):
-            r = system.rules[idx]
-            return r.state == state and r.top == stack[0]
-        case ("kill", idx, j) if len(stack) == 1 and 0 <= idx < len(system.kills) and j <= budget:
-            k = system.kills[idx]
-            return k.state == state and k.top == stack[0] and ((k.victim,), j) in pool
-        case ("switch", (_, j) as entry):
-            return j <= budget and entry in pool
-    return False
+    """Whether one event applies at config (its pool a canonical tuple):
+    whether _run, on a multiset copy of the pool, accepts it (under either
+    semantics: only a spawn's count depends on it)."""
+    state, active, pool = config
+    try:
+        _run(system, (state, active, Counter(pool)), (event,), budget, "noinherit")
+    except ValueError:
+        return False
+    return True
 
 
 def _events(system: Dcps, config: Config, budget: int) -> Iterator[Event]:
@@ -286,25 +266,21 @@ def _events(system: Dcps, config: Config, budget: int) -> Iterator[Event]:
             yield ("switch", entry)
 
 
-def _apply(system: Dcps, config: Config, event: Event, semantics: str,
-           insert=_insert, remove=_remove) -> Config:
-    """The configuration an enabled event leads to, as a plain tuple.
-
-    insert and remove are the pool's operations: a canonical tuple's by
-    default, which a search keys by, or a replay's multiset's (_add, _take).
-    """
+def _apply(system: Dcps, config: Config, event: Event, semantics: str) -> Config:
+    """The configuration an enabled event leads to, as a plain tuple whose
+    pool is canonical, as a search keys by."""
     state, (stack, count), pool = config
     kind = event[0]
     if kind == "rule":
         _, _, new_state, push, spawn = system.rules[event[1]]
         if spawn is not None:
-            pool = insert(pool, ((spawn,), count + 1 if semantics == "inherit" else 0))
+            pool = _insert(pool, ((spawn,), count + 1 if semantics == "inherit" else 0))
         return new_state, (push + stack[1:], count), pool
     if kind == "kill":
         _, top, new_state, keep, victim = system.kills[event[1]]
-        return new_state, ((top,) if keep else (), 0), remove(pool, ((victim,), event[2]))
+        return new_state, ((top,) if keep else (), 0), _remove(pool, ((victim,), event[2]))
     entry = event[1]
-    return state, entry, insert(remove(pool, entry), (stack, count + 1))
+    return state, entry, _insert(_remove(pool, entry), (stack, count + 1))
 
 
 def successors(
@@ -324,22 +300,54 @@ def successors(
             for event in events]
 
 
-def _replay(system: Dcps, witness, budget: int, semantics: str,
-            pool_ops=(dict, _add, _take)) -> Iterator[Config]:
-    """The configurations of a witness run, from the initial one on, each
-    event checked by _enabled before it is applied.  pool_ops are the pool's
-    (empty, insert, remove): a multiset's by default, which they all share,
-    updated in place (read each before taking the next), or a tuple's."""
-    if semantics not in SEMANTICS:
-        raise ValueError(f"unknown semantics {semantics!r}")
-    empty, insert, remove = pool_ops
-    config = system.initial_state, ((system.initial_symbol,), 0), empty()
-    yield config
-    for step, event in enumerate(witness):
-        if not _enabled(system, config, event, budget):
-            raise ValueError(f"witness event {event!r} does not apply at step {step}")
-        config = _apply(system, config, event, semantics, insert, remove)
-        yield config
+def _run(system: Dcps, config: Config, events, budget: int, semantics: str) -> Config:
+    """Apply events from config, whose pool is a multiset (thread -> copies)
+    updated in place, and return where they end: the one statement of each
+    event's guard, and its effect on the multiset.
+
+    A rule or kill needs its state and top to be the global state and the
+    active top; a kill also needs a singleton active stack and a (victim,)
+    pool thread of its count, a switch its pool thread, each count within
+    budget.  An event that is not enabled, an index out of range or a
+    malformed event too, raises ValueError naming its step.
+    """
+    rules, kills = system.rules, system.kills
+    n_rules, n_kills = len(rules), len(kills)
+    inherit = semantics == "inherit"
+    state, (stack, count), pool = config
+    for step, event in enumerate(events):
+        kind = event[0]
+        if kind == "rule":
+            if len(event) == 2 and stack and 0 <= event[1] < n_rules:
+                rule_state, top, new_state, push, spawn = rules[event[1]]
+                if rule_state == state and top == stack[0]:
+                    if spawn is not None:
+                        thread = (spawn,), count + 1 if inherit else 0
+                        pool[thread] = pool.get(thread, 0) + 1
+                    state, stack = new_state, push + stack[1:]
+                    continue
+        elif kind == "kill":
+            if len(event) == 3 and len(stack) == 1 and 0 <= event[1] < n_kills and event[2] <= budget:
+                kill_state, top, new_state, keep, victim = kills[event[1]]
+                thread = (victim,), event[2]
+                if kill_state == state and top == stack[0] and thread in pool:
+                    if (copies := pool.pop(thread)) > 1:
+                        pool[thread] = copies - 1
+                    state, stack, count = new_state, (top,) if keep else (), 0
+                    continue
+        elif kind == "switch":
+            # membership first: a pool key is a (stack, count) pair
+            if len(event) == 2 and (thread := event[1]) in pool and thread[1] <= budget:
+                if (copies := pool.pop(thread)) > 1:
+                    pool[thread] = copies - 1
+                # an empty-stack thread is parked only if its count has none (see _insert)
+                parked = stack, count + 1
+                if stack or parked not in pool:
+                    pool[parked] = pool.get(parked, 0) + 1
+                stack, count = thread
+                continue
+        raise ValueError(f"witness event {event!r} does not apply at step {step}")
+    return state, (stack, count), pool
 
 
 def _canonical(state: str, active: Thread, pool: dict[Thread, int]) -> DcpsConfig:
@@ -347,12 +355,24 @@ def _canonical(state: str, active: Thread, pool: dict[Thread, int]) -> DcpsConfi
     return DcpsConfig(state, active, tuple(chain.from_iterable([repeat(t, pool[t]) for t in sorted(pool)])))
 
 
+def _check_run(budget: int, semantics: str) -> None:
+    check_budget(budget)
+    if semantics not in SEMANTICS:
+        raise ValueError(f"unknown semantics {semantics!r}")
+
+
 def replay_witness(
     system: Dcps, witness, budget: int, semantics: str = "noinherit"
 ) -> list[DcpsConfig]:
-    """Apply a witness event sequence from the initial configuration."""
-    replay = _replay(system, witness, budget, semantics, (tuple, _insert, _remove))
-    return [DcpsConfig._make(c) for c in replay]
+    """Apply a witness event sequence from the initial configuration, each
+    event checked by _enabled, and return every configuration of the run."""
+    _check_run(budget, semantics)
+    configs = [initial_config(system)]
+    for step, event in enumerate(witness):
+        if not _enabled(system, configs[-1], event, budget):
+            raise ValueError(f"witness event {event!r} does not apply at step {step}")
+        configs.append(DcpsConfig._make(_apply(system, configs[-1], event, semantics)))
+    return configs
 
 
 def replay_final(
@@ -360,7 +380,9 @@ def replay_final(
 ) -> DcpsConfig:
     """The configuration a witness ends in, every event checked as in
     replay_witness, holding one configuration at a time."""
-    return _canonical(*deque(_replay(system, witness, budget, semantics), maxlen=1)[0])
+    _check_run(budget, semantics)
+    initial = system.initial_state, ((system.initial_symbol,), 0), {}
+    return _canonical(*_run(system, initial, witness, budget, semantics))
 
 
 @dataclass(frozen=True)
@@ -425,10 +447,7 @@ def _search(system: Dcps, budget: int, goal, max_threads: int, max_stack: int,
     global-state set and target reachability exactly.  It is not a cap:
     an exhausted search still certifies "no".
     """
-    check_budget(budget)
-    if semantics not in SEMANTICS:
-        raise ValueError(f"unknown semantics {semantics!r}")
-
+    _check_run(budget, semantics)
     rule_buckets, kill_buckets = system.buckets
 
     def step(config: Config):

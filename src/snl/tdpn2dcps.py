@@ -54,6 +54,7 @@ from __future__ import annotations
 import functools
 from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, NamedTuple
 
 from snl.dcps import Dcps, DcpsRule, Event, KillRule, mint_name
@@ -139,14 +140,16 @@ class _VerifyRow(dict):
     def __init__(self, names: dict[str, str], mode: str, i: int, tag: str,
                  heads: list[tuple[str, str]]):
         super().__init__()
-        self.names, self.key, self.heads = names, (mode, i, tag), heads
+        self.names, self.heads = names, heads
+        # the parts of the name and the structured name that the row shares
+        self.parts = f"{mode}_v_", f"_{i}_{tag}_t", f",{i},{tag},"
 
     def __missing__(self, j: int) -> str:
-        (mode, i, tag), (src, label) = self.key, self.heads[j]
-        name = f"{mode}_v_{src}_{i}_{tag}_t{j}"
-        if name in self.names:
+        (src, label), (head, mid, pretty_mid), names = self.heads[j], self.parts, self.names
+        name = f"{head}{src}{mid}{j}"
+        if name in names:
             raise RuntimeError(f"verify state {name!r} is minted twice")
-        self.names[name] = f"({src},{i},{tag},{label})"
+        names[name] = f"({src}{pretty_mid}{label})"
         self[j] = name
         return name
 
@@ -290,37 +293,32 @@ def compile_tdpn_to_killdcps(net: Tdpn) -> KillDcps:
         last = len(roles) - 1
         chain_start, _, final = offsets[mode] = _Offsets.of(t)
 
-        def block(i: int, step: int, size: int) -> None:
+        def block(i: int, step: int, size: int, triples) -> None:
+            # triples are (source, target, transition) in offset order; a kill takes the
+            # bit of role `step` at position i off the transition, popping the marker at g_main
             block_start["verify", mode, i, step] = len(kills)
             sizes.append(size)
+            victim = {a: bit[a, i, roles[step]] for a in sigma}
+            kills.extend([tuple.__new__(KillRule, (source, verify_sym, target, target != g_main,
+                                                   victim[label[step]]))
+                          for source, target, (_, label, _) in triples])
 
-        def verify_kill(i: int, step: int, j: int, source: str, target: str) -> None:
-            # kill the bit of role `step` at position i on transition j, going
-            # from source to target (to g_main popping the marker)
-            victim = bit[(t.transitions[j][1][step], i, roles[step])]
-            kills.append(KillRule(source, verify_sym, target, target != g_main, victim))
-
-        # a source is looked up before its target, so names keep first-mention order
+        # a triple looks its source up before its target, so names keep first-mention order
         for step in range(last):
             for i in range(1, l):
-                block(i, step, len(t.transitions))
                 here, there = verify[mode, i, roles[step]], verify[mode, i, roles[step + 1]]
-                for j in range(len(t.transitions)):
-                    verify_kill(i, step, j, here[j], there[j])
+                block(i, step, len(t.transitions),
+                      ((here[j], there[j], tr) for j, tr in enumerate(t.transitions)))
         for i in range(1, l):
-            block(i, last, chain_start[-1])
             here, there = verify[mode, i, roles[last]], verify[mode, i + 1, roles[0]]
-            for j, (_, _, dst) in enumerate(t.transitions):
-                for j2, _, _ in t.by_source[dst]:
-                    verify_kill(i, last, j, here[j], there[j2])
+            block(i, last, chain_start[-1],
+                  ((here[j], there[j2], tr) for j, tr in enumerate(t.transitions)
+                   for j2, _, _ in t.by_source[tr[2]]))
         for step in range(last):
-            block(l, step, len(final))
             here, there = verify[mode, l, roles[step]], verify[mode, l, roles[step + 1]]
-            for j in final:
-                verify_kill(l, step, j, here[j], there[j])
-        block(l, last, len(final))
-        for j in final:
-            verify_kill(l, last, j, verify[mode, l, roles[last]][j], g_main)
+            block(l, step, len(final), ((here[j], there[j], t.transitions[j]) for j in final))
+        here = verify[mode, l, roles[last]]
+        block(l, last, len(final), ((here[j], g_main, t.transitions[j]) for j in final))
 
     for mode, roles in VERIFY_ROLES.items():
         walk(mode, roles)
@@ -393,10 +391,13 @@ class CoverWitness:
         self.compiled, self.steps, self.count = compiled, steps, None
 
     def __iter__(self) -> Iterator[Event]:
+        return chain.from_iterable(self._counted())
+
+    def _counted(self) -> Iterator[list[Event]]:
         count = 0
         for events in _synthesize(self.compiled, self.steps):
             count += len(events)
-            yield from events
+            yield events
         self.count = count
 
     def __len__(self) -> int:
@@ -426,6 +427,20 @@ def _synthesize(compiled: KillDcps, steps: tuple[Descriptor, ...]) -> Iterator[l
     is emptied for the next once it has been read."""
     net = compiled.net
     l, lock, by_mode = net.width, compiled.lock, _by_mode(net)
+    event, block, positions = compiled.event, compiled.block, range(1, l + 1)
+    # rows read from the tables once per call: per (mode, tag) the read and
+    # guess events of each position by letter (a guess below l by its letter
+    # and the one above), per (mode, position) the first kill of each step's
+    # block, the last step's apart, as its offset differs
+    reads = {(m, tag): [{a: event["read", m, i, tag, a] for a in net.alphabet} for i in positions]
+             for m, tag in READ_PAIRS}
+    guesses = {(m, tag): [{(c, a): event["guess", m, i, tag, c, a]
+                           for c in net.alphabet for a in net.alphabet} for i in range(1, l)]
+               + [{a: event["guess", m, l, tag, a] for a in net.alphabet}]
+               for m, tag in GUESS_PAIRS}
+    kill_rows = {m: [([block["verify", m, i, step] for step in range(len(roles) - 1)],
+                      block["verify", m, i, len(roles) - 1]) for i in positions]
+                 for m, roles in VERIFY_ROLES.items()}
     events: list[Event] = []
     # parked tokens per word (see the module docstring's one-switch rule), and
     # the word of the active thread's unread token: the initial one or a guess
@@ -433,7 +448,7 @@ def _synthesize(compiled: KillDcps, steps: tuple[Descriptor, ...]) -> Iterator[l
     active: str | None = net.w_init
 
     def fire(*key) -> None:
-        events.append(compiled.event[key])
+        events.append(event[key])
 
     def switch(stack: tuple[str, ...], count: int) -> None:
         nonlocal active
@@ -456,36 +471,29 @@ def _synthesize(compiled: KillDcps, steps: tuple[Descriptor, ...]) -> Iterator[l
         if tag == "pop1":
             fire("start", mode)
         fire("unlock", mode, tag)
-        for i in range(1, l + 1):
-            fire("read", mode, i, tag, word[i - 1])
+        events.extend(map(dict.__getitem__, reads[mode, tag], word))
         if (mode, tag) in HANDOFF_PAIRS:
             fire("dispatch", mode, word[l - 1])
 
     def guess_word(mode: str, word: str, tag: str) -> None:
         nonlocal active
-        fire("guess", mode, l, tag, word[l - 1])
-        for i in range(l - 1, 0, -1):
-            fire("guess", mode, i, tag, word[i - 1], word[i])
+        row = guesses[mode, tag]
+        events.append(row[l - 1][word[l - 1]])
+        events.extend([row[i - 1][word[i - 1], word[i]] for i in range(l - 1, 0, -1)])
         active = word
-
-    def kill(key: tuple, offset: int) -> None:
-        events.append(("kill", compiled.block[key] + offset, 0))
 
     def verify(mode: str, words: tuple[str, ...], path: tuple[int, ...]) -> None:
         fire("enter", mode, words[-1][0], path[0])
         # the capped guess is now a complete token; hand control to the verifier
         switch((compiled.verify_sym,), 0)
-        last = len(words) - 1
         chain_start, rank, final = compiled.offsets[mode]
-        for i in range(1, l + 1):
+        for i, (firsts, last_first) in enumerate(kill_rows[mode], 1):
             j = path[i - 1]
             offset = j if i < l else final[j]
-            for step in range(last):
-                kill(("verify", mode, i, step), offset)
-            if i < l:
-                kill(("verify", mode, i, last), chain_start[j] + rank[path[i]])
-            else:
-                kill(("verify", mode, l, last), offset)
+            for first in firsts:
+                events.append(("kill", first + offset, 0))
+            last = chain_start[j] + rank[path[i]] if i < l else offset
+            events.append(("kill", last_first + last, 0))
 
     # boot: fill the initial token from the bottom letter upward
     for i in range(l, 0, -1):

@@ -14,5 +14,7 @@ def strip_comments(text: str) -> str:
 
 def non_words(names: Iterable[str]) -> list[str]:
     """A problem for each name that is not a word identifier, the one name
-    shape every text format reads back."""
-    return [f"name {n!r} is not a word identifier" for n in names if not _WORD.fullmatch(n)]
+    shape every text format reads back.  An ASCII identifier is one; only
+    other names go to the regular expression."""
+    return [f"name {n!r} is not a word identifier" for n in names
+            if not (n.isascii() and n.isidentifier()) and not _WORD.fullmatch(n)]

@@ -521,12 +521,12 @@ def test_every_verdict_class_has_its_report_row(monkeypatch, stage_name, verdict
 
 
 def test_explore_dcps_failed_replay_is_internal_error(capsys, tiny_dcps, monkeypatch):
-    replay = dcps._replay
+    run = dcps._run
     # the pool starts empty, so the leading kill cannot apply: the fault is the program's
     monkeypatch.setattr(
-        dcps, "_replay",
-        lambda system, witness, budget, semantics:
-            replay(system, (("kill", 0, 0), *witness), budget, semantics),
+        dcps, "_run",
+        lambda system, config, events, budget, semantics:
+            run(system, config, (("kill", 0, 0), *events), budget, semantics),
     )
     code, _, err = run_cli(capsys, "explore-dcps", tiny_dcps, "--target", "g_halt", "--K", 1)
     assert code == EXIT_INTERNAL

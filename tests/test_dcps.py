@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -30,7 +31,7 @@ from snl.dcps import (
     serialize_dcps,
     successors,
 )
-from snl.dcps import _apply, _cap_rule, _enabled, _events, _remove, _search
+from snl.dcps import _apply, _canonical, _cap_rule, _enabled, _events, _remove, _run, _search
 from snl.search import Capped, Exhausted, Found, bfs
 from genutil import random_firing_kill_dcps, random_kill_dcps, random_plain_dcps
 
@@ -327,9 +328,25 @@ def kill_firing(rng, trial):
     return random_firing_kill_dcps(rng)
 
 
+def check_step_matches_apply(system, config, budget, semantics):
+    """The replay's multiset step against the search's _apply: on a multiset
+    copy of the pool it does what _apply does to each enabled event, and
+    refuses every other candidate, naming its step."""
+    enabled = list(_events(system, config, budget))
+    state, active, pool = config
+    for event in enabled:
+        got = _run(system, (state, active, Counter(pool)), (event,), budget, semantics)
+        assert _canonical(*got) == _apply(system, config, event, semantics), (config, event)
+    for event in candidate_events(system, config, budget):
+        if event not in enabled:
+            with pytest.raises(ValueError, match=r"does not apply at step 0\Z"):
+                _run(system, (state, active, Counter(pool)), (event,), budget, semantics)
+
+
 def enabled_kinds_on_walks(rng, make_system, trials):
-    """Check _enabled against _events along random walks of the systems
-    make_system draws; return the kinds of event enabled somewhere."""
+    """Check _enabled against _events, and the replay step under both
+    semantics against _apply, along random walks of the systems make_system
+    draws; return the kinds of event enabled somewhere."""
     kinds = set()
     for trial in range(trials):
         system = make_system(rng, trial)
@@ -337,6 +354,8 @@ def enabled_kinds_on_walks(rng, make_system, trials):
             config = initial_config(system)
             for _ in range(30):
                 kinds |= check_enabled_matches_events(system, config, budget)
+                for semantics in SEMANTICS:
+                    check_step_matches_apply(system, config, budget, semantics)
                 steps = successors(system, config, budget)
                 if not steps:
                     break
@@ -438,6 +457,15 @@ def test_replay_rejects_malformed_and_out_of_range_events(bad):
     for replay in (replay_witness, replay_final):
         with pytest.raises(ValueError, match=r"does not apply at step 1\Z"):
             replay(system, (("rule", 0), bad), 1)
+
+
+def test_replay_rejects_a_negative_budget():
+    # a replay checks the budget before any event, as the searches do
+    u0 = (("u",), 0)
+    for replay in (replay_witness, replay_final):
+        for witness in ((("rule", 0),), (("rule", 0), ("switch", u0))):
+            with pytest.raises(ValueError, match=r"switch budget K must be at least 0, got -1\Z"):
+                replay(kill_demo(), witness, -1)
 
 
 def walk_successors(system, witness, budget):

@@ -11,6 +11,7 @@ from genutil import random_tdpn, transducer_from_tuples
 from helpers import corpus_program
 from snl import lipton, rnp2tdpn
 from snl.dcps import (
+    Dcps,
     DcpsNo,
     DcpsReachable,
     DcpsUnknown,
@@ -531,6 +532,26 @@ def test_compiled_construction_retains_under_400_bytes_per_kill():
         tracemalloc.stop()
     kills = compiled.system.kills
     assert retained < 400 * len(kills), (retained, len(kills))
+
+
+def test_construction_peaks_near_what_it_retains():
+    # the compiler and the system's own check work block by block and name
+    # by name; a check that transposed the kills (zip(*kills)) made compiling
+    # peak at 1.53 times what it retains
+    net = rnp2tdpn.compile_rnp_to_tdpn(lipton.compile_lipton(corpus_program("count4.cp"), 1).rnp).tdpn
+    tracemalloc.start()
+    try:
+        compiled = compile_tdpn_to_killdcps(net)
+        retained, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        system = compiled.system
+        base = tracemalloc.get_traced_memory()[0]
+        Dcps(system.initial_state, system.initial_symbol, system.rules, system.kills, system.kill_syms)
+        rebuild = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.45 * retained, (peak, retained)
+    assert rebuild < 2_000_000, rebuild
 
 
 def test_no_construction_outlives_its_caller():
