@@ -250,7 +250,8 @@ def run_bounded(program: CounterProgram, bound: int, fuel: int = DEFAULT_FUEL) -
     """Run the program with every counter capped at `bound`.
 
     The step count of a verdict is the number of commands executed before
-    the run stopped; the halt command itself is not counted.  An increment
+    the run stopped; the halt command itself is not counted, so a run that
+    halts after exactly `fuel` steps halts.  An increment
     that would push a counter above the bound stops the run *before* the
     counter moves, so `peak <= bound` on every Halts verdict.
     """
@@ -258,10 +259,12 @@ def run_bounded(program: CounterProgram, bound: int, fuel: int = DEFAULT_FUEL) -
     values: dict[str, int] = {}
     pc = 0
     peak = 0
-    for steps in range(fuel):
+    for steps in range(fuel + 1):
         cmd = program.commands[pc]
         if isinstance(cmd, Halt):
             return Halts(peak=peak, steps=steps)
+        if steps == fuel:
+            break
         if isinstance(cmd, Inc):
             v = values.get(cmd.var, 0)
             if v + 1 > bound:

@@ -340,20 +340,22 @@ def run_scheduled(
     rnp: Rnp,
     choices: Iterable[int],
     start: RnpConfig | None = None,
-    max_steps: int = 1_000_000,
+    max_steps: int = DEFAULT_MAX_CONFIGS,
 ) -> ScheduledRun:
     """Replay a run, resolving each goto-or with the next scheduled choice
     (0 = first branch, 1 = second; any other choice is a ValueError).
     Reports how and where the run stopped; a stuck decrement reports the
-    variable and its depth."""
+    variable and its depth.  A run that halts after max_steps steps halts."""
     if start is None:
         start = initial_config(rnp)
     stream: Iterator[int] = iter(choices)
     config = start
-    for steps in range(max_steps):
+    for steps in range(max_steps + 1):
         cmd = command_at(rnp, config.site)
         if isinstance(cmd, Halt):
             return ScheduledRun("halted", steps, config)
+        if steps == max_steps:
+            break
         try:
             succ = successors(rnp, config)
         except RnpStructureError:

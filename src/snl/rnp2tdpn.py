@@ -25,7 +25,9 @@ resume tuples, a successor check accepting exactly the triples
 spliced into these shared suffix automata, so their state counts stay
 logarithmic in the depth bound.
 `translate_run` maps a run of the program, step by step, to the transitions
-that simulate it: a return fires its move and then the resuming join.
+that simulate it, read from the compiled net's table (`Tdpn.table`): the
+rows filed under the control word of the step, and after a return the
+join that resumes the caller.
 """
 
 from __future__ import annotations
@@ -243,17 +245,10 @@ def _assemble(arity: int, emissions: list[Emission], book: AddressBook) -> Trans
     shared depth-suffix automaton of its emission."""
     states: list[str] = ["t0"]
     transitions: list[tuple[str, tuple[str, ...], str]] = []
-    seen: set[tuple[str, tuple[str, ...], str]] = set()
     finals: set[str] = set()
     trie: dict[tuple, str] = {(): "t0"}
     checkers: dict[tuple[str, int, int], Transducer] = {}
     spliced: set[tuple[str, tuple[str, int, int]]] = set()
-
-    def add(src: str, letters: tuple[str, ...], dst: str) -> None:
-        t = (src, letters, dst)
-        if t not in seen:
-            seen.add(t)
-            transitions.append(t)
 
     for bases, kind, lo, hi in emissions:
         if lo > hi:
@@ -263,11 +258,11 @@ def _assemble(arity: int, emissions: list[Emission], book: AddressBook) -> Trans
         for m in range(book.prefix_width):
             letters = tuple(w[m] for w in words)
             nxt = node + (letters,)
-            if nxt not in trie:
+            if nxt not in trie:  # a trie node has one edge in, made with it
                 name = f"t{len(trie)}"
                 trie[nxt] = name
                 states.append(name)
-            add(trie[node], letters, trie[nxt])
+                transitions.append((trie[node], letters, name))
             node = nxt
         key = (kind, lo, hi)
         if key not in checkers:
@@ -281,15 +276,11 @@ def _assemble(arity: int, emissions: list[Emission], book: AddressBook) -> Trans
             spliced.add((trie[node], key))
             for src, letters, dst in frag.transitions:
                 if src == frag.initial:
-                    add(trie[node], letters, dst)
+                    transitions.append((trie[node], letters, dst))
 
     for frag in checkers.values():
-        for s in frag.states:
-            if s != frag.initial:
-                states.append(s)
-        for src, letters, dst in frag.transitions:
-            if src != frag.initial:
-                add(src, letters, dst)
+        states.extend(s for s in frag.states if s != frag.initial)
+        transitions.extend(t for t in frag.transitions if t[0] != frag.initial)
         finals.update(frag.finals)
 
     return Transducer(arity, ALPHABET, tuple(states), "t0", frozenset(finals), tuple(transitions))
@@ -324,29 +315,29 @@ def translate_run(
     compilation: RnpCompilation, rnp: Rnp, run: Iterable[tuple[RnpConfig, int | None]]
 ) -> Iterator[Descriptor]:
     """The firing sequence that simulates a run of `rnp`, given as in
-    `lipton.guided_run`; each word is made once, not once per step."""
-    sites, seqs, _ = rnp.tables
+    `lipton.guided_run`, read from the compiled net's table, which files
+    each row under its first word.  `_collect` puts first in each tuple a
+    command emits its control word (its label's place, or the start place
+    for a body's first command; bodies sharing one run at disjoint depths),
+    and a call site's aux place first in the join that resumes it.  So the
+    rows filed under a step's control word at depth d are what its command
+    emits at d: one row, or a move per distinct target of a goto-or, of
+    which the step keeps the taken branch's; and a return adds the one row
+    filed under its call site's aux place one level up.  Should the filing
+    break, `tdpn.replay` refuses the sequence."""
+    _, seqs, _ = rnp.tables
     base, book = compilation.label_to_base, compilation.book
+    rows, filed = compilation.tdpn.table
     word = {(b, d): book.word(b, d) for b in book.bases for d in range(book.max_depth + 1)}
     for ((seq_id, idx), stack, _), pick in run:
         cmd, d = seqs[seq_id][idx], len(stack)
-        here = word[base[cmd.label], d]
-        if isinstance(cmd, (Inc, Dec)):
-            after, var = word[base[seqs[seq_id][idx + 1].label], d], word[f"var:{cmd.var}", d]
-            yield ("fork", (here, after, var)) if isinstance(cmd, Inc) else ("join", (here, var, after))
-        elif isinstance(cmd, (Goto, GotoOr)):
-            target = cmd.target if isinstance(cmd, Goto) else (cmd.target1, cmd.target2)[pick]
-            yield ("move", (here, word[base[target], d]))
-        elif isinstance(cmd, Call):
-            yield ("fork", (here, word[f"start:{cmd.proc}", d + 1], word[f"aux:{cmd.label}", d]))
+        fired = [rows[r][0] for r in filed.get(word[base[cmd.label], d], ())]
+        if isinstance(cmd, GotoOr):
+            taken = word[base[(cmd.target1, cmd.target2)[pick]], d]
+            fired = [(kind, words) for kind, words in fired if words[1] == taken]
         elif isinstance(cmd, Return):
-            back = word[f"return:{seq_id[1]}", d]
-            caller_seq, caller_idx = sites[stack[-1]]
-            after = word[base[seqs[caller_seq][caller_idx + 1].label], d - 1]
-            yield ("move", (here, back))
-            yield ("join", (word[f"aux:{stack[-1]}", d - 1], back, after))
-        else:
-            yield ("move", (here, word["halt", d]))
+            fired += [rows[r][0] for r in filed.get(word[f"aux:{stack[-1]}", d - 1], ())]
+        yield from fired
 
 
 def expected_language_sizes(rnp: Rnp) -> dict[str, int]:

@@ -6,15 +6,16 @@ its transitions are given symbolically by three transducers: `move`
 post), and `join` (arity 3: two pre, one post).  A triple appearing in
 both fork and join denotes two distinct transitions.
 
-Coverability of the final word from one token on the initial word can be
-decided two ways: explicitly expanding the net (feasible only for small
-widths) and running the backward procedure, or searching forward over
-markings, firing only the rows of the net's one table (`Tdpn.table`) filed
-under the marked words.  Forks and joins are multiset-true in the symbolic
+The net's one table (`Tdpn.table`) lists its transitions, and every
+consumer reads them there.  Coverability of the final word from one token
+on the initial word can be decided two ways: expanding each row into an
+explicit transition (feasible only for small widths) and running the
+backward procedure, or searching forward over markings, firing only the
+rows filed under the marked words.  Forks and joins are multiset-true in the symbolic
 semantics: a join whose two pre words coincide needs two tokens on that
 word, and a fork whose post words coincide adds two.  Either way "no" means
 an exhaustive search; a search a cap touched is Unknown, named by the caps.
-`replay` checks a given firing sequence instead, step by step.
+`replay` checks a given firing sequence instead, each step by its row.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from snl.petri import (
 )
 from snl.search import Capped, Found, bfs
 from snl.text import non_words, strip_comments
-from snl.transducer import Transducer, TransducerError, enumerate_accepted, language
+from snl.transducer import Transducer, TransducerError, enumerate_accepted
 
 Marking = dict[str, int]
 
@@ -74,13 +75,14 @@ class Tdpn:
 
     def transducers(self) -> tuple[tuple[str, Transducer, int], ...]:
         """(kind, transducer, number of pre words) in move, fork, join order,
-        the order in which expansions and successors list transitions."""
+        the order of the rows of `table`."""
         return (("move", self.t_move, 1), ("fork", self.t_fork, 1), ("join", self.t_join, 2))
 
     @cached_property
     def table(self) -> tuple[tuple, dict[str, list[int]]]:
-        """One row per transition, in move, fork, join order and walk order
-        within each kind: its descriptor and its token moves, a -1 per pre
+        """The net's one list of transitions, which every consumer reads: a
+        row per transition, in move, fork, join order and walk order within
+        each kind, holding its descriptor and its token moves, a -1 per pre
         word and then a +1 per post word.  Beside the rows, the row numbers
         filed under each coordinate-0 word, ascending."""
         rows = tuple(
@@ -127,21 +129,23 @@ class PlaceLimitExceeded(ValueError):
 
 
 def expand(net: Tdpn, place_limit: int = DEFAULT_PLACE_LIMIT) -> PetriNet:
-    """Materialize the net: one place per word, one transition per accepted
-    tuple.  Because Petri flow is a relation, a degenerate tuple (a fork
-    with equal post words, a join with equal pre words) collapses to a
-    single arc in the expansion; the symbolic semantics keeps multiset
-    counts, so it differs from the expansion exactly on such tuples."""
+    """Materialize the net: one place per word, one transition per table
+    row (pre: the words it takes from, post: those it adds to).  Because
+    Petri flow is a relation, a degenerate tuple (a fork with equal post
+    words, a join with equal pre words) collapses to a single arc in the
+    expansion; the symbolic semantics keeps multiset counts, so it differs
+    from the expansion exactly on such tuples."""
     n_places = len(net.alphabet) ** net.width
     if n_places > place_limit:
         raise PlaceLimitExceeded(
             f"{n_places} places exceed the limit {place_limit}"
         )
     places = tuple("".join(p) for p in product(net.alphabet, repeat=net.width))
+    rows, _ = net.table
     transitions = tuple(
-        (f"{kind}_{'_'.join(words)}", frozenset(words[:pre]), frozenset(words[pre:]))
-        for kind, t, pre in net.transducers()
-        for words in enumerate_accepted(t, net.width)
+        (f"{kind}_{'_'.join(words)}", frozenset(w for w, c in moves if c < 0),
+         frozenset(w for w, c in moves if c > 0))
+        for (kind, words), moves in rows
     )
     return PetriNet(places, transitions, net.w_init, net.w_final)
 
@@ -173,15 +177,15 @@ def fire_symbolic(net: Tdpn, marking: Marking) -> list[tuple[Descriptor, Marking
 
 def replay(net: Tdpn, steps: Iterable[Descriptor]) -> Marking:
     """The marking a firing sequence ends in, from one token on the initial
-    word, fired as in fire_symbolic; the first step its transducer does not
-    accept, or whose pre words are not marked, raises ValueError."""
-    kinds = {kind: (t, pre) for kind, t, pre in net.transducers()}
+    word, each step fired by its table row as in fire_symbolic; the first
+    step with no row (an unknown kind, or a tuple its transducer does not
+    accept), or whose pre words are not marked, raises ValueError."""
+    moves = dict(net.table[0])
     marking = {net.w_init: 1}
     for i, (kind, words) in enumerate(steps):
-        t, pre = kinds[kind]
-        if words not in language(t, net.width):
+        if (kind, words) not in moves:
             raise ValueError(f"step {i} {kind} {words!r} is not a transition of the net")
-        marking = moved(marking, [(w, -1) for w in words[:pre]] + [(w, 1) for w in words[pre:]])
+        marking = moved(marking, moves[kind, words])
         if marking is None:
             raise ValueError(f"step {i} {kind} {words!r} is not enabled")
     return marking

@@ -340,6 +340,17 @@ def test_pipeline_replay_is_not_capped(capsys, tmp_path):
     assert "tdpn: Coverable (replayed witness)" in out
 
 
+@pytest.mark.parametrize("max_configs, exit_code, line", [
+    (457, EXIT_UNKNOWN, "rnp: Unknown reason=max_configs"),
+    (458, EXIT_OK, "rnp: Halts (replayed witness)"),
+])
+def test_pipeline_carried_run_halts_within_exactly_its_steps(capsys, tmp_path, max_configs, exit_code, line):
+    # the carried run of halt.cp at n=1 halts after 458 steps
+    code, out, _ = run_cli(capsys, "pipeline", "--n", 1, CORPUS / "halt.cp", "--max-configs", max_configs,
+                           "--out-dir", tmp_path / "p")
+    assert (code, out.splitlines()[1]) == (exit_code, line)
+
+
 @pytest.mark.parametrize("name", ["halt", "count4"])
 def test_pipeline_certifies_yes_at_n2(capsys, tmp_path, name):
     out_dir = tmp_path / name
@@ -421,6 +432,9 @@ def compiled(tmp_path_factory):
     (("exceed_loop.cp", "--bound", 4), EXIT_OK, "BoundExceeded var=x steps=8 bound=4"),
     (("infinite_loop.cp", "--bound", 4, "--fuel", 1000), EXIT_UNKNOWN,
      "FuelExhausted steps=1000 bound=4"),
+    # count4 halts after 4 steps, so a fuel of 4 is enough and 3 is not
+    (("count4.cp", "--n", 1, "--fuel", 3), EXIT_UNKNOWN, "FuelExhausted steps=3 bound=4"),
+    (("count4.cp", "--n", 1, "--fuel", 4), EXIT_OK, "Halts steps=4 peak=4 bound=4"),
 ])
 def test_run_counter_summary_lines(capsys, argv, code, line):
     got, out, _ = run_cli(capsys, "run-counter", CORPUS / argv[0], *argv[1:])

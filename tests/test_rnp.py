@@ -301,6 +301,14 @@ def test_run_scheduled_reports_stuck_dec_with_depth():
     assert (run.stuck_var, run.stuck_depth) == ("x", 1)
 
 
+@pytest.mark.parametrize("max_steps, stop", [(1, "step_limit"), (2, "halted")])
+def test_run_scheduled_halts_within_exactly_its_steps(max_steps, stop):
+    # inc, then the goto-or to halt: the run halts after 2 steps
+    prog = _simple(1, [Inc("l1", "x"), GotoOr("l2", "l3", "l4"), Goto("l3", "l2"), Halt("l4")])
+    run = run_scheduled(prog, [1], max_steps=max_steps)
+    assert (run.stop, run.steps) == (stop, max_steps)
+
+
 def test_run_scheduled_choices_exhausted():
     prog = _simple(1, [GotoOr("l1", "l2", "l3"), Goto("l2", "l1"), Halt("l3")])
     run = run_scheduled(prog, [])

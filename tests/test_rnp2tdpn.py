@@ -1,7 +1,9 @@
 import functools
+import random
 
 import pytest
 
+from genutil import random_rnp
 from helpers import CORPUS
 from snl.lipton import compile_lipton, guided_run
 from snl.counter import parse_counter
@@ -18,7 +20,9 @@ from snl.rnp import (
     RnpHalts,
     RnpNo,
     explore_halting,
+    initial_config,
     parse_rnp,
+    successors,
 )
 from snl.rnp2tdpn import (
     compile_rnp_to_tdpn,
@@ -343,3 +347,35 @@ def test_carried_run_is_the_search_witness(name):
     steps = tuple(translate_run(compilation, compiled.rnp, run))
     assert steps == coverable(compilation.tdpn, mode="symbolic").witness
     assert compilation.tdpn.w_final in replay(compilation.tdpn, steps)
+
+
+def scheduled_run(program, choices):
+    """Each configuration of the run that takes `choices` at the goto-ors,
+    with the branch taken there, as `guided_run` gives it."""
+    config, stream = initial_config(program), iter(choices)
+    while succ := successors(program, config):
+        pick = next(stream) if len(succ) == 2 else None
+        yield config, pick
+        config = succ[pick or 0][1]
+    yield config, None
+
+
+# a body whose run must jump back to its first command, the start place
+LOOP_TO_ENTRY = Rnp(2, (Call("m0", "p"), Halt("m1")), (Proc(
+    "p", (Inc("u0", "x"), GotoOr("u1", "u0", "u2"), Dec("u2", "x"), Dec("u3", "x"), Return("u4")),
+    (Return("v0"),)),))
+
+
+def test_translated_search_witnesses_cover_on_random_programs():
+    # these reach what the corpus never does: goto-ors with equal targets,
+    # and goto-ors into a procedure's entry, whose word is the start place
+    halting = 0
+    for program in [random_rnp(random.Random(seed)) for seed in range(300)] + [LOOP_TO_ENTRY]:
+        verdict = explore_halting(program, max_configs=10_000)
+        if not isinstance(verdict, RnpHalts):
+            continue
+        compilation = compile_rnp_to_tdpn(program)
+        steps = translate_run(compilation, program, scheduled_run(program, verdict.witness))
+        assert compilation.tdpn.w_final in replay(compilation.tdpn, steps), program
+        halting += 1
+    assert halting == 96

@@ -347,8 +347,11 @@ def test_replay_fires_multiset_true_and_names_the_failing_step():
     fork = ("fork", ("1", "0", "0"))
     assert replay(net, [("move", ("0", "1")), fork]) == {"0": 2}
     assert replay(net, [("move", ("0", "1")), fork, ("join", ("0", "0", "1"))]) == {"1": 1}
-    # a tuple the transducer does not accept, and one whose pre words are not marked
+    # a tuple the transducer does not accept, a kind the net has not, and one
+    # whose pre words are not marked
     with pytest.raises(ValueError, match=r"step 0 move \('1', '0'\) is not a transition"):
         replay(net, [("move", ("1", "0"))])
+    with pytest.raises(ValueError, match=r"step 1 spawn \('1', '0'\) is not a transition"):
+        replay(net, [("move", ("0", "1")), ("spawn", ("1", "0"))])
     with pytest.raises(ValueError, match=r"step 1 join .* is not enabled"):
         replay(net, [("move", ("0", "1")), ("join", ("0", "0", "1"))])
