@@ -578,7 +578,10 @@ def _build_parser() -> argparse.ArgumentParser:
     command(_cmd_expand_tdpn, "expand-tdpn", "expand a symbolic net into an explicit Petri net",
             place_limit, output)
     p = command(_cmd_cover, "cover", "decide coverability of the final word", place_limit, max_tokens)
-    p.add_argument("--mode", choices=("backward", "symbolic", "both"), default="backward")
+    p.add_argument("--mode", choices=("backward", "symbolic", "both"), default="backward",
+                   help="backward has no cap and does not finish on a net compiled from a "
+                   "corpus program at n=1 (width 10, 1024 places), so both can cross-check "
+                   "only small nets")
     p.add_argument("--max-markings", type=cap, default=tdpn.DEFAULT_MAX_MARKINGS)
 
     command(_cmd_compile_dcps, "compile-dcps", "compile a symbolic net to a thread pool with kills", output)

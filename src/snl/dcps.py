@@ -29,9 +29,11 @@ cannot target them, but they may still be switched in and out.  Canonical
 configurations keep at most one empty-stack thread per switch count, which
 preserves state reachability while keeping pools finite.
 
-`_events` yields every enabled event.  The searches behind `reach_state`
-and `reachable_states` drop, in their own step, each switch to a thread that
-could only switch out again (a dead thread, see `_search`).  That pruning is
+`_successors` yields every enabled event with the configuration it leads
+to, built where the event's guard passes, from what `Dcps.buckets` holds
+for the state and top.  The searches behind `reach_state` and
+`reachable_states` ask it to skip each switch to a thread that could only
+switch out again (a dead thread, see `_search`).  That pruning is
 exact, not a cap: an exhausted search still certifies "no", and every
 witness it finds replays under the unpruned semantics.  `_run` replays
 events on a multiset pool (thread -> copies), updated in place: it is the
@@ -40,8 +42,8 @@ one place that states each event's guard and what it does to the pool, and
 other enabled events.  Configurations are plain tuples in DcpsConfig's
 layout, (state, (stack, count), pool): a search's pool is a canonical
 sorted tuple, equal to a DcpsConfig's and a seen key, as is replay_witness's,
-which `_apply` updates; replay_final's is `_run`'s multiset.  A DcpsConfig
-is built only where the API returns it.
+which `_apply` updates one event at a time; replay_final's is `_run`'s
+multiset.  A DcpsConfig is built only where the API returns it.
 Compiled kill systems are replayed, not searched, where the TDPN has a
 witness: `tdpn2dcps` synthesizes it by the one-switch rule of its construction.
 """
@@ -172,14 +174,18 @@ class Dcps:
 
     @cached_property
     def buckets(self) -> tuple[dict, dict]:
-        """Rule indices and (index, kill rule) pairs by state, then top,
-        declaration order kept."""
-        rule_buckets: dict[str, dict[str, list[int]]] = {}
-        kill_buckets: dict[str, dict[str, list[tuple[int, KillRule]]]] = {}
-        for idx, r in enumerate(self.rules):
-            rule_buckets.setdefault(r.state, {}).setdefault(r.top, []).append(idx)
-        for idx, k in enumerate(self.kills):
-            kill_buckets.setdefault(k.state, {}).setdefault(k.top, []).append((idx, k))
+        """What a step reads of each rule and kill, by state, then top,
+        declaration order kept: a rule's ("rule", index) event, new state,
+        push and spawn; a kill's index, the victim's one-symbol stack, the
+        new state and the stack the kill leaves."""
+        rule_buckets: dict[str, dict[str, list[tuple]]] = {}
+        kill_buckets: dict[str, dict[str, list[tuple]]] = {}
+        for idx, (state, top, new_state, push, spawn) in enumerate(self.rules):
+            row = ("rule", idx), new_state, push, spawn
+            rule_buckets.setdefault(state, {}).setdefault(top, []).append(row)
+        for idx, (state, top, new_state, keep, victim) in enumerate(self.kills):
+            row = idx, (victim,), new_state, (top,) if keep else ()
+            kill_buckets.setdefault(state, {}).setdefault(top, []).append(row)
         return rule_buckets, kill_buckets
 
 
@@ -235,22 +241,30 @@ def _enabled(system: Dcps, config: Config, event: Event, budget: int) -> bool:
     return True
 
 
-def _events(system: Dcps, config: Config, budget: int) -> Iterator[Event]:
-    """Exactly the events _enabled accepts, in successor order.
+def _successors(system: Dcps, config: Config, budget: int, semantics: str,
+                prune_dead: bool = False) -> Iterator[tuple[Event, Config]]:
+    """Exactly the events _enabled accepts, in successor order, each with
+    the configuration _apply gives for it, built where its guard passes.
 
     The pool is sorted, so a kill's candidate victims are one run of
     (victim,) threads in ascending count, found by bisection, and equal
-    switch entries are adjacent.
+    switch entries are adjacent; the first of a run is the copy _remove
+    takes.  With prune_dead, a switch to a dead thread (see _search) is
+    skipped before anything is built.
     """
     rule_buckets, kill_buckets = system.buckets
-    state, (stack, _), pool = config
+    state, (stack, count), pool = config
+    ruled, killed = rule_buckets.get(state, {}), kill_buckets.get(state, {})
     if stack:
-        top = stack[0]
-        for idx in rule_buckets.get(state, {}).get(top, ()):
-            yield ("rule", idx)
-        if len(stack) == 1:
-            for idx, k in kill_buckets.get(state, {}).get(top, ()):
-                victim = (k.victim,)
+        top, rest = stack[0], stack[1:]
+        for event, new_state, push, spawn in ruled.get(top, ()):
+            if spawn is None:
+                yield event, (new_state, (push + rest, count), pool)
+            else:
+                spawned = (spawn,), count + 1 if semantics == "inherit" else 0
+                yield event, (new_state, (push + rest, count), _insert(pool, spawned))
+        if not rest:
+            for idx, victim, new_state, left in killed.get(top, ()):
                 last = None
                 for pos in range(bisect_left(pool, (victim,)), len(pool)):
                     w, j = pool[pos]
@@ -258,17 +272,20 @@ def _events(system: Dcps, config: Config, budget: int) -> Iterator[Event]:
                         break
                     if j != last:
                         last = j
-                        yield ("kill", idx, j)
-    last = None
-    for entry in pool:
+                        yield ("kill", idx, j), (new_state, (left, 0), pool[:pos] + pool[pos + 1 :])
+    parked, last = (stack, count + 1), None
+    for pos, entry in enumerate(pool):
         if entry[1] <= budget and entry != last:
-            last = entry
-            yield ("switch", entry)
+            last, w = entry, entry[0]
+            if prune_dead and (not w or w[0] not in ruled and (len(w) != 1 or w[0] not in killed)):
+                continue  # a dead thread
+            yield ("switch", entry), (state, entry, _insert(pool[:pos] + pool[pos + 1 :], parked))
 
 
 def _apply(system: Dcps, config: Config, event: Event, semantics: str) -> Config:
-    """The configuration an enabled event leads to, as a plain tuple whose
-    pool is canonical, as a search keys by."""
+    """The configuration one enabled event leads to, as a plain tuple whose
+    pool is canonical: replay_witness's step, where _successors builds the
+    same for every enabled event of a search."""
     state, (stack, count), pool = config
     kind = event[0]
     if kind == "rule":
@@ -295,9 +312,8 @@ def successors(
     """
     if semantics not in SEMANTICS:
         raise ValueError(f"unknown semantics {semantics!r}")
-    events = _events(system, config, budget)
-    return [(event, DcpsConfig._make(_apply(system, config, event, semantics)))
-            for event in events]
+    return [(event, DcpsConfig._make(nxt))
+            for event, nxt in _successors(system, config, budget, semantics)]
 
 
 def _run(system: Dcps, config: Config, events, budget: int, semantics: str) -> Config:
@@ -448,19 +464,9 @@ def _search(system: Dcps, budget: int, goal, max_threads: int, max_stack: int,
     an exhausted search still certifies "no".
     """
     _check_run(budget, semantics)
-    rule_buckets, kill_buckets = system.buckets
 
     def step(config: Config):
-        # the tops with a rule, and those with a kill, in the global state
-        ruled, killed = rule_buckets.get(config[0], {}), kill_buckets.get(config[0], {})
-        found = []
-        for event in _events(system, config, budget):
-            if event[0] == "switch":
-                w = event[1][0]
-                if not w or w[0] not in ruled and (len(w) != 1 or w[0] not in killed):
-                    continue  # a dead thread
-            found.append((event, _apply(system, config, event, semantics)))
-        return found
+        return _successors(system, config, budget, semantics, True)
 
     cap = _cap_rule(max_threads, max_stack)
     return bfs(initial_config(system), step, goal, max_configs, "max_configs", cap)

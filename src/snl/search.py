@@ -57,8 +57,8 @@ def bfs(
     """Search from start for a state satisfying goal.
 
     successors(state) yields (label, next_state) pairs in a fixed order;
-    `seen` maps every discovered state to its (parent, label), or None for
-    the start.
+    `seen` maps every admitted state to its (parent, label), or None for
+    the start, in discovery order; a state `prune` rules out is never in it.
     """
     seen: dict = {start: None}
     queue = deque([start])
@@ -79,14 +79,14 @@ def bfs(
             labels.reverse()
             return Found(tuple(labels), state, explored)
         for label, nxt in successors(state):
-            if nxt in seen:
+            # one hash per successor: insert, and undo the insert if pruned
+            entry = (state, label)
+            if seen.setdefault(nxt, entry) is not entry:
                 continue
-            if prune is not None:
-                cap = prune(nxt)
-                if cap is not None:
-                    tripped.add(cap)
-                    continue
-            seen[nxt] = (state, label)
+            if prune is not None and (cap := prune(nxt)) is not None:
+                tripped.add(cap)
+                del seen[nxt]
+                continue
             queue.append(nxt)
     if tripped:
         return Capped(frozenset(tripped), seen, explored)

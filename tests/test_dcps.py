@@ -31,7 +31,7 @@ from snl.dcps import (
     serialize_dcps,
     successors,
 )
-from snl.dcps import _apply, _canonical, _cap_rule, _enabled, _events, _remove, _run, _search
+from snl.dcps import _apply, _canonical, _cap_rule, _enabled, _remove, _run, _search, _successors
 from snl.search import Capped, Exhausted, Found, bfs
 from genutil import random_firing_kill_dcps, random_kill_dcps, random_plain_dcps
 
@@ -210,7 +210,7 @@ def test_bucket_index_is_built_once_and_leaves_equality_alone():
 
 def scan_events(system, config, budget, skip_corpse_switch):
     """Enabled events by a full scan of the rules and the pool, repeats
-    kept out by sets: the order _events must keep."""
+    kept out by sets: the order _successors must keep."""
     stack = config.active[0]
     if stack:
         here = (config.state, stack[0])
@@ -240,6 +240,27 @@ def is_corpse_switch(event):
     return event[0] == "switch" and not event[1][0]
 
 
+def is_dead_switch(system, config, event):
+    """A switch to a thread with no rule on its top in the global state,
+    nor a kill when its stack is one symbol, by a full scan."""
+    if event[0] != "switch":
+        return False
+    w = event[1][0]
+    live = {(r.state, r.top) for r in system.rules}
+    live |= {(k.state, k.top) for k in system.kills} if len(w) == 1 else set()
+    return not w or (config[0], w[0]) not in live
+
+
+def successor_events(system, config, budget, semantics="noinherit"):
+    """The events _successors yields unpruned, after checking that the
+    pruned call yields the same pairs minus the switches to dead threads."""
+    pairs = list(_successors(system, config, budget, semantics))
+    pruned = list(_successors(system, config, budget, semantics, prune_dead=True))
+    assert pruned == [p for p in pairs if not is_dead_switch(system, config, p[0])], (
+        config, budget)
+    return [event for event, _ in pairs]
+
+
 def hand_built_configs():
     """A kill system and configurations of it built by hand."""
     rules = (
@@ -256,7 +277,8 @@ def hand_built_configs():
     system = Dcps("g0", "v", rules, kills, frozenset({"t", "u", "v", "w"}))
     # sorted by hand, not canonical: repeated live threads, (u,) threads
     # on both sides of every budget, a longer stack starting with u, and
-    # several empty-stack threads, one of them twice
+    # several empty-stack threads, one of them twice, and v threads, which
+    # a switch may wake in either state
     pools = [
         (),
         ((("u",), 0),),
@@ -264,7 +286,7 @@ def hand_built_configs():
          (("u",), 1), (("u",), 1), (("u",), 2), (("u",), 3), (("u", "a"), 0),
          (("w",), 0), (("w",), 2), (("w",), 2)),
         ((("t",), 1), (("u",), 3), (("u",), 4), (("u", "u"), 0), (("w",), 1)),
-        (((), 2), (("w",), 0), (("w",), 0), (("w",), 1)),
+        (((), 2), (("v",), 1), (("v", "a"), 0), (("w",), 0), (("w",), 0), (("w",), 1)),
     ]
     actives = [(("v",), 0), (("v",), 2), (("v", "a"), 0), ((), 1)]
     for pool in pools:
@@ -279,16 +301,21 @@ def hand_built_configs():
 def test_events_keep_the_full_scan_order():
     system, configs = hand_built_configs()
     counted_kills = 0
+    live_and_dead = set()
     for config in configs:
         for budget in (0, 1, 2):
             for skip in (False, True):
-                got = [e for e in _events(system, config, budget)
+                got = [e for e in successor_events(system, config, budget)
                        if not (skip and is_corpse_switch(e))]
                 assert got == list(scan_events(system, config, budget, skip)), (
                     config, budget, skip)
                 counted_kills += sum(1 for e in got if e[:2] == ("kill", 0)) > 1
+                live_and_dead |= {(is_dead_switch(system, config, e), bool(e[1][0]))
+                                  for e in got if e[0] == "switch"}
     # the order of several victim counts for one kill was really compared
     assert counted_kills
+    # pruning dropped empty and non-empty dead threads and kept live ones
+    assert live_and_dead == {(True, False), (True, True), (False, True)}
 
 
 def candidate_events(system, config, budget):
@@ -306,7 +333,7 @@ def candidate_events(system, config, budget):
 
 
 def check_enabled_matches_events(system, config, budget):
-    enabled = set(_events(system, config, budget))
+    enabled = set(successor_events(system, config, budget))
     for event in candidate_events(system, config, budget):
         assert _enabled(system, config, event, budget) == (event in enabled), (
             config, event, budget)
@@ -329,14 +356,16 @@ def kill_firing(rng, trial):
 
 
 def check_step_matches_apply(system, config, budget, semantics):
-    """The replay's multiset step against the search's _apply: on a multiset
-    copy of the pool it does what _apply does to each enabled event, and
-    refuses every other candidate, naming its step."""
-    enabled = list(_events(system, config, budget))
+    """The replay's multiset step against _apply and the search's
+    _successors: on a multiset copy of the pool it does what _apply does to
+    each enabled event, both build the successor _successors yields with
+    it, and it refuses every other candidate, naming its step."""
+    pairs = list(_successors(system, config, budget, semantics))
+    enabled = [event for event, _ in pairs]
     state, active, pool = config
-    for event in enabled:
+    for event, nxt in pairs:
         got = _run(system, (state, active, Counter(pool)), (event,), budget, semantics)
-        assert _canonical(*got) == _apply(system, config, event, semantics), (config, event)
+        assert _canonical(*got) == _apply(system, config, event, semantics) == nxt, (config, event)
     for event in candidate_events(system, config, budget):
         if event not in enabled:
             with pytest.raises(ValueError, match=r"does not apply at step 0\Z"):
@@ -344,9 +373,9 @@ def check_step_matches_apply(system, config, budget, semantics):
 
 
 def enabled_kinds_on_walks(rng, make_system, trials):
-    """Check _enabled against _events, and the replay step under both
-    semantics against _apply, along random walks of the systems make_system
-    draws; return the kinds of event enabled somewhere."""
+    """Check _enabled against _successors, and the replay step under both
+    semantics against _apply and _successors, along random walks of the
+    systems make_system draws; return the kinds of event enabled somewhere."""
     kinds = set()
     for trial in range(trials):
         system = make_system(rng, trial)
@@ -639,7 +668,8 @@ def reference_search(system, budget, goal, semantics, max_threads, max_stack, ma
     empty stack, and caps by the two helpers above."""
 
     def step(config):
-        events = [e for e in _events(system, config, budget) if not is_corpse_switch(e)]
+        events = [e for e, _ in _successors(system, config, budget, semantics)
+                  if not is_corpse_switch(e)]
         return [(event, DcpsConfig._make(_apply(system, config, event, semantics))) for event in events]
 
     def cap(config):

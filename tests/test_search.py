@@ -48,3 +48,26 @@ def test_prune_names_its_cap_and_reason_lists_every_cap():
         prune=lambda n: "max_value" if n >= 100 else None,
     )
     assert result.reason == "max_states,max_value"
+
+
+# 9 is offered by 1 and again by 2, and the prune rules it out both times
+PRUNED_TWICE = {0: [("a", 1), ("b", 2)], 1: [("c", 9), ("d", 3)], 2: [("e", 9), ("f", 4)],
+                3: [("g", 5)], 4: [("h", 1)], 5: []}
+
+
+def test_pruned_state_never_enters_seen():
+    offered = []
+
+    def prune(n):
+        offered.append(n)
+        return "max_value" if n == 9 else None
+
+    result = bfs(0, PRUNED_TWICE.__getitem__, lambda n: False, 100, "max_states", prune)
+    assert isinstance(result, Capped) and result.reason == "max_value"
+    assert offered.count(9) == 2
+    # discovery order, each state with the parent and label that found it
+    assert list(result.seen) == [0, 1, 2, 3, 4, 5]
+    assert list(result.seen.values()) == [None, (0, "a"), (0, "b"), (1, "d"), (2, "f"), (3, "g")]
+    found = bfs(0, PRUNED_TWICE.__getitem__, lambda n: n == 5, 100, "max_states", prune)
+    assert isinstance(found, Found) and found.labels == ("a", "d", "g")
+    assert found.explored == 6
