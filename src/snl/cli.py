@@ -418,8 +418,9 @@ def _replay_tdpn(compiled: lipton.LiptonCompilation, compilation: rnp2tdpn.RnpCo
 def _pipeline_dcps(compiled, tdpn_witness, caps: dict) -> StageResult:
     if tdpn_witness:
         events = tdpn2dcps.synthesize_cover_witness(compiled, tdpn_witness)
-        final = dcps.replay_final(compiled.system, events, tdpn2dcps.SWITCH_BUDGET)
-        if final.state != compiled.halt:
+        for state, _, _ in dcps.replay_rounds(compiled.system, events.rounds(), tdpn2dcps.SWITCH_BUDGET):
+            pass
+        if state != compiled.halt:
             raise RuntimeError("synthesized witness did not reach the halt state")
         return StageResult(
             "dcps", "", "Reachable (replayed witness)", "yes",

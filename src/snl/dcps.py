@@ -44,8 +44,18 @@ layout, (state, (stack, count), pool): a search's pool is a canonical
 sorted tuple, equal to a DcpsConfig's and a seen key, as is replay_witness's,
 which `_apply` updates one event at a time; replay_final's is `_run`'s
 multiset.  A DcpsConfig is built only where the API returns it.
+
 Compiled kill systems are replayed, not searched, where the TDPN has a
-witness: `tdpn2dcps` synthesizes it by the one-switch rule of its construction.
+witness: `tdpn2dcps` synthesizes it by round, and `replay_rounds` runs each
+distinct round once.  Lemma: the semantics is monotone in the pool.  A rule
+reads only the state and the active thread, a kill or switch only its own
+thread, so events that apply from a pool apply, taking and giving the same
+threads, with other threads added.  The exception is `_run`'s park of an
+empty-stack thread, only where its count has none.  So a round is run once
+per (round, state, active thread, the pool's empty-stack threads), on its
+footprint: the threads it takes before it makes them, plus those empty
+ones.  `replay_final`, one `_run` over the whole stream, is the tests'
+oracle for the round replay.
 """
 
 from __future__ import annotations
@@ -399,6 +409,39 @@ def replay_final(
     _check_run(budget, semantics)
     initial = system.initial_state, ((system.initial_symbol,), 0), {}
     return _canonical(*_run(system, initial, witness, budget, semantics))
+
+
+def replay_rounds(system: Dcps, rounds, budget: int, semantics: str = "noinherit") -> Iterator[Config]:
+    """The configuration after each (key, events, needs) of rounds, its pool
+    the multiset updated in place, each distinct round run once as the module
+    docstring says; needs are the threads the events take before they make
+    them, the same for one key.  A round that does not apply, or whose needs
+    the pool lacks, raises ValueError naming it."""
+    _check_run(budget, semantics)
+    state, active, pool = system.initial_state, ((system.initial_symbol,), 0), {}
+    empty: frozenset[Thread] = frozenset()  # the pool's empty-stack threads, one copy each
+    deltas: dict[tuple, tuple] = {}
+    for n, (key, events, needs) in enumerate(rounds):
+        if (delta := deltas.get((key, state, active, empty))) is None:
+            need = Counter(needs)
+            footprint = need | Counter({thread: pool[thread] for thread in empty})
+            try:
+                end, moved, after = _run(system, (state, active, footprint.copy()), events, budget, semantics)
+            except ValueError as err:
+                raise ValueError(f"round {n}: {err}") from None
+            # per thread it needs or changes: the copies it needs, and the change
+            moves = tuple((t, need[t], after[t] - footprint[t]) for t in after | footprint
+                          if need[t] or after[t] != footprint[t])
+            delta = deltas[key, state, active, empty] = end, moved, moves, frozenset(t for t in after if not t[0])
+        state, active, moves, empty = delta
+        for thread, needed, change in moves:
+            if (have := pool.get(thread, 0)) < needed:
+                raise ValueError(f"round {n}: the pool lacks {thread!r}")
+            if left := have + change:
+                pool[thread] = left
+            else:
+                del pool[thread]
+        yield state, active, pool
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,11 @@ unique by construction, so it is written without a fresh-name probe.
 The compiler returns one KillDcps record: the system, its names and halt
 state, and the schema tables.  Witness synthesis takes that record and fires
 each event by the schema arguments it was emitted under, read from its
-tables, so the schemas are written once.  A plain rule is recorded under a
+tables, so the schemas are written once.  It works by round (boot, one
+per net step, final check), each made from its key alone: the step kind,
+its words and the word of the active unread token (the initial word until
+a step reads it, then None).  A round needs the parked ((lock, *w),
+SWITCH_BUDGET) tokens it switches to.  A plain rule is recorded under a
 key of its arguments, such as ("read", mode, i, tag, letter).  Kills are
 recorded by block: the kills of one mode, position i and step (the role
 whose bit is killed) are keyed ("verify", mode, i, step) to the index of
@@ -52,12 +56,11 @@ state.  The compiler checks that the blocks tile the kills.
 from __future__ import annotations
 
 import functools
-from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator, NamedTuple
 
-from snl.dcps import Dcps, DcpsRule, Event, KillRule, mint_name
+from snl.dcps import Dcps, DcpsRule, Event, KillRule, Thread, mint_name
 from snl.tdpn import Descriptor, Tdpn
 from snl.transducer import Transducer, language
 
@@ -383,26 +386,33 @@ def expected_rule_counts(net: Tdpn) -> dict[str, int]:
 
 
 class CoverWitness:
-    """The events of a synthesized witness, made afresh by each pass over
-    them, so that a replay holds one step's events at a time.  len() is the
-    number of events: kept from the first full pass, or counted by a pass."""
+    """The events of a synthesized witness, by round (see the module
+    docstring).  Each distinct round is made once, on first use, and held by
+    this witness alone; iterating chains the rounds into the event stream,
+    and len() sums their lengths, kept from the first full pass."""
 
     def __init__(self, compiled: KillDcps, steps: tuple[Descriptor, ...]):
         self.compiled, self.steps, self.count = compiled, steps, None
+        # each distinct round key's (index, events, needs), in first-use order
+        self.made: dict[tuple, tuple[int, list[Event], tuple[Thread, ...]]] = {}
+        self.make = _round_maker(compiled)
+
+    def rounds(self) -> Iterator[tuple[int, list[Event], tuple[Thread, ...]]]:
+        """Each round's (index, events, needs), as dcps.replay_rounds takes them."""
+        made, make, count = self.made, self.make, 0
+        for key in _round_keys(self.compiled.net, self.steps):
+            if (got := made.get(key)) is None:
+                got = made[key] = len(made), *make(*key)
+            count += len(got[1])
+            yield got
+        self.count = count
 
     def __iter__(self) -> Iterator[Event]:
-        return chain.from_iterable(self._counted())
-
-    def _counted(self) -> Iterator[list[Event]]:
-        count = 0
-        for events in _synthesize(self.compiled, self.steps):
-            count += len(events)
-            yield events
-        self.count = count
+        return chain.from_iterable(events for _, events, _ in self.rounds())
 
     def __len__(self) -> int:
         if self.count is None:
-            deque(self, maxlen=0)
+            self.count = sum(len(events) for _, events, _ in self.rounds())
         return self.count
 
 
@@ -417,21 +427,51 @@ def synthesize_cover_witness(compiled: KillDcps, steps: tuple[Descriptor, ...]) 
     SWITCH_BUDGET; replaying them is a machine check of the whole round
     trip.  Each rule or kill event is looked up by the schema key under
     which the compiler emitted it, in the tables of `compiled`.  A step
-    that cannot be synthesized raises ValueError when its events are made.
+    that cannot be synthesized raises ValueError when its round is reached.
     """
     return CoverWitness(compiled, steps)
 
 
-def _synthesize(compiled: KillDcps, steps: tuple[Descriptor, ...]) -> Iterator[list[Event]]:
-    """The events of synthesize_cover_witness, in one list per step, which
-    is emptied for the next once it has been read."""
+def _round_keys(net: Tdpn, steps: tuple[Descriptor, ...]) -> Iterator[tuple]:
+    """Each round's key (kind, words, active): ("init", (), None), one per
+    step, then ("check", (w_final,), active).  The tokens parked per word
+    are counted by the one-switch rule, so a step that reads a token no
+    round made raises ValueError."""
+    parked: dict[str, int] = {}
+    active: str | None = net.w_init
+
+    def read(kind: str, words: tuple[str, ...]) -> tuple:
+        nonlocal active
+        start, reads = active, 2 if kind == "join" else 1
+        for word in words[:reads]:
+            if active == word:
+                active = None
+            elif parked.get(word):
+                parked[word] -= 1
+            else:
+                raise ValueError(f"witness needs a token on {word!r} that was never produced")
+        for word in words[reads:]:
+            parked[word] = parked.get(word, 0) + 1
+        return kind, words, start
+
+    yield "init", (), None
+    for kind, words in steps:
+        if kind not in MODES:
+            raise ValueError(f"unknown step kind {kind!r}")
+        yield read(kind, words)
+    yield read("check", (net.w_final,))
+
+
+def _round_maker(compiled: KillDcps):
+    """make(kind, words, active) -> (events, needs): a round's events, and
+    the parked token threads it switches to, in order."""
     net = compiled.net
     l, lock, by_mode = net.width, compiled.lock, _by_mode(net)
     event, block, positions = compiled.event, compiled.block, range(1, l + 1)
-    # rows read from the tables once per call: per (mode, tag) the read and
-    # guess events of each position by letter (a guess below l by its letter
-    # and the one above), per (mode, position) the first kill of each step's
-    # block, the last step's apart, as its offset differs
+    # rows read from the tables once per witness: per (mode, tag) the read
+    # and guess events of each position by letter (a guess below l by its
+    # letter and the one above), per (mode, position) the first kill of each
+    # step's block, the last step's apart, as its offset differs
     reads = {(m, tag): [{a: event["read", m, i, tag, a] for a in net.alphabet} for i in positions]
              for m, tag in READ_PAIRS}
     guesses = {(m, tag): [{(c, a): event["guess", m, i, tag, c, a]
@@ -441,70 +481,55 @@ def _synthesize(compiled: KillDcps, steps: tuple[Descriptor, ...]) -> Iterator[l
     kill_rows = {m: [([block["verify", m, i, step] for step in range(len(roles) - 1)],
                       block["verify", m, i, len(roles) - 1]) for i in positions]
                  for m, roles in VERIFY_ROLES.items()}
-    events: list[Event] = []
-    # parked tokens per word (see the module docstring's one-switch rule), and
-    # the word of the active thread's unread token: the initial one or a guess
-    parked: Counter[str] = Counter()
-    active: str | None = net.w_init
 
-    def fire(*key) -> None:
-        events.append(event[key])
+    def make(kind: str, words: tuple[str, ...], active: str | None):
+        if kind == "init":
+            # boot: fill the initial token from the bottom letter upward
+            return [event["init", i] for i in range(l, 0, -1)], ()
+        events: list[Event] = []
+        needs: list[Thread] = []
 
-    def switch(stack: tuple[str, ...], count: int) -> None:
-        nonlocal active
-        if active is not None:
-            parked[active] += 1
-        active = None
-        events.append(("switch", (stack, count)))
+        def fire(*key) -> None:
+            events.append(event[key])
 
-    def switch_to(word: str) -> None:
-        """Make a token on word the active thread, to be read."""
-        nonlocal active
-        if active != word:
-            if not parked[word]:
-                raise ValueError(f"witness needs a token on {word!r} that was never produced")
-            parked[word] -= 1
-            switch((lock, *word), SWITCH_BUDGET)
-        active = None
+        def switch_to(word: str) -> None:
+            """Make a parked token on word the active thread, to be read."""
+            needs.append(((lock, *word), SWITCH_BUDGET))
+            events.append(("switch", needs[-1]))
 
-    def read_token(mode: str, word: str, tag: str) -> None:
-        if tag == "pop1":
-            fire("start", mode)
-        fire("unlock", mode, tag)
-        events.extend(map(dict.__getitem__, reads[mode, tag], word))
-        if (mode, tag) in HANDOFF_PAIRS:
-            fire("dispatch", mode, word[l - 1])
+        def read_token(mode: str, word: str, tag: str) -> None:
+            if tag == "pop1":
+                fire("start", mode)
+            fire("unlock", mode, tag)
+            events.extend(map(dict.__getitem__, reads[mode, tag], word))
+            if (mode, tag) in HANDOFF_PAIRS:
+                fire("dispatch", mode, word[l - 1])
 
-    def guess_word(mode: str, word: str, tag: str) -> None:
-        nonlocal active
-        row = guesses[mode, tag]
-        events.append(row[l - 1][word[l - 1]])
-        events.extend([row[i - 1][word[i - 1], word[i]] for i in range(l - 1, 0, -1)])
-        active = word
+        def guess_word(mode: str, word: str, tag: str) -> None:
+            events.append(("switch", ((compiled.guess_sym,), 0)))
+            row = guesses[mode, tag]
+            events.append(row[l - 1][word[l - 1]])
+            events.extend([row[i - 1][word[i - 1], word[i]] for i in range(l - 1, 0, -1)])
 
-    def verify(mode: str, words: tuple[str, ...], path: tuple[int, ...]) -> None:
-        fire("enter", mode, words[-1][0], path[0])
-        # the capped guess is now a complete token; hand control to the verifier
-        switch((compiled.verify_sym,), 0)
-        chain_start, rank, final = compiled.offsets[mode]
-        for i, (firsts, last_first) in enumerate(kill_rows[mode], 1):
-            j = path[i - 1]
-            offset = j if i < l else final[j]
-            for first in firsts:
-                events.append(("kill", first + offset, 0))
-            last = chain_start[j] + rank[path[i]] if i < l else offset
-            events.append(("kill", last_first + last, 0))
+        def verify(mode: str, words: tuple[str, ...], path: tuple[int, ...]) -> None:
+            fire("enter", mode, words[-1][0], path[0])
+            # the capped guess is now a complete token; hand control to the verifier
+            events.append(("switch", ((compiled.verify_sym,), 0)))
+            chain_start, rank, final = compiled.offsets[mode]
+            for i, (firsts, last_first) in enumerate(kill_rows[mode], 1):
+                j = path[i - 1]
+                offset = j if i < l else final[j]
+                for first in firsts:
+                    events.append(("kill", first + offset, 0))
+                last = chain_start[j] + rank[path[i]] if i < l else offset
+                events.append(("kill", last_first + last, 0))
 
-    # boot: fill the initial token from the bottom letter upward
-    for i in range(l, 0, -1):
-        fire("init", i)
-
-    for kind, words in steps:
-        yield events
-        events.clear()
-        if kind not in by_mode:
-            raise ValueError(f"unknown step kind {kind!r}")
-        switch_to(words[0])
+        if active != words[0]:
+            switch_to(words[0])
+        if kind == "check":
+            for i in range(l + 1):
+                fire("check", i)
+            return events, tuple(needs)
         # every word's letters index schema keys, so check the tuple before using them
         path = language(by_mode[kind], len(words[0])).get(words)
         if path is None:
@@ -513,17 +538,13 @@ def _synthesize(compiled: KillDcps, steps: tuple[Descriptor, ...]) -> Iterator[l
         if kind == "join":
             switch_to(words[1])
             read_token("join", words[1], "pop2")
-        switch((compiled.guess_sym,), 0)
         if kind == "fork":
             guess_word("fork", words[1], "push1")
             fire("fork2", words[1][0])
-            switch((compiled.guess_sym,), 0)
             guess_word("fork", words[2], "push2")
         else:
             guess_word(kind, words[-1], "push1")
         verify(kind, words, path)
+        return events, tuple(needs)
 
-    switch_to(net.w_final)
-    for i in range(l + 1):
-        fire("check", i)
-    yield events
+    return make

@@ -283,13 +283,43 @@ def test_pipeline_names_the_token_cap(capsys, tmp_path):
 
 def test_pipeline_failed_replay_is_internal_error(capsys, tmp_path, monkeypatch):
     # the pool starts empty, so no kill applies; the fault is the program's, not the input's
-    monkeypatch.setattr(tdpn2dcps, "synthesize_cover_witness", lambda compiled, steps: (("kill", 0, 0),))
+    maker = tdpn2dcps._round_maker
+
+    def leading_kill(compiled):
+        make = maker(compiled)
+
+        def made(kind, words, active):
+            events, needs = make(kind, words, active)
+            return ([("kill", 0, 0)] if kind == "init" else []) + events, needs
+
+        return made
+
+    monkeypatch.setattr(tdpn2dcps, "_round_maker", leading_kill)
     code, _, err = run_cli(
         capsys, "pipeline", "--n", 1, CORPUS / "halt.cp", "--out-dir", tmp_path / "p"
     )
     assert code == EXIT_INTERNAL
     assert "snl: internal error:" in err
     assert "does not apply" in err
+
+
+def test_pipeline_missing_footprint_token_is_internal_error(capsys, tmp_path, monkeypatch):
+    # without the first step's round, the token it makes is missing when the
+    # next round switches to it, although that round's events apply on its footprint
+    rounds = tdpn2dcps.CoverWitness.rounds
+
+    def first_step_dropped(witness):
+        made = rounds(witness)
+        yield next(made)
+        next(made)
+        yield from made
+
+    monkeypatch.setattr(tdpn2dcps.CoverWitness, "rounds", first_step_dropped)
+    code, _, err = run_cli(
+        capsys, "pipeline", "--n", 1, CORPUS / "halt.cp", "--out-dir", tmp_path / "p"
+    )
+    assert code == EXIT_INTERNAL
+    assert "snl: internal error: ValueError: round 1: the pool lacks" in err
 
 
 def flip_first_choice(guided_run):

@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from snl import dcps
 from snl.dcps import (
     SEMANTICS,
     Dcps,
@@ -27,6 +28,7 @@ from snl.dcps import (
     reach_state,
     reachable_states,
     replay_final,
+    replay_rounds,
     replay_witness,
     serialize_dcps,
     successors,
@@ -591,6 +593,136 @@ def test_replay_final_matches_replay_witness_on_kill_firing_walks():
     # a walk takes a kill whenever one is enabled; on these systems a third
     # of the walks hold one (the walks above: 6 of 360)
     assert replay_kill_walks(random.Random(20261020), kill_firing, 30) >= walks // 3
+
+
+def footprint(system, config, events, budget, semantics):
+    """The pool threads that events take from config before they make
+    them, found by replaying the events one at a time."""
+    state, active, pool = config
+    pool, made, needs = Counter(pool), Counter(), Counter()
+    for event in events:
+        kind = event[0]
+        taken = event[1] if kind == "switch" else ((system.kills[event[1]].victim,), event[2]) if kind == "kill" else None
+        rest = Counter(pool)
+        state, active, pool = _run(system, (state, active, pool), (event,), budget, semantics)
+        if taken is not None:
+            rest[taken] -= 1
+            if made[taken]:
+                made[taken] -= 1
+            else:
+                needs[taken] += 1
+        made += pool - rest
+    return needs
+
+
+def taken_and_given(system, state, active, pool, events, budget, semantics):
+    """Where events end from (state, active, pool), and the pool threads
+    they take and give."""
+    start = Counter(pool)
+    end, moved, after = _run(system, (state, active, Counter(start)), events, budget, semantics)
+    return end, moved, start - after, after - start
+
+
+def random_run(rng, system, budget, semantics, length, config=None):
+    """Up to length random enabled events from config (the initial one by
+    default), taking a kill whenever one is enabled, and where they end."""
+    config = config or initial_config(system)
+    events = []
+    for _ in range(length):
+        steps = successors(system, config, budget, semantics)
+        if not steps:
+            break
+        event, config = rng.choice([s for s in steps if s[0][0] == "kill"] or steps)
+        events.append(event)
+    return events, config
+
+
+def test_a_run_takes_and_gives_the_same_threads_from_a_larger_pool():
+    # the pool semantics is monotone in the pool: a run that applies on its
+    # footprint (the threads it takes before it makes them, plus the pool's
+    # empty-stack threads) applies with other non-empty threads added, and
+    # takes and gives the same threads; without one footprint thread it does not apply
+    rng = random.Random(20261026)
+    runs = kills = 0
+    for trial in range(80):
+        system = kill_firing(rng, trial) if trial % 2 else kill_or_plain(rng, trial)
+        for budget in (0, 1, 2):
+            for semantics in SEMANTICS:
+                _, start = random_run(rng, system, budget, semantics, rng.randint(0, 8))
+                events, _ = random_run(rng, system, budget, semantics, rng.randint(1, 12), start)
+                if not events:
+                    continue
+                state, active, pool = start
+                needs = footprint(system, start, events, budget, semantics)
+                base = needs | Counter(t for t in pool if not t[0])
+                extra = Counter((tuple(rng.choice(system.symbols) for _ in range(rng.randint(1, 2))),
+                                 rng.randint(0, budget + 1)) for _ in range(rng.randint(1, 4)))
+                delta = taken_and_given(system, state, active, base, events, budget, semantics)
+                assert delta == taken_and_given(system, state, active, base + extra, events, budget, semantics)
+                assert delta == taken_and_given(system, state, active, pool, events, budget, semantics)
+                for thread in needs:
+                    if thread[0]:
+                        with pytest.raises(ValueError, match="does not apply"):
+                            _run(system, (state, active, base - Counter([thread])), events, budget, semantics)
+                runs += 1
+                kills += any(event[0] == "kill" for event in events)
+    # 220 runs, 51 of them with a kill
+    assert runs >= 200 and kills >= 40, (runs, kills)
+
+
+def test_an_empty_thread_in_the_pool_changes_what_a_park_gives():
+    # _run parks an empty-stack thread only where its count has none: the one
+    # guard that reads the rest of the pool, so a footprint holds the pool's empty threads
+    system = kill_demo()
+    u0, e1 = (("u",), 0), ((), 1)
+    events = [("switch", u0)]
+    assert taken_and_given(system, "g0", ((), 0), [u0], events, 1, "noinherit")[3] == Counter([e1])
+    assert taken_and_given(system, "g0", ((), 0), [u0, e1], events, 1, "noinherit")[3] == Counter()
+
+
+def random_rounds(rng, system, budget, semantics, events):
+    """events cut into rounds of one to three, each keyed by its events and
+    carrying its footprint, as replay_rounds takes them."""
+    rounds, config, done = [], (system.initial_state, ((system.initial_symbol,), 0), {}), 0
+    while done < len(events):
+        cut = tuple(events[done:done + rng.randint(1, 3)])
+        rounds.append((cut, cut, tuple(footprint(system, config, cut, budget, semantics).elements())))
+        config = _run(system, config, cut, budget, semantics)
+        done += len(cut)
+    return rounds
+
+
+def test_round_replay_matches_the_full_replay_on_random_walks(monkeypatch):
+    rng = random.Random(20261027)
+    rounds_seen, replayed = 0, []
+    monkeypatch.setattr(dcps, "_run", lambda *args: replayed.append(args[2]) or _run(*args))
+    for trial in range(40):
+        system = kill_firing(rng, trial) if trial % 2 else kill_or_plain(rng, trial)
+        for budget in (1, 2):
+            for semantics in SEMANTICS:
+                events, end = random_run(rng, system, budget, semantics, rng.randint(0, 30))
+                rounds = random_rounds(rng, system, budget, semantics, events)
+                full = system.initial_state, ((system.initial_symbol,), 0), {}
+                for (_, cut, _), got in zip(rounds, replay_rounds(system, rounds, budget, semantics), strict=True):
+                    full = _run(system, full, cut, budget, semantics)
+                    assert _canonical(*got) == _canonical(*full)
+                assert _canonical(*full) == end
+                rounds_seen += len(rounds)
+    # a round met again in the same state, active thread and empty threads is not replayed again
+    assert len(replayed) < rounds_seen, (len(replayed), rounds_seen)
+
+
+def test_round_replay_refuses_a_round_whose_needs_are_missing():
+    system = kill_demo()
+    u0 = (("u",), 0)
+    spawn = ((("rule", 0),), [("rule", 0)], ())
+    kill = ((("kill", 0, 0),), [("kill", 0, 0)], (u0,))
+    assert _canonical(*list(replay_rounds(system, [spawn, kill], 0))[-1]) == DcpsConfig("g1", (("v",), 0), ())
+    # the kill's round applies on its footprint, but the pool holds no u thread
+    with pytest.raises(ValueError, match=r"\Around 0: the pool lacks \(\('u',\), 0\)\Z"):
+        list(replay_rounds(system, [kill], 0))
+    with pytest.raises(ValueError, match=r"\Around 1: witness event \('kill', 0, 0\) does not apply at step 0\Z"):
+        list(replay_rounds(system, [spawn, ((("kill", 0, 0),), [("kill", 0, 0)], ())], 0))
 
 
 def test_kill_firing_systems_fire_kills_in_their_witnesses():

@@ -1,24 +1,30 @@
 import functools
 import gc
 import hashlib
+import json
 import random
 import tracemalloc
 import weakref
+from collections import Counter
+from itertools import islice
 
 import pytest
 
 from genutil import random_tdpn, transducer_from_tuples
-from helpers import corpus_program
-from snl import lipton, rnp2tdpn
+from helpers import CORPUS, corpus_program
+from snl import cli, dcps, lipton, rnp2tdpn
 from snl.dcps import (
     Dcps,
     DcpsNo,
     DcpsReachable,
     DcpsUnknown,
+    _canonical,
+    _run,
     desugar_kill,
     parse_dcps,
     reach_state,
     replay_final,
+    replay_rounds,
     replay_witness,
     serialize_dcps,
 )
@@ -517,6 +523,86 @@ def test_final_replay_holds_one_configuration():
 
     # a replay that collects the run again grows with the witness
     assert peak(replay_final) < peak(replay_witness) / 4
+
+
+def carried_witness(name, n):
+    """The compiled kill-dcps of a halting corpus program at n, and the
+    pipeline's carried steps: its guided run, translated."""
+    compiled_rnp = lipton.compile_lipton(corpus_program(name), n)
+    compilation = rnp2tdpn.compile_rnp_to_tdpn(compiled_rnp.rnp)
+    steps = tuple(rnp2tdpn.translate_run(compilation, compiled_rnp.rnp, lipton.guided_run(compiled_rnp)))
+    return compile_tdpn_to_killdcps(compilation.tdpn), steps
+
+
+@pytest.mark.parametrize("name, n", [
+    *((name, 1) for name in ("branch_nonzero.cp", "branch_zero.cp", "count4.cp", "halt.cp", "two_vars.cp",
+                             "updown_loop.cp")),
+    ("halt.cp", 2), ("count4.cp", 2), ("exceed_straight.cp", 2),
+])
+def test_round_replay_matches_the_full_replay_at_every_round_boundary(name, n):
+    from snl.tdpn2dcps import synthesize_cover_witness
+
+    compiled, steps = carried_witness(name, n)
+    system = compiled.system
+    witness = synthesize_cover_witness(compiled, steps)
+    rounds = list(witness.rounds())
+    # the whole stream, made by a pass of its own, replayed by _run a round's length at a time
+    stream = iter(witness)
+    full = system.initial_state, ((system.initial_symbol,), 0), {}
+    replayed = 0
+    for (_, events, _), (state, active, pool) in zip(rounds, replay_rounds(system, rounds, 1), strict=True):
+        full = _run(system, full, list(islice(stream, len(events))), 1, "noinherit")
+        assert _canonical(state, active, pool) == _canonical(*full)
+        replayed += len(events)
+    assert next(stream, None) is None
+    assert replayed == len(witness) == len(list(witness))
+    assert _canonical(state, active, pool) == replay_final(system, witness, 1) and state == compiled.halt
+
+
+def test_pipeline_replays_each_distinct_round_once(capsys, tmp_path, monkeypatch):
+    # count4 at n=2 replays 274563 events in 4396 rounds: boot, 4394 steps and
+    # the final check; 312 of them are distinct in round, state, active thread
+    # and empty-stack threads
+    passed = []
+
+    def counted(system, config, events, budget, semantics):
+        events = list(events)
+        passed.append(len(events))
+        return run(system, config, events, budget, semantics)
+
+    run = dcps._run
+    monkeypatch.setattr(dcps, "_run", counted)
+    out_dir = tmp_path / "count4"
+    assert cli.main(["pipeline", "--n", "2", str(CORPUS / "count4.cp"), "--out-dir", str(out_dir)]) == 0
+    report = json.loads((out_dir / "report.json").read_text())
+    assert report["stages"][-1]["detail"] == {"method": "replay", "events": 274563}
+    assert len(passed) == 312 and sum(passed) < 25000, (len(passed), sum(passed))
+
+
+def test_witness_length_makes_each_distinct_round_once(monkeypatch):
+    from snl import tdpn2dcps
+
+    made = Counter()
+    maker = tdpn2dcps._round_maker
+
+    def counted(compiled):
+        make = maker(compiled)
+
+        def counting(*key):
+            made[key] += 1
+            return make(*key)
+
+        return counting
+
+    monkeypatch.setattr(tdpn2dcps, "_round_maker", counted)
+    compiled, steps = carried_witness("halt.cp", 1)
+    witness = tdpn2dcps.synthesize_cover_witness(compiled, steps)
+    keys = set(tdpn2dcps._round_keys(compiled.net, steps))
+    # len() makes each distinct round once, and the stream that follows reuses them
+    count = len(witness)
+    assert set(made) == keys and set(made.values()) == {1}
+    assert count == len(list(witness)) == len(witness)
+    assert set(made) == keys and set(made.values()) == {1}
 
 
 def test_compiled_construction_retains_under_400_bytes_per_kill():
