@@ -30,7 +30,6 @@ import json
 import os
 import sys
 import time
-import traceback
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from itertools import islice
@@ -146,7 +145,7 @@ def _verdict(verdict) -> tuple[str, str, dict]:
         case tdpn.TdpnNotCoverable():
             return "NotCoverable (exhaustive)", "no", {}
         case tdpn.TdpnUnknown(reason=reason):
-            return "Unknown", "unknown", {"reason": reason}
+            return f"Unknown reason={reason}", "unknown", {"reason": reason}
         case dcps.DcpsReachable(configs_explored=explored):
             return "Reachable", "yes", {"configs_explored": explored}
         case dcps.DcpsNo(configs_explored=explored):
@@ -622,6 +621,7 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         return EXIT_OK
     except Exception as err:
+        import traceback  # here, so that no other call pays for importing it
         traceback.print_exc()
         print(f"snl: internal error: {type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_INTERNAL

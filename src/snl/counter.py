@@ -25,6 +25,7 @@ from __future__ import annotations
 import collections
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from snl.text import strip_comments
 
@@ -41,6 +42,10 @@ class CounterValidationError(ValueError):
     pass
 
 
+# Commands and models are frozen dataclasses; results are NamedTuples, which
+# cost less to define at import.  Commands must not be tuples: programs are
+# compared and hashed, and `Inc("l", "x") == Dec("l", "x")` as tuples.
+# Models check themselves in `__post_init__` or hold a `cached_property`.
 @dataclass(frozen=True)
 class Inc:
     label: str
@@ -98,29 +103,25 @@ class CounterProgram:
 
 
 # ---------------------------------------------------------------------------
-# Run verdicts
+# Run verdicts, compared by class only: as tuples `Aborts(0, "l") == BoundExceeded(0, "l")`
 
 
-@dataclass(frozen=True)
-class Halts:
+class Halts(NamedTuple):
     peak: int
     steps: int
 
 
-@dataclass(frozen=True)
-class Aborts:
+class Aborts(NamedTuple):
     steps: int
     label: str
 
 
-@dataclass(frozen=True)
-class BoundExceeded:
+class BoundExceeded(NamedTuple):
     steps: int
     var: str
 
 
-@dataclass(frozen=True)
-class FuelExhausted:
+class FuelExhausted(NamedTuple):
     steps: int
 
 

@@ -444,19 +444,16 @@ def replay_rounds(system: Dcps, rounds, budget: int, semantics: str = "noinherit
         yield state, active, pool
 
 
-@dataclass(frozen=True)
-class DcpsReachable:
+class DcpsReachable(NamedTuple):
     witness: tuple[Event, ...]
     configs_explored: int
 
 
-@dataclass(frozen=True)
-class DcpsNo:
+class DcpsNo(NamedTuple):
     configs_explored: int
 
 
-@dataclass(frozen=True)
-class DcpsUnknown:
+class DcpsUnknown(NamedTuple):
     reason: str
     configs_explored: int
 

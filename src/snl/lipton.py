@@ -26,7 +26,6 @@ one depth-mode rule; the simulated bound follows as B = 2^(2^(k-1)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from snl import counter, rnp
@@ -238,8 +237,7 @@ def validate_source(program: counter.CounterProgram, n: int) -> None:
             raise LiptonInputError(f"variable {var!r} is reserved")
 
 
-@dataclass(frozen=True)
-class LiptonCompilation:
+class LiptonCompilation(NamedTuple):
     """The compiled program and each goto-or's ZeroTest, by label."""
 
     rnp: Rnp

@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from snl.search import Capped, Found, bfs
 from snl.text import non_words, strip_comments
@@ -128,14 +128,12 @@ def fire(net: PetriNet, marking: Marking, tid: str) -> Marking | None:
 # Backward coverability
 
 
-@dataclass(frozen=True)
-class Coverable:
+class Coverable(NamedTuple):
     witness: tuple[str, ...]
     basis_size: int
 
 
-@dataclass(frozen=True)
-class NotCoverable:
+class NotCoverable(NamedTuple):
     basis_size: int
 
 
@@ -223,22 +221,19 @@ def cover_backward(net: PetriNet, target: Marking | None = None) -> BackwardVerd
 # Forward coverability with caps
 
 
-@dataclass(frozen=True)
-class ForwardCoverable:
+class ForwardCoverable(NamedTuple):
     witness: tuple[str, ...]
     markings_explored: int
 
 
-@dataclass(frozen=True)
-class NotCoverableWithinCaps:
+class NotCoverableWithinCaps(NamedTuple):
     """The forward search exhausted the markings and no cap touched it."""
 
     markings_explored: int
     complete = True  # still read by perfbench/oracles.py; not a field
 
 
-@dataclass(frozen=True)
-class ForwardUnknown:
+class ForwardUnknown(NamedTuple):
     reason: str
     markings_explored: int
 

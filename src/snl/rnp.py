@@ -61,6 +61,7 @@ class RnpStructureError(RuntimeError):
     empty call stack from a hand-built start configuration."""
 
 
+# dataclasses like counter's commands: as tuples `Halt("l") == Return("l")`
 @dataclass(frozen=True)
 class GotoOr:
     label: str
@@ -270,20 +271,17 @@ def validate_rnp(rnp: Rnp) -> None:
 # Exploration
 
 
-@dataclass(frozen=True)
-class RnpHalts:
+class RnpHalts(NamedTuple):
     witness: tuple[int, ...]
     config: RnpConfig
     configs_explored: int
 
 
-@dataclass(frozen=True)
-class RnpNo:
+class RnpNo(NamedTuple):
     configs_explored: int
 
 
-@dataclass(frozen=True)
-class RnpUnknown:
+class RnpUnknown(NamedTuple):
     reason: str
     configs_explored: int
 
@@ -327,8 +325,7 @@ def explore_halting(
     return RnpNo(result.explored)
 
 
-@dataclass(frozen=True)
-class ScheduledRun:
+class ScheduledRun(NamedTuple):
     stop: str  # halted | stuck_dec | choices_exhausted | step_limit | structural_error
     steps: int
     config: RnpConfig

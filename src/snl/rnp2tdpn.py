@@ -33,7 +33,7 @@ join that resumes the caller.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from snl.rnp import (
     Call,
@@ -286,8 +286,7 @@ def _assemble(arity: int, emissions: list[Emission], book: AddressBook) -> Trans
     return Transducer(arity, ALPHABET, tuple(states), "t0", frozenset(finals), tuple(transitions))
 
 
-@dataclass(frozen=True)
-class RnpCompilation:
+class RnpCompilation(NamedTuple):
     tdpn: Tdpn
     book: AddressBook
     label_to_base: dict[str, str]

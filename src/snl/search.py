@@ -12,12 +12,10 @@ exhaustive.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Iterable
+from typing import Any, Callable, Hashable, Iterable, NamedTuple
 
 
-@dataclass(frozen=True)
-class Found:
+class Found(NamedTuple):
     """A goal state and the labels of a shortest path from the start."""
 
     labels: tuple
@@ -25,16 +23,14 @@ class Found:
     explored: int
 
 
-@dataclass(frozen=True)
-class Exhausted:
+class Exhausted(NamedTuple):
     """Every reachable state was expanded and no cap pruned anything."""
 
     seen: dict
     explored: int
 
 
-@dataclass(frozen=True)
-class Capped:
+class Capped(NamedTuple):
     """The search stopped or pruned because of the named caps."""
 
     tripped: frozenset[str]

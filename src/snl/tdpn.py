@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from snl.petri import (
     DEFAULT_MAX_MARKINGS,
@@ -195,22 +195,19 @@ def replay(net: Tdpn, steps: Iterable[Descriptor]) -> Marking:
 # Coverability
 
 
-@dataclass(frozen=True)
-class TdpnCoverable:
+class TdpnCoverable(NamedTuple):
     witness: tuple[Descriptor, ...]
     mode: str
 
 
-@dataclass(frozen=True)
-class TdpnNotCoverable:
+class TdpnNotCoverable(NamedTuple):
     """An exhaustive search found no cover."""
 
     mode: str
     complete = True  # still read by perfbench/oracles.py and perfbench/spans.py; not a field
 
 
-@dataclass(frozen=True)
-class TdpnUnknown:
+class TdpnUnknown(NamedTuple):
     mode: str
     reason: str
 

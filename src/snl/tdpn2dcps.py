@@ -56,7 +56,6 @@ state.  The compiler checks that the blocks tile the kills.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator, NamedTuple
 
@@ -83,8 +82,7 @@ VERIFY_ROLES = {"move": ("pop1", "push1"), "join": ("pop1", "pop2", "push1"),
                 "fork": ("pop1", "push1", "push2")}
 
 
-@dataclass(frozen=True)
-class KillDcps:
+class KillDcps(NamedTuple):
     """One compiled kill-dcps: the system, its names and halt state, and the
     schema tables witness synthesis fires events from."""
 

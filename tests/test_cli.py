@@ -281,6 +281,16 @@ def test_pipeline_names_the_token_cap(capsys, tmp_path):
     assert tdpn_stage["detail"] == {"reason": "max_tokens"}
 
 
+def test_pipeline_prints_the_tdpn_cap(capsys, tmp_path):
+    # like the rnp and dcps lines, the tdpn line names the cap that stopped it
+    code, out, _ = run_cli(
+        capsys, "pipeline", "--n", 1, CORPUS / "abort_dec.cp",
+        "--max-tokens", 1, "--dcps-max-configs", 2000, "--out-dir", tmp_path,
+    )
+    assert code == EXIT_UNKNOWN
+    assert out.splitlines()[2:4] == ["tdpn: Unknown reason=max_tokens", "dcps: Unknown reason=max_configs"]
+
+
 def test_pipeline_failed_replay_is_internal_error(capsys, tmp_path, monkeypatch):
     # the pool starts empty, so no kill applies; the fault is the program's, not the input's
     maker = tdpn2dcps._round_maker
@@ -536,9 +546,10 @@ MOVE = ("move", ("0", "1"))
      ("Unknown reason=max_value", "unknown", {"configs_explored": 4})),
     ("tdpn", tdpn.TdpnCoverable((MOVE, MOVE), "symbolic"), ("Coverable", "yes", {"witness_steps": 2})),
     ("tdpn", tdpn.TdpnNotCoverable("symbolic"), ("NotCoverable (exhaustive)", "no", {})),
-    ("tdpn", tdpn.TdpnUnknown("symbolic", "max_tokens"), ("Unknown", "unknown", {"reason": "max_tokens"})),
+    ("tdpn", tdpn.TdpnUnknown("symbolic", "max_tokens"),
+     ("Unknown reason=max_tokens", "unknown", {"reason": "max_tokens"})),
     ("tdpn", tdpn.TdpnUnknown("symbolic", "max_markings"),
-     ("Unknown", "unknown", {"reason": "max_markings"})),
+     ("Unknown reason=max_markings", "unknown", {"reason": "max_markings"})),
     ("dcps", dcps.DcpsReachable((), 1241),
      ("Reachable", "yes", {"method": "search", "configs_explored": 1241})),
     ("dcps", dcps.DcpsNo(176),

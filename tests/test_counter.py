@@ -99,39 +99,44 @@ def test_validation_errors(src):
 # hand: four increments then halt, so peak 4 after 4 executed commands.
 
 
+def assert_verdict(got, expected):
+    # verdicts are tuples, so `==` alone takes Aborts(0, "l1") for BoundExceeded(0, "l1")
+    assert (type(got), got) == (type(expected), expected)
+
+
 def test_count4_golden_trace():
     prog = parse_counter(COUNT4)
-    assert run_bounded(prog, 4) == Halts(peak=4, steps=4)
+    assert_verdict(run_bounded(prog, 4), Halts(peak=4, steps=4))
 
 
 def test_bound_check_fires_before_the_counter_moves():
     prog = parse_counter(COUNT4)
     verdict = run_bounded(prog, 3)
-    assert verdict == BoundExceeded(steps=3, var="x")
+    assert_verdict(verdict, BoundExceeded(steps=3, var="x"))
 
 
 def test_dec_at_zero_aborts():
     prog = parse_counter("l1: dec x; l2: halt;")
-    assert run_bounded(prog, 4) == Aborts(steps=0, label="l1")
+    assert_verdict(run_bounded(prog, 4), Aborts(steps=0, label="l1"))
 
 
 def test_nonterminating_program_exhausts_fuel():
     prog = parse_counter("l1: goto l1; l2: halt;")
-    assert run_bounded(prog, 4, fuel=1000) == FuelExhausted(steps=1000)
+    assert_verdict(run_bounded(prog, 4, fuel=1000), FuelExhausted(steps=1000))
 
 
 def test_if_zero_branches():
     taken_zero = parse_counter(
         "l1: if x = 0 then goto l2 else goto l3; l2: inc x; l3: halt;"
     )
-    assert run_bounded(taken_zero, 4) == Halts(peak=1, steps=2)
+    assert_verdict(run_bounded(taken_zero, 4), Halts(peak=1, steps=2))
     taken_nonzero = parse_counter(
         "l1: inc x;"
         "l2: if x = 0 then goto l4 else goto l3;"
         "l3: goto l4;"
         "l4: halt;"
     )
-    assert run_bounded(taken_nonzero, 4) == Halts(peak=1, steps=3)
+    assert_verdict(run_bounded(taken_nonzero, 4), Halts(peak=1, steps=3))
 
 
 def test_up_down_loop():
@@ -143,7 +148,7 @@ def test_up_down_loop():
         "l5: goto l3;"
         "l6: halt;"
     )
-    assert run_bounded(prog, 4) == Halts(peak=2, steps=7)
+    assert_verdict(run_bounded(prog, 4), Halts(peak=2, steps=7))
 
 
 # ---------------------------------------------------------------------------
