@@ -67,6 +67,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial, reduce
 from itertools import chain, repeat
 from math import inf
+from types import MappingProxyType
 from typing import Iterator, NamedTuple
 
 from snl.search import Capped, Exhausted, Found, bfs
@@ -83,6 +84,7 @@ SEMANTICS = ("noinherit", "inherit")
 DEFAULT_MAX_THREADS = 32
 DEFAULT_MAX_STACK = 64
 DEFAULT_MAX_CONFIGS = 10**6
+_NO_ROWS = MappingProxyType({})  # a state's missing rule or kill buckets
 
 
 class DcpsParseError(ValueError):
@@ -264,7 +266,7 @@ def _successors(system: Dcps, config: Config, budget: int, semantics: str,
     """
     rule_buckets, kill_buckets = system.buckets
     state, (stack, count), pool = config
-    ruled, killed = rule_buckets.get(state, {}), kill_buckets.get(state, {})
+    ruled, killed = rule_buckets.get(state, _NO_ROWS), kill_buckets.get(state, _NO_ROWS)
     if stack:
         top, rest = stack[0], stack[1:]
         for event, new_state, push, spawn in ruled.get(top, ()):

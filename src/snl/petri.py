@@ -15,6 +15,8 @@ touched is Unknown, named by the caps.  The backward procedure numbers a
 net's places once and keeps each basis element's support as a bitmask
 beside it: a marking dominates another only if its support contains the
 other's, so a full domination test runs only where the masks allow it.
+From a basis element it fires backwards only the transitions whose post set
+meets the element's support, found through an index by post place.
 """
 
 from __future__ import annotations
@@ -151,6 +153,12 @@ def cover_backward(net: PetriNet, target: Marking | None = None) -> BackwardVerd
     removed.  Markings over a fixed place set are well-quasi-ordered, so no
     infinite antichain extension exists and the loop terminates.
 
+    Only the transitions whose post meets supp(m) are fired backwards from
+    m, in ascending order.  Lemma: if t's post misses supp(m), t's
+    requirement is m plus one token per place of t's pre, which dominates m
+    or the smaller element that replaced m; so the basis, its order, the
+    parents and the witness are those of a scan over all transitions.
+
     When some basis element is dominated by the initial marking, the chain
     of parent pointers replays into a concrete firing sequence, which is
     verified before being returned.
@@ -159,6 +167,10 @@ def cover_backward(net: PetriNet, target: Marking | None = None) -> BackwardVerd
         target = target_marking(net)
     bit = {p: 1 << i for i, p in enumerate(dict.fromkeys((*net.places, *target)))}
     target_c = canonical(target)
+    by_post: dict[str, list[int]] = {}
+    for t, (_, _, post) in enumerate(net.transitions):
+        for p in post:
+            by_post.setdefault(p, []).append(t)
     # each basis element beside its support mask and its dict form
     basis: dict[CanonMarking, tuple[int, Marking]] = {
         target_c: (sum(bit[p] for p, _ in target_c), from_canonical(target_c))
@@ -170,7 +182,8 @@ def cover_backward(net: PetriNet, target: Marking | None = None) -> BackwardVerd
         if m_c not in basis:
             continue  # removed as dominated after being queued
         m = basis[m_c][1]
-        for t, (_, pre, post) in enumerate(net.transitions):
+        for t in sorted({t for p in m for t in by_post.get(p, ())}):
+            _, pre, post = net.transitions[t]
             req = {p: n for p, c in m.items() if (n := c - (p in post) + (p in pre))}
             for p in pre:
                 req.setdefault(p, 1)

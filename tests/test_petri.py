@@ -277,6 +277,31 @@ def test_backward_matches_the_reference_loop_on_random_nets():
     assert (Coverable, True) in kinds and (NotCoverable, True) in kinds
 
 
+def test_backward_matches_the_reference_loop_on_wide_sparse_nets():
+    """12 to 20 places and 20 to 40 transitions with at most two post
+    places each: most posts miss a given basis element's support, so the
+    post-place index skips most transitions, and the verdict, witness and
+    basis size must still be the reference loop's."""
+    rng = random.Random(20261020)
+    kinds = set()
+    for _ in range(30):
+        places = [f"p{i}" for i in range(rng.randint(12, 20))]
+        transitions = tuple(
+            (
+                f"t{i}",
+                frozenset(rng.sample(places, rng.choice([1, 1, 2]))),
+                frozenset(rng.sample(places, rng.choice([0, 1, 1, 2]))),
+            )
+            for i in range(rng.randint(20, 40))
+        )
+        net = PetriNet(tuple(places), transitions, rng.choice(places), rng.choice(places))
+        for target in (None, {net.final: 2}):
+            got = cover_backward(net, target)
+            assert got == reference_cover_backward(net, target), serialize_pnet(net)
+            kinds.add((type(got), got.basis_size > 3))
+    assert (Coverable, True) in kinds and (NotCoverable, True) in kinds
+
+
 def test_backward_matches_the_reference_loop_on_expanded_net_programs():
     rng = random.Random(20261019)
     programs = [program for _, program in tiny_rnps()]
