@@ -33,9 +33,12 @@ preserves state reachability while keeping pools finite.
 to, built where the event's guard passes, from what `Dcps.buckets` holds
 for the state and top.  The searches behind `reach_state` and
 `reachable_states` ask it to skip each switch to a thread that could only
-switch out again (a dead thread, see `_search`).  That pruning is
-exact, not a cap: an exhausted search still certifies "no", and every
-witness it finds replays under the unpruned semantics.  `_run` replays
+switch out again (a dead thread), and every switch out of a configuration
+a switch first admitted.  Lemma (see `_search`): lower counts dominate
+(Finkel and Schnoebelen, TCS 2001), and a switch right after a switch
+ends where one switch or none would, with higher counts.  Neither pruning
+is a cap: an exhausted search still certifies "no", witnesses stay
+shortest, and every one replays unpruned.  `_run` replays
 events on a multiset pool (thread -> copies), updated in place: it is the
 one place that states each event's guard and what it does to the pool, and
 `_enabled` asks it about one event on a copy.  A replay never scans for the
@@ -253,16 +256,18 @@ def _enabled(system: Dcps, config: Config, event: Event, budget: int) -> bool:
     return True
 
 
-def _successors(system: Dcps, config: Config, budget: int, semantics: str,
-                prune_dead: bool = False) -> Iterator[tuple[Event, Config]]:
-    """Exactly the events _enabled accepts, in successor order, each with
-    the configuration _apply gives for it, built where its guard passes.
+def _successors(system: Dcps, config: Config, budget: int, semantics: str, prune_dead: bool = False,
+                arrived_by: Event | None = None) -> Iterator[tuple[Event, Config]]:
+    """Unpruned, exactly the events _enabled accepts, in successor order,
+    each with the configuration _apply gives for it, built where its guard
+    passes.  A search (see _search) skips switches before building them:
+    with prune_dead, each to a dead thread, and all of them when
+    arrived_by, the event that admitted config, is a switch.
 
     The pool is sorted, so a kill's candidate victims are one run of
     (victim,) threads in ascending count, found by bisection, and equal
     switch entries are adjacent; the first of a run is the copy _remove
-    takes.  With prune_dead, a switch to a dead thread (see _search) is
-    skipped before anything is built.
+    takes.
     """
     rule_buckets, kill_buckets = system.buckets
     state, (stack, count), pool = config
@@ -285,6 +290,8 @@ def _successors(system: Dcps, config: Config, budget: int, semantics: str,
                     if j != last:
                         last = j
                         yield ("kill", idx, j), (new_state, (left, 0), pool[:pos] + pool[pos + 1 :])
+    if arrived_by is not None and arrived_by[0] == "switch":
+        return
     parked, last = (stack, count + 1), None
     for pos, entry in enumerate(pool):
         if entry[1] <= budget and entry != last:
@@ -504,14 +511,24 @@ def _search(system: Dcps, budget: int, goal, max_threads: int, max_stack: int,
     both semantics, so dropping these detours keeps the reachable
     global-state set and target reachability exactly.  It is not a cap:
     an exhausted search still certifies "no".
+
+    Nor does a configuration that `bfs` first admitted by a switch switch
+    again.  Lemma: say P switches to u into C, and C to v into D.  If v is
+    the thread P parked, D is P with two counts raised; else D is P's own
+    switch to v, which P generated (a switch did not admit P), with u's
+    count raised.  Same state and stacks with counts no higher dominate:
+    every event sequence from D applies there (a spawn or park raises the
+    count it reads, a kill resets it) and reaches the same states, and the
+    caps read stacks only.  The dominator is nearer the start than D, so
+    BFS distances, and so witness lengths, are kept too.
     """
     _check_run(budget, semantics)
 
-    def step(config: Config):
-        return _successors(system, config, budget, semantics, True)
+    def step(config: Config, arrived_by: Event | None):
+        return _successors(system, config, budget, semantics, True, arrived_by)
 
     cap = _cap_rule(max_threads, max_stack)
-    return bfs(initial_config(system), step, goal, max_configs, "max_configs", cap)
+    return bfs(initial_config(system), step, goal, max_configs, "max_configs", cap, labelled=True)
 
 
 def reach_state(

@@ -49,15 +49,20 @@ def bfs(
     limit: int,
     limit_name: str,
     prune: Callable[[Any], str | None] | None = None,
+    *,
+    labelled: bool = False,
 ) -> Found | Exhausted | Capped:
     """Search from start for a state satisfying goal.
 
     successors(state) yields (label, next_state) pairs in a fixed order;
-    `seen` maps every admitted state to its (parent, label), or None for
-    the start, in discovery order; a state `prune` rules out is never in it.
+    with labelled, successors(state, label) is also given the label that
+    admitted the state, None for the start.  `seen` maps every admitted
+    state to its (parent, label), or None for the start, in discovery
+    order; a state `prune` rules out is never in it.
     """
     seen: dict = {start: None}
     queue = deque([start])
+    admitted = deque([None])  # each queued state's label, kept only when labelled
     tripped: set[str] = set()
     explored = 0
     while queue:
@@ -74,7 +79,7 @@ def bfs(
                 labels.append(label)
             labels.reverse()
             return Found(tuple(labels), state, explored)
-        for label, nxt in successors(state):
+        for label, nxt in successors(state, admitted.popleft()) if labelled else successors(state):
             # one hash per successor: insert, and undo the insert if pruned
             entry = (state, label)
             if seen.setdefault(nxt, entry) is not entry:
@@ -84,6 +89,8 @@ def bfs(
                 del seen[nxt]
                 continue
             queue.append(nxt)
+            if labelled:
+                admitted.append(label)
     if tripped:
         return Capped(frozenset(tripped), seen, explored)
     return Exhausted(seen, explored)

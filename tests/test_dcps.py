@@ -3,6 +3,7 @@
 import hashlib
 import random
 from collections import Counter
+from itertools import chain
 
 import pytest
 
@@ -742,14 +743,19 @@ def test_kill_firing_systems_fire_kills_in_their_witnesses():
     assert witnesses and with_kill >= witnesses / 6, (with_kill, witnesses)
 
 
-def test_dead_switch_pruning_is_exact_on_kill_firing_systems():
+def firing_pruning_cases():
     rng = random.Random(20261020)
-    exhaustive_pairs = 0
     for _ in range(12):
         system = random_firing_kill_dcps(rng)
         for semantics in SEMANTICS:
             for budget in (0, 1, 2):
-                exhaustive_pairs += check_pruning_is_exact(system, budget, semantics)[2]
+                yield system, budget, semantics
+
+
+def test_dead_switch_pruning_is_exact_on_kill_firing_systems():
+    exhaustive_pairs = 0
+    for system, budget, semantics in firing_pruning_cases():
+        exhaustive_pairs += check_pruning_is_exact(system, budget, semantics)[2]
     assert exhaustive_pairs
 
 
@@ -772,7 +778,7 @@ def test_reachable_states_reports_completeness():
 
 
 # ---------------------------------------------------------------------------
-# Dead-switch pruning against the unpruned search
+# Switch pruning against the unpruned search
 
 
 def live_threads(config):
@@ -796,7 +802,7 @@ def reference_cap(config, max_threads, max_stack):
 
 
 def reference_search(system, budget, goal, semantics, max_threads, max_stack, max_configs):
-    """The search without dead-switch pruning: it skips only switches to an
+    """The search without switch pruning: it skips only switches to an
     empty stack, and caps by the two helpers above."""
 
     def step(config):
@@ -847,16 +853,35 @@ def check_pruning_is_exact(system, budget, semantics):
     return totals
 
 
-def test_dead_switch_pruning_is_exact_on_random_systems():
+def random_pruning_cases():
     rng = random.Random(20261018)
-    exhaustive_pairs = 0
     for trial in range(24):
         system = random_kill_dcps(rng) if trial % 2 else random_plain_dcps(rng)
         for semantics in SEMANTICS:
             for budget in (0, 1, 2):
-                exhaustive_pairs += check_pruning_is_exact(system, budget, semantics)[2]
+                yield system, budget, semantics
+
+
+def test_dead_switch_pruning_is_exact_on_random_systems():
+    exhaustive_pairs = 0
+    for system, budget, semantics in random_pruning_cases():
+        exhaustive_pairs += check_pruning_is_exact(system, budget, semantics)[2]
     # the state-set comparison really ran
     assert exhaustive_pairs
+
+
+def test_pruned_witnesses_stay_shortest():
+    # on the systems above, wherever both searches find a target
+    caps = (DIFF_CAPS["max_threads"], DIFF_CAPS["max_stack"], DIFF_CAPS["max_configs"])
+    compared = 0
+    for system, budget, semantics in chain(random_pruning_cases(), firing_pruning_cases()):
+        for target in system.states:
+            ref = reference_search(system, budget, lambda c: c.state == target, semantics, *caps)
+            got = reach_state(system, target, budget, semantics=semantics, **DIFF_CAPS)
+            if isinstance(ref, Found) and isinstance(got, DcpsReachable):
+                assert len(got.witness) == len(ref.labels), (serialize_dcps(system), budget, semantics, target)
+                compared += 1
+    assert compared
 
 
 def test_dead_switch_pruning_on_hand_built_systems():
@@ -884,6 +909,90 @@ def test_dead_switch_pruning_on_hand_built_systems():
             check_pruning_is_exact(victim, budget, semantics)
         assert isinstance(reach_state(victim, "g1", 1, semantics=semantics), DcpsReachable)
         assert isinstance(reach_state(victim, "g1", 0, semantics=semantics), DcpsNo)
+
+
+def test_switch_after_switch_pruning_on_a_hand_built_system():
+    # at g2, a has parked b and c, and all three have a rule there: every
+    # switch out of a configuration a switch admitted is a detour, so the
+    # search explores strictly less than with dead-switch pruning alone
+    rules = (
+        DcpsRule("g0", "a", "g1", ("a",), "b"),
+        DcpsRule("g1", "a", "g2", ("a",), "c"),
+        DcpsRule("g2", "a", "g2", ()),
+        DcpsRule("g2", "b", "g2", ()),
+        DcpsRule("g2", "c", "g3", ()),
+    )
+    system = Dcps("g0", "a", rules)
+    for semantics in SEMANTICS:
+        for budget in (1, 2):
+            full, pruned, exhaustive = check_pruning_is_exact(system, budget, semantics)
+            assert exhaustive and pruned < full
+            dead_only = bfs(initial_config(system), lambda c: _successors(system, c, budget, semantics, True),
+                            lambda c: False, 10**4, "max_configs")
+            both = _search(system, budget, lambda c: False, 5, 6, 10**4, semantics)
+            assert isinstance(dead_only, Exhausted) and isinstance(both, Exhausted)
+            assert {c[0] for c in both.seen} == {c[0] for c in dead_only.seen} == {"g0", "g1", "g2", "g3"}
+            assert both.explored < dead_only.explored, (budget, semantics)
+
+
+def dominated(config, by):
+    """Whether `by` dominates config: the same state, the same active stack
+    with a count no higher, and the parked non-empty threads matched by
+    stack with counts no higher."""
+
+    def counts(c):
+        by_stack = {}
+        for w, j in c.pool:  # canonical: ascending counts per stack
+            if w:
+                by_stack.setdefault(w, []).append(j)
+        return by_stack
+
+    (stack, count), (their_stack, their_count) = config.active, by.active
+    if config.state != by.state or stack != their_stack or their_count > count:
+        return False
+    mine, theirs = counts(config), counts(by)
+    return mine.keys() == theirs.keys() and all(
+        len(mine[w]) == len(theirs[w]) and all(b <= a for a, b in zip(mine[w], theirs[w])) for w in mine)
+
+
+def test_dominated_compares_counts_and_stacks():
+    p = make_config("g0", (("a",), 1), [(("b",), 0), (("b",), 2), ((), 0)])
+    assert dominated(p, p)
+    assert dominated(make_config("g0", (("a",), 2), [(("b",), 1), (("b",), 2)]), p)
+    assert not dominated(make_config("g0", (("a",), 0), [(("b",), 0), (("b",), 2)]), p)
+    assert not dominated(make_config("g0", (("a",), 1), [(("b",), 0), (("b",), 1)]), p)
+    assert not dominated(make_config("g0", (("a",), 1), [(("b",), 2)]), p)
+    assert not dominated(make_config("g1", (("a",), 1), [(("b",), 0), (("b",), 2)]), p)
+    assert not dominated(make_config("g0", (("a",), 1), [(("b",), 0), (("c",), 2)]), p)
+
+
+def test_a_switch_after_a_switch_is_dominated():
+    # _search's lemma: P switches to u into C, and C to v into D; then P, if
+    # v is the thread P parked, or else P's own switch to v dominates D
+    rng = random.Random(20261021)
+    by_parent = by_switch = 0
+    for trial in range(12):
+        system = random_kill_dcps(rng) if trial % 2 else random_plain_dcps(rng)
+        for semantics in SEMANTICS:
+            for budget in (0, 1, 2):
+                reached = reference_search(system, budget, lambda c: False, semantics, 5, 6, 300).seen
+                for p in reached:
+                    direct = dict(successors(system, p, budget, semantics))
+                    parked = (p.active[0], p.active[1] + 1)
+                    for u, c in direct.items():
+                        if u[0] != "switch":
+                            continue
+                        for v, d in successors(system, c, budget, semantics):
+                            if v[0] != "switch":
+                                continue
+                            where = (serialize_dcps(system), semantics, budget, p, u, v)
+                            if v[1] == parked:
+                                assert dominated(d, p), where
+                                by_parent += 1
+                            else:
+                                assert dominated(d, direct[v]), where
+                                by_switch += 1
+    assert by_parent and by_switch
 
 
 def random_canonical_config(rng, deepest_parked=5):
@@ -943,7 +1052,7 @@ def test_cap_rule_matches_the_scanning_rule_in_searches(monkeypatch):
 
 
 GOLDEN_CAPS = dict(max_threads=7, max_stack=3, max_configs=400)
-GOLDEN_DIGEST = "6f30c47006d0c44792e4f60b18ba281682656a617cac31c799e13e5fd0ae481c"
+GOLDEN_DIGEST = "1f88e641d3898cb778b4e884497f543709d892f350ff5ab6f6d2e09fb97d84e3"
 
 
 def golden_systems():

@@ -71,3 +71,23 @@ def test_pruned_state_never_enters_seen():
     found = bfs(0, PRUNED_TWICE.__getitem__, lambda n: n == 5, 100, "max_states", prune)
     assert isinstance(found, Found) and found.labels == ("a", "d", "g")
     assert found.explored == 6
+
+
+def test_labelled_successors_get_the_label_that_admitted_each_state():
+    handed = []
+
+    def successors(n, label):
+        handed.append((n, label))
+        return PRUNED_TWICE[n]
+
+    def prune(n):
+        return "max_value" if n == 9 else None
+
+    result = bfs(0, successors, lambda n: False, 100, "max_states", prune, labelled=True)
+    # the start gets None, every other state the label of its seen entry
+    assert handed == [(0, None), (1, "a"), (2, "b"), (3, "d"), (4, "f"), (5, "g")]
+    assert handed == [(n, entry and entry[1]) for n, entry in result.seen.items()]
+    handed.clear()
+    found = bfs(0, successors, lambda n: n == 5, 100, "max_states", prune, labelled=True)
+    assert isinstance(found, Found) and found.labels == ("a", "d", "g")
+    assert handed == [(0, None), (1, "a"), (2, "b"), (3, "d"), (4, "f")]
