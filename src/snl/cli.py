@@ -31,10 +31,9 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
 from itertools import islice
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from snl import counter, dcps, lipton, petri, rnp, rnp2tdpn, tdpn, tdpn2dcps
 
@@ -342,8 +341,7 @@ def _cmd_explore_dcps(args) -> int:
 # Pipeline
 
 
-@dataclass
-class StageResult:
+class StageResult(NamedTuple):
     stage: str
     artifact: str
     verdict: str
@@ -351,15 +349,15 @@ class StageResult:
     detail: dict
 
 
-@dataclass
-class PipelineReport:
+class PipelineReport(NamedTuple):
     input: str
     settings: dict
     stages: list[StageResult]
     cross_checks: list[dict]
 
     def serialize(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
+        report = self._asdict() | {"stages": [s._asdict() for s in self.stages]}
+        return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 def cross_check(stages: list[StageResult]) -> list[dict]:
@@ -447,8 +445,7 @@ def _cmd_pipeline(args) -> int:
         timings[name] = time.perf_counter() - t0
         if artifact is not None:
             stage = result if isinstance(result, StageResult) else _stage(name, result)
-            stage.artifact = artifact
-            stages.append(stage)
+            stages.append(stage._replace(artifact=artifact))
         return result
 
     run = timed("counter", lambda: counter.run_bounded(program, bound, fuel=args.fuel), src.name)

@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import collections
 import re
-from dataclasses import dataclass
 from typing import NamedTuple
 
+from snl.record import Record
 from snl.text import strip_comments
 
 DEFAULT_FUEL = 10_000_000
@@ -42,46 +42,40 @@ class CounterValidationError(ValueError):
     pass
 
 
-# Commands and models are frozen dataclasses; results are NamedTuples, which
-# cost less to define at import.  Commands must not be tuples: programs are
-# compared and hashed, and `Inc("l", "x") == Dec("l", "x")` as tuples.
-# Models check themselves in `__post_init__` or hold a `cached_property`.
-@dataclass(frozen=True)
-class Inc:
+# Commands and models are records (snl.record); results are NamedTuples.
+# Commands must not be tuples: programs are compared and hashed, and
+# `Inc("l", "x") == Dec("l", "x")` as tuples.  Models check themselves in
+# `__post_init__` or hold a `cached_property`, so they need a `__dict__`.
+class Inc(Record):
     label: str
     var: str
 
 
-@dataclass(frozen=True)
-class Dec:
+class Dec(Record):
     label: str
     var: str
 
 
-@dataclass(frozen=True)
-class Goto:
+class Goto(Record):
     label: str
     target: str
 
 
-@dataclass(frozen=True)
-class IfZero:
+class IfZero(Record):
     label: str
     var: str
     target_zero: str
     target_nonzero: str
 
 
-@dataclass(frozen=True)
-class Halt:
+class Halt(Record):
     label: str
 
 
 Command = Inc | Dec | Goto | IfZero | Halt
 
 
-@dataclass(frozen=True)
-class CounterProgram:
+class CounterProgram(Record):
     """A program checked where it is built: see validate_counter."""
 
     commands: tuple[Command, ...]

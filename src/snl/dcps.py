@@ -66,13 +66,13 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property, partial, reduce
 from itertools import chain, repeat
 from math import inf
 from types import MappingProxyType
 from typing import Iterator, NamedTuple
 
+from snl.record import DERIVED, Record
 from snl.search import Capped, Exhausted, Found, bfs
 from snl.text import non_words, strip_comments
 
@@ -123,8 +123,7 @@ class KillRule(NamedTuple):
     victim: str
 
 
-@dataclass(frozen=True)
-class Dcps:
+class Dcps(Record):
     """A thread pool, checked where it is built.
 
     The text format carries no declaration lines, so `states` and `symbols`
@@ -142,8 +141,8 @@ class Dcps:
     rules: tuple[DcpsRule, ...] = ()
     kills: tuple[KillRule, ...] = ()
     kill_syms: frozenset[str] = frozenset()
-    states: tuple[str, ...] = field(init=False)
-    symbols: tuple[str, ...] = field(init=False)
+    states: tuple[str, ...] = DERIVED
+    symbols: tuple[str, ...] = DERIVED
 
     def __post_init__(self) -> None:
         kill_syms = self.kill_syms
@@ -181,8 +180,7 @@ class Dcps:
             problems.append("symbol 'eps' is reserved for the empty push")
         if problems:
             raise DcpsValidationError("; ".join(problems))
-        object.__setattr__(self, "states", tuple(states))
-        object.__setattr__(self, "symbols", tuple(symbols))
+        self.__dict__.update(states=tuple(states), symbols=tuple(symbols))
 
     def size(self) -> int:
         return len(self.states) + len(self.symbols) + len(self.rules) + len(self.kills)

@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
+from snl.record import Record
 from snl.search import Capped, Found, bfs
 from snl.text import non_words, strip_comments
 
@@ -44,8 +44,7 @@ class PetriValidationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class PetriNet:
+class PetriNet(Record):
     """A net checked where it is built: see validate_petri."""
 
     places: tuple[str, ...]

@@ -33,13 +33,13 @@ extends the shared statement forms with these three.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from typing import Iterable, Iterator, NamedTuple
 
 from snl.counter import IDENT, SHARED_FORMS, Grammar, duplicates, jump_targets, non_identifiers
 from snl.counter import Dec, Goto, Halt, Inc  # the commands both languages share
+from snl.record import Record
 from snl.search import Capped, Found, bfs
 from snl.text import strip_comments
 
@@ -61,37 +61,32 @@ class RnpStructureError(RuntimeError):
     empty call stack from a hand-built start configuration."""
 
 
-# dataclasses like counter's commands: as tuples `Halt("l") == Return("l")`
-@dataclass(frozen=True)
-class GotoOr:
+# records like counter's commands: as tuples `Halt("l") == Return("l")`
+class GotoOr(Record):
     label: str
     target1: str
     target2: str
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(Record):
     label: str
     proc: str
 
 
-@dataclass(frozen=True)
-class Return:
+class Return(Record):
     label: str
 
 
 Command = Inc | Dec | Goto | GotoOr | Call | Return | Halt
 
 
-@dataclass(frozen=True)
-class Proc:
+class Proc(Record):
     name: str
     lt_max: tuple[Command, ...]
     eq_max: tuple[Command, ...]
 
 
-@dataclass(frozen=True)
-class Rnp:
+class Rnp(Record):
     """A program checked where it is built: see validate_rnp."""
 
     max_depth: int

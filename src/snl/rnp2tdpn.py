@@ -32,9 +32,10 @@ join that resumes the caller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
+from snl.record import Record
 from snl.rnp import (
     Call,
     Dec,
@@ -60,18 +61,17 @@ def _bits(value: int, width: int) -> str:
 # Address book
 
 
-@dataclass
-class AddressBook:
+class AddressBook(Record):
     """Word layout of a compiled net: base-place table and bit widths."""
 
     bases: tuple[str, ...]
     max_depth: int
     prefix_width: int
     suffix_width: int
-    _index: dict[str, int] = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        self._index = {b: i for i, b in enumerate(self.bases)}
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {b: i for i, b in enumerate(self.bases)}
 
     @property
     def width(self) -> int:

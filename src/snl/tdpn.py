@@ -21,7 +21,6 @@ an exhaustive search; a search a cap touched is Unknown, named by the caps.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from typing import Iterable, NamedTuple
@@ -35,6 +34,7 @@ from snl.petri import (
     moved,
     Coverable as PetriCoverable,
 )
+from snl.record import Record
 from snl.search import Capped, Found, bfs
 from snl.text import non_words, strip_comments
 from snl.transducer import Transducer, TransducerError, enumerate_accepted
@@ -55,8 +55,7 @@ class TdpnValidationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Tdpn:
+class Tdpn(Record):
     """A net checked where it is built: see validate_tdpn."""
 
     width: int

@@ -17,9 +17,10 @@ reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
+
+from snl.record import Record
 
 
 class TransducerError(ValueError):
@@ -31,8 +32,7 @@ Edge = tuple[int, tuple[str, ...], str]  # (declaration index, letters, target)
 Language = dict[tuple[str, ...], tuple[int, ...]]  # words -> first accepting path, in walk order
 
 
-@dataclass(frozen=True)
-class Transducer:
+class Transducer(Record):
     """A transducer checked where it is built: see validate_transducer."""
 
     arity: int

@@ -7,11 +7,11 @@ frame) exercises exactly the effect under test, starting from a
 preconditioned valuation.
 """
 
-import dataclasses
 from pathlib import Path
 
 from snl import counter
 from snl.lipton import expand_test_plus1, helper_procs
+from snl.record import Record
 from snl.rnp import (
     Call,
     Goto,
@@ -89,25 +89,30 @@ def corpus_names() -> list[str]:
 BAD_NAMES = ("l-1", "a b", "x y", "p-q", "1a", "")
 
 
+def fields_of(record: Record) -> tuple:
+    """A record's field values, in declaration order."""
+    return tuple(getattr(record, f) for f in record._fields)
+
+
 def names_in(obj) -> set[str]:
-    """Every string in a tree of tuples and dataclasses: the names of a
+    """Every string in a tree of tuples and records: the names of a
     program or of its parts."""
     if isinstance(obj, str):
         return {obj}
     if isinstance(obj, tuple):
         return set().union(*map(names_in, obj))
-    if dataclasses.is_dataclass(obj):
-        return names_in(tuple(vars(obj).values()))
+    if isinstance(obj, Record):
+        return names_in(fields_of(obj))
     return set()
 
 
 def renamed(obj, old: str, new: str):
-    """A tree of tuples and dataclasses with every string `old` replaced by
+    """A tree of tuples and records with every string `old` replaced by
     `new`."""
     if obj == old:
         return new
     if isinstance(obj, tuple):
         return tuple(renamed(x, old, new) for x in obj)
-    if dataclasses.is_dataclass(obj):
-        return type(obj)(*(renamed(v, old, new) for v in vars(obj).values()))
+    if isinstance(obj, Record):
+        return type(obj)(*(renamed(v, old, new) for v in fields_of(obj)))
     return obj

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import re
 
@@ -21,6 +20,7 @@ from snl.tdpn import (
     serialize_tdpn,
     validate_tdpn,
 )
+from snl.transducer import Transducer
 
 from genutil import random_tdpn, transducer_from_tuples
 
@@ -67,7 +67,7 @@ def test_transducer_states_must_be_word_identifiers():
     # "trans q-1 -> ..." would not read back: the parser takes word states
     t2 = transducer_from_tuples(2, ("0", "1"), [])
     t3 = transducer_from_tuples(3, ("0", "1"), [])
-    odd = dataclasses.replace(t2, states=("r", "q-1"), transitions=(("r", ("0", "1"), "q-1"),))
+    odd = Transducer(2, ("0", "1"), ("r", "q-1"), "r", frozenset(), (("r", ("0", "1"), "q-1"),))
     with pytest.raises(TdpnValidationError, match="move: name 'q-1' is not a word identifier"):
         Tdpn(1, ("0", "1"), "0", "1", odd, t3, t3)
 
